@@ -156,7 +156,7 @@ type RandomConfig struct {
 	// position assumption.
 	Wormholes int
 	// MaxTries bounds the rejection sampling for a connected placement
-	// (default 1000).
+	// (default 2000).
 	MaxTries int
 }
 
@@ -184,32 +184,85 @@ func (c *RandomConfig) defaults() {
 // (5*Side/6, Side/2) — one embedded in each end region, mirroring the grid
 // setups where each attacker sits close to one traffic pool; pair 1 claims
 // nodes displaced a quarter-side vertically from pair 0.
+//
+// Most draws are disconnected at the paper's density (about 1 in 250 is
+// connected at the defaults), so a draw is tested on its positions alone and
+// a Topology is built only once it passes; rejected draws allocate nothing.
 func Random(cfg RandomConfig, rng *rand.Rand) *Network {
 	cfg.defaults()
+	pos := make([]geom.Point, cfg.N)
+	rest := make([]int32, cfg.N)
+	queue := make([]int32, 0, cfg.N)
 	for try := 0; try < cfg.MaxTries; try++ {
-		t := New("random", cfg.Radius)
-		net := &Network{Topo: t}
-		for i := 0; i < cfg.N; i++ {
-			p := geom.Pt(rng.Float64()*cfg.Side, rng.Float64()*cfg.Side)
-			id := t.AddNode(p)
-			switch {
-			case p.X < cfg.Side/4:
-				net.SrcPool = append(net.SrcPool, id)
-			case p.X > 3*cfg.Side/4:
-				net.DstPool = append(net.DstPool, id)
-			}
+		for i := range pos {
+			pos[i] = geom.Pt(rng.Float64()*cfg.Side, rng.Float64()*cfg.Side)
 		}
-		mid := cfg.Side / 2
-		claimAttackerPairs(net, cfg.Wormholes, [][2]geom.Point{
-			{geom.Pt(cfg.Side/6, mid), geom.Pt(5*cfg.Side/6, mid)},
-			{geom.Pt(cfg.Side/6, mid/2), geom.Pt(5*cfg.Side/6, 3*mid/2)},
-		})
-		t.Freeze()
-		if len(net.SrcPool) > 0 && len(net.DstPool) > 0 && t.Connected() {
+		if !placementConnected(pos, cfg.Radius, rest, queue) {
+			continue
+		}
+		if net := randomNetwork(cfg, pos); net != nil {
 			return net
 		}
 	}
 	panic("topology: could not draw a connected random topology; raise Radius or N")
+}
+
+// randomNetwork builds Random's network over one connected placement, or
+// returns nil if claiming the attackers leaves either traffic pool empty.
+func randomNetwork(cfg RandomConfig, pos []geom.Point) *Network {
+	t := New("random", cfg.Radius)
+	net := &Network{Topo: t}
+	for _, p := range pos {
+		id := t.AddNode(p)
+		switch {
+		case p.X < cfg.Side/4:
+			net.SrcPool = append(net.SrcPool, id)
+		case p.X > 3*cfg.Side/4:
+			net.DstPool = append(net.DstPool, id)
+		}
+	}
+	mid := cfg.Side / 2
+	claimAttackerPairs(net, cfg.Wormholes, [][2]geom.Point{
+		{geom.Pt(cfg.Side/6, mid), geom.Pt(5*cfg.Side/6, mid)},
+		{geom.Pt(cfg.Side/6, mid/2), geom.Pt(5*cfg.Side/6, 3*mid/2)},
+	})
+	if len(net.SrcPool) == 0 || len(net.DstPool) == 0 {
+		return nil
+	}
+	t.Freeze()
+	return net
+}
+
+// placementConnected reports whether the unit-disk graph of the given
+// radius over pos is connected: the predicate Topology.build and Connected
+// evaluate, without building either. rest and queue are caller-owned scratch
+// with capacity len(pos); the check allocates nothing.
+//
+// It is a BFS from node 0 in which each dequeued node scans only the nodes
+// not yet reached, removing the ones in range from rest by swap-remove.
+func placementConnected(pos []geom.Point, radius float64, rest, queue []int32) bool {
+	if len(pos) == 0 {
+		return true
+	}
+	r2 := radius * radius
+	rest = rest[:len(pos)-1]
+	for i := range rest {
+		rest[i] = int32(i + 1)
+	}
+	queue = append(queue[:0], 0)
+	for head := 0; head < len(queue) && len(rest) > 0; head++ {
+		p := pos[queue[head]]
+		for k := 0; k < len(rest); {
+			if v := rest[k]; p.Dist2(pos[v]) <= r2 {
+				queue = append(queue, v)
+				rest[k] = rest[len(rest)-1]
+				rest = rest[:len(rest)-1]
+			} else {
+				k++
+			}
+		}
+	}
+	return len(rest) == 0
 }
 
 // claimAttackerPairs designates, for each requested wormhole, the two

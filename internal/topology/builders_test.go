@@ -2,7 +2,10 @@ package topology
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
+
+	"samnet/internal/geom"
 )
 
 func TestClusterLayout(t *testing.T) {
@@ -200,6 +203,184 @@ func TestRandomImpossiblePanics(t *testing.T) {
 	Random(RandomConfig{N: 10, Side: 100, Radius: 1, MaxTries: 5}, rand.New(rand.NewPCG(1, 1)))
 }
 
+// randomReference is Random as first written: every draw builds a full
+// Topology, claims attackers and checks Topology.Connected before deciding.
+// Random must return the identical network from the identical RNG stream.
+// It also reports how many draws it made, and how many connected draws it
+// rejected for an empty source or destination pool.
+func randomReference(cfg RandomConfig, rng *rand.Rand) (*Network, int, int) {
+	cfg.defaults()
+	poolRejects := 0
+	for try := 0; try < cfg.MaxTries; try++ {
+		t := New("random", cfg.Radius)
+		net := &Network{Topo: t}
+		for i := 0; i < cfg.N; i++ {
+			p := geom.Pt(rng.Float64()*cfg.Side, rng.Float64()*cfg.Side)
+			id := t.AddNode(p)
+			switch {
+			case p.X < cfg.Side/4:
+				net.SrcPool = append(net.SrcPool, id)
+			case p.X > 3*cfg.Side/4:
+				net.DstPool = append(net.DstPool, id)
+			}
+		}
+		mid := cfg.Side / 2
+		claimAttackerPairs(net, cfg.Wormholes, [][2]geom.Point{
+			{geom.Pt(cfg.Side/6, mid), geom.Pt(5*cfg.Side/6, mid)},
+			{geom.Pt(cfg.Side/6, mid/2), geom.Pt(5*cfg.Side/6, 3*mid/2)},
+		})
+		t.Freeze()
+		if len(net.SrcPool) > 0 && len(net.DstPool) > 0 && t.Connected() {
+			return net, try + 1, poolRejects
+		}
+		if t.Connected() {
+			poolRejects++
+		}
+	}
+	panic("topology: could not draw a connected random topology; raise Radius or N")
+}
+
+// panicText runs fn and returns the value it panicked with, or nil.
+func panicText(fn func()) (v any) {
+	defer func() { v = recover() }()
+	fn()
+	return nil
+}
+
+func TestRandomMatchesReference(t *testing.T) {
+	const seeds = 300
+	for _, tc := range []struct {
+		name string
+		cfg  RandomConfig
+		// poolRejects: some connected draw must be rejected for an empty
+		// pool. undrawable: every seed must panic.
+		poolRejects, undrawable bool
+	}{
+		{name: "defaults-0wh", cfg: RandomConfig{}},
+		{name: "defaults-1wh", cfg: RandomConfig{Wormholes: 1}},
+		{name: "defaults-2wh", cfg: RandomConfig{Wormholes: 2}},
+		{name: "small-pools", cfg: RandomConfig{N: 12, Side: 6, Radius: 2, Wormholes: 1}, poolRejects: true},
+		{name: "undrawable-sparse", cfg: RandomConfig{N: 10, Side: 100, Radius: 1, MaxTries: 5}, undrawable: true},
+		// Always connected, but the attackers claim every node.
+		{name: "undrawable-pools", cfg: RandomConfig{N: 4, Side: 1, Radius: 5, Wormholes: 2, MaxTries: 5}, undrawable: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			poolRejects, panics := 0, 0
+			for s := uint64(0); s < seeds; s++ {
+				rngA := rand.New(rand.NewPCG(s, 0x5eed))
+				rngB := rand.New(rand.NewPCG(s, 0x5eed))
+				var got, want *Network
+				var rej int
+				gotPanic := panicText(func() { got = Random(tc.cfg, rngA) })
+				wantPanic := panicText(func() { want, _, rej = randomReference(tc.cfg, rngB) })
+				if gotPanic != wantPanic {
+					t.Fatalf("seed %d: Random panicked with %v, reference with %v", s, gotPanic, wantPanic)
+				}
+				if gotPanic != nil {
+					panics++
+					continue
+				}
+				poolRejects += rej
+				if !slices.Equal(got.Topo.Positions(), want.Topo.Positions()) {
+					t.Fatalf("seed %d: positions differ", s)
+				}
+				if !slices.Equal(got.SrcPool, want.SrcPool) || !slices.Equal(got.DstPool, want.DstPool) {
+					t.Fatalf("seed %d: pools %v/%v, want %v/%v", s, got.SrcPool, got.DstPool, want.SrcPool, want.DstPool)
+				}
+				if !slices.Equal(got.AttackerPairs, want.AttackerPairs) {
+					t.Fatalf("seed %d: attacker pairs %v, want %v", s, got.AttackerPairs, want.AttackerPairs)
+				}
+				if !slices.Equal(got.Topo.Links(), want.Topo.Links()) {
+					t.Fatalf("seed %d: links differ", s)
+				}
+				// Callers keep drawing from rng, so the stream must be left
+				// exactly where the reference leaves it.
+				if rngA.Uint64() != rngB.Uint64() {
+					t.Fatalf("seed %d: RNG stream diverges after the build", s)
+				}
+			}
+			if tc.undrawable && panics != seeds {
+				t.Errorf("%d of %d seeds drew a network; the config is meant to be undrawable", seeds-panics, seeds)
+			}
+			if tc.poolRejects && poolRejects == 0 {
+				t.Error("no connected draw was rejected for an empty pool; the config no longer covers that path")
+			}
+		})
+	}
+}
+
+func TestPlacementConnectedMatchesTopology(t *testing.T) {
+	t.Parallel()
+	const draws = 34000 // per config; three configs make 10^5 draws
+	for _, cfg := range []RandomConfig{
+		{N: 60, Side: 15, Radius: 2},   // sparse: almost never connected
+		{N: 60, Side: 15, Radius: 2.3}, // the paper's random setup
+		{N: 60, Side: 15, Radius: 4},   // dense: almost always connected
+	} {
+		rng := rand.New(rand.NewPCG(uint64(cfg.Radius*10), 3))
+		pos := make([]geom.Point, cfg.N)
+		rest := make([]int32, cfg.N)
+		queue := make([]int32, 0, cfg.N)
+		connected := 0
+		for d := 0; d < draws; d++ {
+			topo := New("check", cfg.Radius)
+			for i := range pos {
+				pos[i] = geom.Pt(rng.Float64()*cfg.Side, rng.Float64()*cfg.Side)
+				topo.AddNode(pos[i])
+			}
+			got := placementConnected(pos, cfg.Radius, rest, queue)
+			if want := topo.Connected(); got != want {
+				t.Fatalf("radius %v draw %d: placementConnected = %v, Topology.Connected = %v", cfg.Radius, d, got, want)
+			}
+			if got {
+				connected++
+			}
+		}
+		t.Logf("radius %v: %d of %d draws connected", cfg.Radius, connected, draws)
+	}
+}
+
+func TestRandomRejectedTriesAllocFree(t *testing.T) {
+	cfg := RandomConfig{Wormholes: 1}
+	cfg.defaults()
+	// Seeds picked for their try counts: the first needs only a few draws,
+	// the second needs many.
+	seeds := []uint64{0, 0}
+	tries := []int{0, 0}
+	for s := uint64(1); tries[0] == 0 || tries[1] == 0; s++ {
+		_, n, _ := randomReference(cfg, rand.New(rand.NewPCG(s, s)))
+		switch {
+		case n <= 20 && tries[0] == 0:
+			seeds[0], tries[0] = s, n
+		case n >= 500 && tries[1] == 0:
+			seeds[1], tries[1] = s, n
+		}
+	}
+	var overhead [2]float64
+	for i, s := range seeds {
+		pcg := rand.NewPCG(s, s)
+		rng := rand.New(pcg)
+		random := testing.AllocsPerRun(5, func() {
+			pcg.Seed(s, s)
+			Random(cfg, rng)
+		})
+		accepted := Random(cfg, rand.New(rand.NewPCG(s, s))).Topo.Positions()
+		build := testing.AllocsPerRun(5, func() { randomNetwork(cfg, accepted) })
+		overhead[i] = random - build
+		t.Logf("seed %d: %d tries, %.0f allocs (%.0f for the accepted build)", s, tries[i], random, build)
+		if random > 330 {
+			t.Errorf("seed %d: Random allocates %.0f times, want at most one accepted build (<= 330)", s, random)
+		}
+	}
+	// The few allocations beyond the accepted build are the draw's scratch,
+	// allocated once per call: rejected tries add nothing.
+	if overhead[0] != overhead[1] || overhead[0] > 3 {
+		t.Errorf("allocations beyond the accepted build: %v for %d tries, %v for %d tries; want equal and at most 3",
+			overhead[0], tries[0], overhead[1], tries[1])
+	}
+}
+
 func TestPickPairNeverPicksAttacker(t *testing.T) {
 	net := Cluster(1, 2)
 	attackers := net.Attackers()
@@ -286,9 +467,13 @@ func BenchmarkBFSDist(b *testing.B) {
 }
 
 func BenchmarkRandomBuild(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 1))
+	// Cycle through a fixed set of drawable seeds: one long stream would
+	// eventually hit MaxTries disconnected draws in a row and panic.
+	pcg := rand.NewPCG(0, 0)
+	rng := rand.New(pcg)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		pcg.Seed(uint64(i%64), 1)
 		Random(RandomConfig{}, rng)
 	}
 }

@@ -9,6 +9,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"samnet/internal/geom"
@@ -230,7 +231,7 @@ func (t *Topology) build() {
 		adj[l.B] = append(adj[l.B], l.A)
 	}
 	for i := range adj {
-		sort.Slice(adj[i], func(a, b int) bool { return adj[i][a] < adj[i][b] })
+		slices.Sort(adj[i])
 		// Deduplicate in case a tunnel doubles a radio link.
 		adj[i] = dedupSorted(adj[i])
 	}
