@@ -12,12 +12,11 @@
 // Usage:
 //
 //	samgate -replicas http://h1:8080,http://h2:8080 [-addr :8070]
-//	        [-health-interval 2s] [-sync-interval 0] [-no-pull-on-miss]
-//	        [-max-body 0] [-retries 4] [-traces N] [-trace-slow 250ms]
+//	        [-health-interval 2s] [-sync-interval 0] [-max-body 0]
+//	        [-retries 4] [-traces N] [-trace-slow 250ms]
 //	        [-log-requests N] [-debug-addr :6070] [-log-format text|json]
 //
-// -sync-interval 0 disables anti-entropy (pull-on-miss still repairs lazily);
-// -no-pull-on-miss leaves misses as the owner's 404.
+// -sync-interval 0 disables anti-entropy (pull-on-miss still repairs lazily).
 //
 // -traces sizes the span ring behind /debug/traces (negative disables
 // tracing); a traced gateway starts a span per request and propagates the
@@ -52,7 +51,6 @@ func main() {
 		replicas       = flag.String("replicas", "", "comma-separated samserve base URLs (required)")
 		healthInterval = flag.Duration("health-interval", 2*time.Second, "replica health sweep period (<=0 disables the background checker)")
 		syncInterval   = flag.Duration("sync-interval", 0, "anti-entropy profile sync period (0 = disabled)")
-		noPullOnMiss   = flag.Bool("no-pull-on-miss", false, "do not repair owner 404s by pulling the profile from another replica")
 		maxBody        = flag.Int64("max-body", 0, "request body limit in bytes (0 = default 8MiB)")
 		retries        = flag.Int("retries", 0, "attempts per scatter sub-request on 429 (0 = default 4)")
 		traces         = flag.Int("traces", 256, "span ring size behind /debug/traces (negative disables tracing)")
@@ -92,30 +90,22 @@ func main() {
 	}
 
 	gw, err := cluster.NewGateway(cluster.GatewayConfig{
-		Replicas:          addrs,
-		MaxAttempts:       *retries,
-		HealthInterval:    hi,
-		SyncInterval:      *syncInterval,
-		DisablePullOnMiss: *noPullOnMiss,
-		MaxBodyBytes:      *maxBody,
-		Tracer:            tracer,
-		Logger:            logger,
+		Replicas:       addrs,
+		MaxAttempts:    *retries,
+		HealthInterval: hi,
+		SyncInterval:   *syncInterval,
+		MaxBodyBytes:   *maxBody,
+		Tracer:         tracer,
+		Logger:         logger,
 	})
 	if err != nil {
 		logger.Error("fatal", "err", err)
 		os.Exit(1)
 	}
 
-	healthy := 0
-	for _, st := range gw.Fleet().Statuses() {
-		if st.Healthy {
-			healthy++
-		}
-	}
 	logger.Info("starting",
-		"addr", *addr, "replicas", len(addrs), "healthy", healthy,
+		"addr", *addr, "replicas", len(addrs), "healthy", gw.Fleet().HealthyCount(),
 		"health_interval", *healthInterval, "sync_interval", *syncInterval,
-		"pull_on_miss", !*noPullOnMiss,
 		"traces", *traces, "trace_slow", *traceSlow, "log_requests", *logRequests)
 
 	srv := &http.Server{

@@ -198,18 +198,27 @@ func main() {
 		}
 		logger.Info("verdicts written", "path", *verdicts, "responses", n)
 	}
-	var res *result
+	sched := &schedule{budget: int64(*requests), deadline: time.Now().Add(*duration)}
+	var total *tally
+	var perReplica []*tally
 	if *stream {
-		res = runStream(client, fl.bases[0], items, *clients, *requests, *duration)
+		total, perReplica = runStream(client, fl.bases[0], items, *clients, sched)
 	} else {
-		res = run(client, fl, items, *clients, *requests, *duration, *batch)
+		total, perReplica = run(client, fl, items, *clients, sched, *batch)
 	}
-	res.report(os.Stdout, fl)
+	// Per-replica rows are rendered once, for the report and the summary.
+	var rows []replicaSummary
+	if len(perReplica) > 1 {
+		for i, t := range perReplica {
+			rows = append(rows, t.row(fl.bases[i]))
+		}
+	}
+	total.report(os.Stdout, rows)
 	for _, base := range fl.bases {
 		scrapeServerMetrics(client, base)
 	}
-	res.summaryJSON(os.Stdout, mode(*stream, *batch), fl)
-	if res.errors > 0 && res.ok == 0 {
+	total.summaryJSON(os.Stdout, mode(*stream, *batch), rows)
+	if total.errors > 0 && total.ok == 0 {
 		os.Exit(1)
 	}
 }
@@ -397,16 +406,21 @@ func buildCorpus(names []string, fl *fleet, normal, attacked [][][]int, batch in
 	return items
 }
 
+// detectPath is the endpoint a corpus of the given batch size scores on.
+func detectPath(batch int) string {
+	if batch > 1 {
+		return "/v1/detect/batch"
+	}
+	return "/v1/detect"
+}
+
 // dumpVerdicts scores every corpus item once — sequentially, in order,
 // adaptive updates off — and appends the raw response bodies to path. The
 // bodies are NDJSON already (the service newline-terminates every JSON
 // response), so the file diffs cleanly across runs: same corpus, same
 // verdict bytes, no matter how many replicas served it.
 func dumpVerdicts(client *http.Client, fl *fleet, items []corpusItem, batch int, path string) (int, error) {
-	suffix := "/v1/detect"
-	if batch > 1 {
-		suffix = "/v1/detect/batch"
-	}
+	suffix := detectPath(batch)
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
@@ -433,67 +447,88 @@ func dumpVerdicts(client *http.Client, fl *fleet, items []corpusItem, batch int,
 	return len(items), nil
 }
 
-type result struct {
+// tally is one slice of a run's outcome: one client's, one replica's, or
+// the whole run's.
+type tally struct {
 	ok, errors, rejected int64
-	elapsed              time.Duration
+	scored               int64 // route sets scored
+	truePos, falsePos    int64
+	attackSeen, normSeen int64
+	slowest              time.Duration  // slowest ok request
+	slowestTrace         string         // its trace id, for /debug/traces lookup
 	latency              *obs.Histogram // shared with the service's bucket layout
-	scored               int64          // route sets scored (ok requests * batch items)
-	truePos, falsePos    int64
-	attackSeen, normSeen int64
-	slowest              time.Duration   // slowest ok request
-	slowestTrace         string          // its trace id, for /debug/traces lookup
-	perReplica           []*replicaStats // one per fleet base in -addrs mode
+	elapsed              time.Duration
 }
 
-// noteSlowest records a completed ok request if it is the slowest so far.
-// Callers hold the result merge lock.
-func (r *result) noteSlowest(took time.Duration, trace string) {
-	if took > r.slowest {
-		r.slowest, r.slowestTrace = took, trace
+func newTally() *tally { return &tally{latency: obs.NewHistogram(obs.DefaultLatencyBuckets)} }
+
+// answered records one ok request into t and into the run-wide histogram.
+// Histograms take concurrent observations (atomic bucket counters), so
+// latency needs no per-client staging or merge.
+func (t *tally) answered(took time.Duration, trace string, all *obs.Histogram) {
+	t.ok++
+	t.latency.ObserveDuration(took)
+	all.ObserveDuration(took)
+	if took > t.slowest {
+		t.slowest, t.slowestTrace = took, trace
 	}
 }
 
-// replicaStats is one replica's share of a fleet run.
-type replicaStats struct {
-	ok, errors, rejected int64
-	scored               int64
-	truePos, falsePos    int64
-	attackSeen, normSeen int64
-	latency              *obs.Histogram
+// classify scores one route set's decision against its ground truth.
+func (t *tally) classify(decision string, attack bool) {
+	t.scored++
+	positive := decision != "normal"
+	if attack {
+		t.attackSeen++
+		if positive {
+			t.truePos++
+		}
+	} else {
+		t.normSeen++
+		if positive {
+			t.falsePos++
+		}
+	}
 }
 
-// quantile estimates this replica's q-quantile in seconds, clamped to the
-// replica's observed maximum like the aggregate quantile.
-func (st *replicaStats) quantile(q float64) float64 {
-	v := st.latency.Quantile(q)
-	if m := st.latency.Max(); v > m {
-		v = m
+// merge adds src's counts into t, keeping the slower slowest request.
+func (t *tally) merge(src *tally) {
+	t.ok += src.ok
+	t.errors += src.errors
+	t.rejected += src.rejected
+	t.scored += src.scored
+	t.truePos += src.truePos
+	t.falsePos += src.falsePos
+	t.attackSeen += src.attackSeen
+	t.normSeen += src.normSeen
+	if src.slowest > t.slowest {
+		t.slowest, t.slowestTrace = src.slowest, src.slowestTrace
 	}
-	return v
 }
 
-// run drives the corpus with the given concurrency until the request budget
-// or deadline runs out, routing each item to its placed replica.
-func run(client *http.Client, fl *fleet, items []corpusItem, clients, requests int, duration time.Duration, batch int) *result {
-	suffix := "/v1/detect"
-	if batch > 1 {
-		suffix = "/v1/detect/batch"
-	}
-	endpoints := make([]string, len(fl.bases))
-	for i, base := range fl.bases {
-		endpoints[i] = base + suffix
-	}
+// schedule hands out corpus slots until the request budget (or, without
+// one, the deadline) runs out.
+type schedule struct {
+	next     atomic.Int64
+	budget   int64
+	deadline time.Time
+}
 
-	var next atomic.Int64
-	deadline := time.Now().Add(duration)
-	budget := int64(requests)
+func (s *schedule) claim() (int64, bool) {
+	idx := s.next.Add(1) - 1
+	if s.budget > 0 {
+		return idx, idx < s.budget
+	}
+	return idx, !time.Now().After(s.deadline)
+}
 
-	// Histograms are written concurrently by every client (atomic bucket
-	// counters), so latency needs no per-goroutine staging or merge.
-	res := &result{latency: obs.NewHistogram(obs.DefaultLatencyBuckets)}
-	res.perReplica = make([]*replicaStats, len(fl.bases))
-	for i := range res.perReplica {
-		res.perReplica[i] = &replicaStats{latency: obs.NewHistogram(obs.DefaultLatencyBuckets)}
+// drive runs clients concurrent workers, each tallying into one local slot
+// per replica, and merges the slots into per-replica and run-wide tallies.
+func drive(clients, replicas int, worker func(local []tally, all *obs.Histogram)) (*tally, []*tally) {
+	total := newTally()
+	perReplica := make([]*tally, replicas)
+	for i := range perReplica {
+		perReplica[i] = newTally()
 	}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -502,89 +537,59 @@ func run(client *http.Client, fl *fleet, items []corpusItem, clients, requests i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := make([]replicaStats, len(fl.bases))
-			var slowest time.Duration
-			var slowestTrace string
-			for {
-				idx := next.Add(1) - 1
-				if budget > 0 {
-					if idx >= budget {
-						break
-					}
-				} else if time.Now().After(deadline) {
-					break
-				}
-				item := items[idx%int64(len(items))]
-				st := &local[item.target]
-				tp := newTraceparent()
-				begin := time.Now()
-				decisions, status, err := post(client, endpoints[item.target], tp, item.payload, batch)
-				took := time.Since(begin)
-				switch {
-				case err != nil:
-					st.errors++
-					continue
-				case status == http.StatusTooManyRequests:
-					st.rejected++
-					continue
-				case status != http.StatusOK:
-					st.errors++
-					continue
-				}
-				st.ok++
-				if took > slowest {
-					slowest, slowestTrace = took, traceHex(tp)
-				}
-				res.latency.ObserveDuration(took)
-				res.perReplica[item.target].latency.ObserveDuration(took)
-				for i, dec := range decisions {
-					if i >= len(item.attacks) {
-						break
-					}
-					st.scored++
-					positive := dec != "normal"
-					if item.attacks[i] {
-						st.attackSeen++
-						if positive {
-							st.truePos++
-						}
-					} else {
-						st.normSeen++
-						if positive {
-							st.falsePos++
-						}
-					}
-				}
-			}
-			mu.Lock()
-			res.noteSlowest(slowest, slowestTrace)
+			local := make([]tally, replicas)
 			for i := range local {
-				dst, src := res.perReplica[i], &local[i]
-				dst.ok += src.ok
-				dst.errors += src.errors
-				dst.rejected += src.rejected
-				dst.scored += src.scored
-				dst.truePos += src.truePos
-				dst.falsePos += src.falsePos
-				dst.attackSeen += src.attackSeen
-				dst.normSeen += src.normSeen
+				local[i].latency = perReplica[i].latency
 			}
-			mu.Unlock()
+			worker(local, total.latency)
+			mu.Lock()
+			defer mu.Unlock()
+			for i := range local {
+				perReplica[i].merge(&local[i])
+				total.merge(&local[i])
+			}
 		}()
 	}
 	wg.Wait()
-	res.elapsed = time.Since(start)
-	for _, st := range res.perReplica {
-		res.ok += st.ok
-		res.errors += st.errors
-		res.rejected += st.rejected
-		res.scored += st.scored
-		res.truePos += st.truePos
-		res.falsePos += st.falsePos
-		res.attackSeen += st.attackSeen
-		res.normSeen += st.normSeen
+	total.elapsed = time.Since(start)
+	for _, t := range perReplica {
+		t.elapsed = total.elapsed
 	}
-	return res
+	return total, perReplica
+}
+
+// run drives the corpus over request/response until the schedule runs out,
+// routing each item to its placed replica.
+func run(client *http.Client, fl *fleet, items []corpusItem, clients int, sched *schedule, batch int) (*tally, []*tally) {
+	suffix := detectPath(batch)
+	return drive(clients, len(fl.bases), func(local []tally, all *obs.Histogram) {
+		for {
+			idx, ok := sched.claim()
+			if !ok {
+				return
+			}
+			item := items[idx%int64(len(items))]
+			st := &local[item.target]
+			tp := newTraceparent()
+			begin := time.Now()
+			decisions, status, err := post(client, fl.bases[item.target]+suffix, tp, item.payload, batch)
+			took := time.Since(begin)
+			switch {
+			case status == http.StatusTooManyRequests:
+				st.rejected++
+				continue
+			case err != nil || status != http.StatusOK:
+				st.errors++
+				continue
+			}
+			st.answered(took, traceHex(tp), all)
+			for i, dec := range decisions {
+				if i < len(item.attacks) {
+					st.classify(dec, item.attacks[i])
+				}
+			}
+		}
+	})
 }
 
 // mode names the driving strategy for the machine-readable summary.
@@ -615,73 +620,36 @@ type inflight struct {
 // goroutine reading response lines in request order. Latency is line-written
 // to line-answered, which includes queueing inside the window — the price of
 // measuring a pipeline rather than a round trip.
-func runStream(client *http.Client, base string, items []corpusItem, clients, requests int, duration time.Duration) *result {
+func runStream(client *http.Client, base string, items []corpusItem, clients int, sched *schedule) (*tally, []*tally) {
 	endpoint := base + "/v1/detect/stream"
 	// Batch-1 detect bodies are single-line JSON, so NDJSON framing is just
 	// a newline suffix, appended once here rather than per write.
 	for i := range items {
 		items[i].payload = append(items[i].payload, '\n')
 	}
-
-	var next atomic.Int64
-	deadline := time.Now().Add(duration)
-	budget := int64(requests)
-
-	res := &result{latency: obs.NewHistogram(obs.DefaultLatencyBuckets)}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := streamClient(client, endpoint, items, &next, budget, deadline, res.latency)
-			mu.Lock()
-			res.ok += st.ok
-			res.errors += st.errs
-			res.scored += st.scored
-			res.truePos += st.tp
-			res.falsePos += st.fp
-			res.attackSeen += st.atk
-			res.normSeen += st.nrm
-			res.noteSlowest(st.slowest, st.slowestTrace)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	res.elapsed = time.Since(start)
-	return res
-}
-
-// streamStats is one stream connection's tally.
-type streamStats struct {
-	ok, errs, scored, tp, fp, atk, nrm int64
-	slowest                            time.Duration
-	slowestTrace                       string
+	return drive(clients, 1, func(local []tally, all *obs.Histogram) {
+		streamClient(client, endpoint, items, sched, &local[0], all)
+	})
 }
 
 // streamClient runs one connection's writer/reader pair to completion. The
 // connection carries one traceparent: line latency is pipeline latency, so
 // the useful trace unit is the connection's stream span, not a per-line id.
-func streamClient(client *http.Client, endpoint string, items []corpusItem, next *atomic.Int64, budget int64, deadline time.Time, latency *obs.Histogram) (st streamStats) {
+func streamClient(client *http.Client, endpoint string, items []corpusItem, sched *schedule, st *tally, all *obs.Histogram) {
 	connTP := newTraceparent()
 	pr, pw := io.Pipe()
 	window := make(chan inflight, streamWindow)
 
-	// Writer: claims corpus slots from the shared counter, records the
-	// ground truth in the window, then ships the line. Lines are buffered
-	// and flushed before the window can block, so the server always holds
-	// every line the reader is waiting on.
+	// Writer: claims corpus slots from the schedule, records the ground
+	// truth in the window, then ships the line. Lines are buffered and
+	// flushed before the window can block, so the server always holds every
+	// line the reader is waiting on.
 	go func() {
 		bw := bufio.NewWriterSize(pw, 16*1024)
 		var werr error
 		for werr == nil {
-			idx := next.Add(1) - 1
-			if budget > 0 {
-				if idx >= budget {
-					break
-				}
-			} else if time.Now().After(deadline) {
+			idx, ok := sched.claim()
+			if !ok {
 				break
 			}
 			item := items[idx%int64(len(items))]
@@ -701,6 +669,14 @@ func streamClient(client *http.Client, endpoint string, items []corpusItem, next
 		pw.CloseWithError(werr)
 		close(window)
 	}()
+	// Every return counts the requests the server never answered, after
+	// making sure the writer cannot stay blocked on the pipe.
+	defer func() {
+		pr.CloseWithError(fmt.Errorf("response stream ended"))
+		for range window {
+			st.errors++
+		}
+	}()
 
 	req, err := http.NewRequest("POST", endpoint, pr)
 	if err != nil {
@@ -710,22 +686,14 @@ func streamClient(client *http.Client, endpoint string, items []corpusItem, next
 	req.Header.Set("Traceparent", connTP)
 	resp, err := client.Do(req)
 	if err != nil {
-		pr.CloseWithError(err) // unblocks the writer
-		for range window {
-			st.errs++
-		}
-		st.errs++
-		return st
+		st.errors++
+		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
-		pr.CloseWithError(fmt.Errorf("stream status %s", resp.Status))
-		for range window {
-			st.errs++
-		}
-		st.errs++
-		return st
+		st.errors++
+		return
 	}
 
 	sc := bufio.NewScanner(resp.Body)
@@ -740,44 +708,20 @@ func streamClient(client *http.Client, endpoint string, items []corpusItem, next
 			// More response lines than requests: a stream-level error line
 			// appended after the last answer, or a protocol bug. Count it
 			// and stop matching.
-			st.errs++
+			st.errors++
 			break
 		}
 		decision, lineErr := streamDecision(line)
 		if lineErr != nil {
-			st.errs++
+			st.errors++
 			continue
 		}
-		st.ok++
-		took := time.Since(sent.begin)
-		if took > st.slowest {
-			st.slowest, st.slowestTrace = took, traceHex(connTP)
-		}
-		latency.ObserveDuration(took)
-		st.scored++
-		positive := decision != "normal"
-		if sent.attack {
-			st.atk++
-			if positive {
-				st.tp++
-			}
-		} else {
-			st.nrm++
-			if positive {
-				st.fp++
-			}
-		}
+		st.answered(time.Since(sent.begin), traceHex(connTP), all)
+		st.classify(decision, sent.attack)
 	}
 	if err := sc.Err(); err != nil {
-		st.errs++
+		st.errors++
 	}
-	// The response is over; make sure the writer can't stay blocked on the
-	// pipe, then count requests the server never answered.
-	pr.CloseWithError(fmt.Errorf("response stream ended"))
-	for range window {
-		st.errs++
-	}
-	return st
 }
 
 // decisionMark is the response-line prefix of the decision value. Scanning
@@ -869,60 +813,52 @@ func post(client *http.Client, endpoint, traceparent string, payload []byte, bat
 
 // quantile estimates the q-quantile in seconds, clamped to the observed
 // maximum (bucket interpolation can overshoot it in a sparse tail bucket).
-func (r *result) quantile(q float64) float64 {
-	v := r.latency.Quantile(q)
-	if m := r.latency.Max(); v > m {
-		v = m
+func (t *tally) quantile(q float64) float64 {
+	return min(t.latency.Quantile(q), t.latency.Max())
+}
+
+// rate is n/d, 0 when d is.
+func rate(n, d int64) float64 {
+	if d == 0 {
+		return 0
 	}
-	return v
+	return float64(n) / float64(d)
 }
 
-// quantileDur is quantile as a duration.
-func (r *result) quantileDur(q float64) time.Duration {
-	return time.Duration(r.quantile(q) * float64(time.Second))
+// micros renders seconds as a duration rounded to the microsecond.
+func micros(secs float64) time.Duration {
+	return time.Duration(secs * float64(time.Second)).Round(time.Microsecond)
 }
 
-func (r *result) report(w io.Writer, fl *fleet) {
-	rps := float64(r.ok) / r.elapsed.Seconds()
+func (t *tally) report(w io.Writer, rows []replicaSummary) {
 	fmt.Fprintf(w, "requests:       %d ok, %d rejected (429), %d errors in %s\n",
-		r.ok, r.rejected, r.errors, r.elapsed.Round(time.Millisecond))
+		t.ok, t.rejected, t.errors, t.elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "throughput:     %.0f req/s (%.0f route sets/s)\n",
-		rps, float64(r.scored)/r.elapsed.Seconds())
-	if r.latency.Count() > 0 {
-		max := time.Duration(r.latency.Max() * float64(time.Second))
+		float64(t.ok)/t.elapsed.Seconds(), float64(t.scored)/t.elapsed.Seconds())
+	if t.latency.Count() > 0 {
 		fmt.Fprintf(w, "latency:        p50 %s  p95 %s  p99 %s  max %s\n",
-			r.quantileDur(0.50).Round(time.Microsecond), r.quantileDur(0.95).Round(time.Microsecond),
-			r.quantileDur(0.99).Round(time.Microsecond), max.Round(time.Microsecond))
+			micros(t.quantile(0.50)), micros(t.quantile(0.95)), micros(t.quantile(0.99)), micros(t.latency.Max()))
 	}
-	if r.slowestTrace != "" {
+	if t.slowestTrace != "" {
 		fmt.Fprintf(w, "slowest:        %s (trace %s — look it up under /debug/traces?trace=%s)\n",
-			r.slowest.Round(time.Microsecond), r.slowestTrace, r.slowestTrace)
+			t.slowest.Round(time.Microsecond), t.slowestTrace, t.slowestTrace)
 	}
-	if r.attackSeen > 0 {
+	if t.attackSeen > 0 {
 		fmt.Fprintf(w, "detection rate: %.3f (%d/%d wormhole route sets flagged)\n",
-			float64(r.truePos)/float64(r.attackSeen), r.truePos, r.attackSeen)
+			rate(t.truePos, t.attackSeen), t.truePos, t.attackSeen)
 	}
-	if r.normSeen > 0 {
+	if t.normSeen > 0 {
 		fmt.Fprintf(w, "false positives: %.3f (%d/%d normal route sets flagged)\n",
-			float64(r.falsePos)/float64(r.normSeen), r.falsePos, r.normSeen)
+			rate(t.falsePos, t.normSeen), t.falsePos, t.normSeen)
 	}
-	if len(r.perReplica) > 1 {
-		for i, st := range r.perReplica {
-			line := fmt.Sprintf("replica %-28s %d ok, %d rejected, %d errors, %.0f req/s",
-				fl.bases[i]+":", st.ok, st.rejected, st.errors, float64(st.ok)/r.elapsed.Seconds())
-			if st.latency.Count() > 0 {
-				p50 := time.Duration(st.quantile(0.50) * float64(time.Second))
-				p95 := time.Duration(st.quantile(0.95) * float64(time.Second))
-				p99 := time.Duration(st.quantile(0.99) * float64(time.Second))
-				line += fmt.Sprintf(", p50 %s, p95 %s, p99 %s",
-					p50.Round(time.Microsecond), p95.Round(time.Microsecond),
-					p99.Round(time.Microsecond))
-			}
-			if st.attackSeen > 0 {
-				line += fmt.Sprintf(", detection %.3f", float64(st.truePos)/float64(st.attackSeen))
-			}
-			fmt.Fprintln(w, line)
+	for _, rs := range rows {
+		line := fmt.Sprintf("replica %-28s %d ok, %d rejected, %d errors, %.0f req/s",
+			rs.Addr+":", rs.OK, rs.Rejected, rs.Errors, rs.RequestsPerS)
+		if rs.OK > 0 {
+			line += fmt.Sprintf(", p50 %s, p95 %s, p99 %s, detection %.3f",
+				micros(rs.P50S), micros(rs.P95S), micros(rs.P99S), rs.DetectionRate)
 		}
+		fmt.Fprintln(w, line)
 	}
 }
 
@@ -963,55 +899,35 @@ type replicaSummary struct {
 	DetectionRate float64 `json:"detection_rate"`
 }
 
-func (r *result) summaryJSON(w io.Writer, mode string, fl *fleet) {
+// row renders t as one replica's summary row.
+func (t *tally) row(addr string) replicaSummary {
+	rs := replicaSummary{Addr: addr, OK: t.ok, Rejected: t.rejected, Errors: t.errors,
+		DetectionRate: rate(t.truePos, t.attackSeen)}
+	if t.elapsed > 0 {
+		rs.RequestsPerS = float64(t.ok) / t.elapsed.Seconds()
+	}
+	if t.latency.Count() > 0 {
+		rs.P50S, rs.P95S, rs.P99S = t.quantile(0.50), t.quantile(0.95), t.quantile(0.99)
+	}
+	return rs
+}
+
+func (t *tally) summaryJSON(w io.Writer, mode string, rows []replicaSummary) {
+	r := t.row("")
 	s := summary{
-		Mode:     mode,
-		OK:       r.ok,
-		Rejected: r.rejected,
-		Errors:   r.errors,
-		ElapsedS: r.elapsed.Seconds(),
+		Mode: mode, OK: r.OK, Rejected: r.Rejected, Errors: r.Errors, ElapsedS: t.elapsed.Seconds(),
+		RequestsPerS: r.RequestsPerS, P50S: r.P50S, P95S: r.P95S, P99S: r.P99S,
+		DetectionRate: r.DetectionRate, FalsePosRate: rate(t.falsePos, t.normSeen),
+		Replicas: rows,
 	}
-	if len(r.perReplica) > 1 {
-		for i, st := range r.perReplica {
-			rs := replicaSummary{
-				Addr:     fl.bases[i],
-				OK:       st.ok,
-				Rejected: st.rejected,
-				Errors:   st.errors,
-			}
-			if r.elapsed > 0 {
-				rs.RequestsPerS = float64(st.ok) / r.elapsed.Seconds()
-			}
-			if st.latency.Count() > 0 {
-				rs.P50S = st.quantile(0.50)
-				rs.P95S = st.quantile(0.95)
-				rs.P99S = st.quantile(0.99)
-			}
-			if st.attackSeen > 0 {
-				rs.DetectionRate = float64(st.truePos) / float64(st.attackSeen)
-			}
-			s.Replicas = append(s.Replicas, rs)
-		}
+	if t.elapsed > 0 {
+		s.SetsPerS = float64(t.scored) / t.elapsed.Seconds()
 	}
-	if r.elapsed > 0 {
-		s.RequestsPerS = float64(r.ok) / r.elapsed.Seconds()
-		s.SetsPerS = float64(r.scored) / r.elapsed.Seconds()
+	if t.latency.Count() > 0 {
+		s.MaxS = t.latency.Max()
 	}
-	if r.latency.Count() > 0 {
-		s.P50S = r.quantile(0.50)
-		s.P95S = r.quantile(0.95)
-		s.P99S = r.quantile(0.99)
-		s.MaxS = r.latency.Max()
-	}
-	if r.slowestTrace != "" {
-		s.SlowestS = r.slowest.Seconds()
-		s.SlowestTraceID = r.slowestTrace
-	}
-	if r.attackSeen > 0 {
-		s.DetectionRate = float64(r.truePos) / float64(r.attackSeen)
-	}
-	if r.normSeen > 0 {
-		s.FalsePosRate = float64(r.falsePos) / float64(r.normSeen)
+	if t.slowestTrace != "" {
+		s.SlowestS, s.SlowestTraceID = t.slowest.Seconds(), t.slowestTrace
 	}
 	blob, err := json.Marshal(s)
 	if err != nil {

@@ -16,6 +16,9 @@ import (
 	"samnet/internal/obs"
 )
 
+// retryBudget caps the total Retry-After sleep of one call.
+const retryBudget = 10 * time.Second
+
 // Client issues requests to replicas under the fleet's retry discipline:
 //
 //   - 429 with Retry-After is honored with a bounded sleep-and-retry when the
@@ -34,8 +37,6 @@ type Client struct {
 	HTTP *http.Client
 	// MaxAttempts caps tries per call when retry429 is set (default 4).
 	MaxAttempts int
-	// RetryBudget caps the total Retry-After sleep per call (default 10s).
-	RetryBudget time.Duration
 	// sleep is the test seam for Retry-After waits.
 	sleep func(time.Duration)
 	// observe, when set, receives (url, duration) for every delivered
@@ -71,13 +72,6 @@ func (c *Client) attempts() int {
 	return 4
 }
 
-func (c *Client) budget() time.Duration {
-	if c.RetryBudget > 0 {
-		return c.RetryBudget
-	}
-	return 10 * time.Second
-}
-
 func (c *Client) doSleep(d time.Duration) {
 	if c.sleep != nil {
 		c.sleep(d)
@@ -97,35 +91,40 @@ func NotDelivered(err error) bool {
 	return false
 }
 
-// do issues one request with a buffered body. With retry429 set, 429
-// responses are retried after their Retry-After delay until MaxAttempts or
-// the sleep budget runs out (the last 429 response is then returned to the
-// caller, who can pass it through). The response body is the caller's to
-// close.
-func (c *Client) do(ctx context.Context, method, url, contentType string, body []byte, retry429 bool) (*http.Response, error) {
-	budget := c.budget()
-	for attempt := 1; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		if contentType != "" {
-			req.Header.Set("Content-Type", contentType)
-		}
-		// Propagate the caller's trace: a request issued under a traced
-		// gateway span carries that span as traceparent, so the replica's
-		// span parents under the gateway's and the two debug-trace views
-		// join on one trace id.
-		if sctx, ok := obs.SpanFromContext(ctx); ok && sctx.Valid() {
-			req.Header["Traceparent"] = []string{sctx.Traceparent()}
-		}
-		req.ContentLength = int64(len(body))
-		begin := time.Now()
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return nil, err
-		}
+// send issues one request attempt carrying the caller's trace: a request
+// issued under a traced gateway span carries that span as traceparent, so
+// the replica's span parents under the gateway's and the two debug-trace
+// views join on one trace id. The response body is the caller's to close.
+func (c *Client) send(ctx context.Context, method, url, contentType string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return nil, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	if sctx, ok := obs.SpanFromContext(ctx); ok && sctx.Valid() {
+		req.Header["Traceparent"] = []string{sctx.Traceparent()}
+	}
+	begin := time.Now()
+	resp, err := c.httpClient().Do(req)
+	if err == nil {
 		c.observeURL(url, time.Since(begin))
+	}
+	return resp, err
+}
+
+// do sends a buffered body. With retry429 set, 429 responses are retried
+// after their Retry-After delay until MaxAttempts or the sleep budget runs
+// out (the last 429 response is then returned to the caller, who can pass it
+// through).
+func (c *Client) do(ctx context.Context, method, url, contentType string, body []byte, retry429 bool) (*http.Response, error) {
+	budget := retryBudget
+	for attempt := 1; ; attempt++ {
+		resp, err := c.send(ctx, method, url, contentType, bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
 		if !retry429 || resp.StatusCode != http.StatusTooManyRequests || attempt >= c.attempts() {
 			return resp, nil
 		}
@@ -174,7 +173,7 @@ func (c *Client) getJSON(ctx context.Context, url string, v any) error {
 	if resp.StatusCode != http.StatusOK {
 		return statusError(resp)
 	}
-	return decodeBody(resp.Body, v)
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // statusError summarizes a non-2xx response, preferring the JSON error body.
@@ -184,12 +183,4 @@ func statusError(resp *http.Response) error {
 		return fmt.Errorf("status %s: %s", resp.Status, bytes.TrimSpace(blob))
 	}
 	return fmt.Errorf("status %s", resp.Status)
-}
-
-func decodeBody(r io.Reader, v any) error {
-	blob, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(blob, v)
 }

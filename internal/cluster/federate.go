@@ -16,11 +16,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"samnet/internal/obs"
@@ -30,49 +28,14 @@ import (
 // to serve /metrics is reported unreachable for the scrape.
 const fleetScrapeTimeout = 5 * time.Second
 
-// replicaScrape is one replica's scrape outcome.
-type replicaScrape struct {
-	addr string
-	body []byte
-	err  error
-}
-
 func (g *Gateway) handleMetricsFleet(w http.ResponseWriter, r *http.Request) {
-	var addrs []string
-	for _, addr := range g.fleet.Replicas() {
-		if g.fleet.Healthy(addr) {
-			addrs = append(addrs, addr)
-		}
-	}
-	if len(addrs) == 0 {
+	ctx, cancel := context.WithTimeout(r.Context(), fleetScrapeTimeout)
+	defer cancel()
+	scrapes := g.fanOut(ctx, "/metrics")
+	if len(scrapes) == 0 {
 		g.writeError(w, http.StatusServiceUnavailable, "no healthy replicas")
 		return
 	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), fleetScrapeTimeout)
-	defer cancel()
-	scrapes := make([]replicaScrape, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			scrapes[i] = replicaScrape{addr: addr}
-			resp, err := g.client.do(ctx, http.MethodGet, addr+"/metrics", "", nil, false)
-			if err != nil {
-				scrapes[i].err = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				scrapes[i].err = statusError(resp)
-				return
-			}
-			scrapes[i].body, scrapes[i].err = io.ReadAll(resp.Body)
-		}(i, addr)
-	}
-	wg.Wait()
-
 	g.metrics.fleetScrapes.Inc()
 	for _, sc := range scrapes {
 		if sc.err != nil {
@@ -81,8 +44,7 @@ func (g *Gateway) handleMetricsFleet(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	if _, err := w.Write(mergeExpositions(scrapes)); err != nil {
-		g.metrics.respErrs.Inc()
-		g.logger.Warn("fleet metrics relay failed", "err", err)
+		g.respFailed(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -75,9 +76,6 @@ func (f *Fleet) Ring() *Ring { return f.ring }
 
 // Replicas returns the fleet's members, sorted.
 func (f *Fleet) Replicas() []string { return f.ring.Replicas() }
-
-// Client returns the fleet's replica client.
-func (f *Fleet) Client() *Client { return f.client }
 
 // Start launches the background health checker at the given interval.
 func (f *Fleet) Start(interval time.Duration) {
@@ -181,32 +179,20 @@ func (f *Fleet) RankHealthy(key string, dst []string) []string {
 	rank := f.ring.Rank(key, dst)
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	// Stable partition: healthy first. Fleets are tiny; O(n^2) is fine.
-	out := rank[len(rank)-len(f.ring.Replicas()):]
-	sorted := make([]string, 0, len(out))
-	for _, addr := range out {
+	// Stable partition: healthy (0) before unhealthy (1).
+	down := func(addr string) int {
 		if st := f.states[addr]; st != nil && st.healthy {
-			sorted = append(sorted, addr)
+			return 0
 		}
+		return 1
 	}
-	for _, addr := range out {
-		if st := f.states[addr]; st == nil || !st.healthy {
-			sorted = append(sorted, addr)
-		}
-	}
-	copy(out, sorted)
+	slices.SortStableFunc(rank[len(rank)-len(f.ring.Replicas()):], func(a, b string) int { return down(a) - down(b) })
 	return rank
 }
 
 // Owner returns key's effective owner: the first healthy replica in rank
 // order (or the rank head when none is healthy).
-func (f *Fleet) Owner(key string) string {
-	rank := f.RankHealthy(key, nil)
-	if len(rank) == 0 {
-		return ""
-	}
-	return rank[0]
-}
+func (f *Fleet) Owner(key string) string { return f.RankHealthy(key, nil)[0] }
 
 // Statuses snapshots every replica's health, sorted by address.
 func (f *Fleet) Statuses() []ReplicaStatus {

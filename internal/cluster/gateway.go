@@ -2,13 +2,15 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,26 +28,23 @@ type GatewayConfig struct {
 	// HTTP is the outbound client (nil builds one with a pooled transport
 	// sized for the fleet). It must carry no global timeout.
 	HTTP *http.Client
-	// MaxAttempts and RetryBudget bound the 429 retry discipline on scatter
-	// sub-requests and sync ships (defaults 4 attempts, 10s budget).
+	// MaxAttempts bounds the 429 retry discipline on scatter sub-requests,
+	// fan-out reads and sync ships (default 4 attempts within a 10s sleep
+	// budget).
 	MaxAttempts int
-	RetryBudget time.Duration
 	// HealthInterval is the background health sweep period (default 2s,
 	// negative disables the background checker).
 	HealthInterval time.Duration
 	// SyncInterval enables periodic anti-entropy profile sync (0 disables).
 	SyncInterval time.Duration
-	// DisablePullOnMiss turns off the 404 repair path (pull the profile's
-	// snapshot record from a holder, ship to the owner, retry once).
-	DisablePullOnMiss bool
-	// MaxBodyBytes caps buffered request bodies (default 8 MiB, matching the
-	// replicas).
+	// MaxBodyBytes caps buffered request bodies and stream lines (default
+	// 8 MiB, matching the replicas).
 	MaxBodyBytes int64
 	// Registry receives the gateway's samgate_* instruments (nil creates a
 	// private registry).
 	Registry *obs.Registry
 	// Tracer captures gateway spans behind GET /debug/traces and propagates
-	// trace context to replicas on every proxied, scattered, and failed-over
+	// trace context to replicas on every relayed, scattered, and failed-over
 	// request, so one trace joins the gateway hop with the replica spans it
 	// fanned out to. Nil leaves tracing off with zero extra cost.
 	Tracer *obs.Tracer
@@ -80,12 +79,55 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	return c
 }
 
-// Gateway fronts a samserve fleet: profile-scoped requests are proxied to
-// the replica owning the profile (rendezvous placement over the fleet, the
-// first healthy replica in rank order), training grids are scattered across
-// owners and merged deterministically, and profiles missing at their owner
-// are repaired by shipping snapshot records from whichever replica still
-// holds them.
+// policy is how the gateway places one route's requests on the fleet.
+type policy int
+
+const (
+	policyAny       policy = iota // round-robin over healthy replicas
+	policyOwner                   // the profile's owner, with pull-on-miss
+	policyRead                    // the owner first, then any holder
+	policyBroadcast               // every member
+	policyGather                  // every healthy replica, answers merged
+	policyLines                   // NDJSON stream scatter, per line
+	policyGrid                    // train/batch scatter, per scenario
+)
+
+// route is one row of the gateway's routing table: a replica endpoint (the
+// replica's own method and pattern), the endpoint label of its samgate_*
+// series, and its placement policy.
+type route struct {
+	pattern  string
+	endpoint string
+	policy   policy
+	// merge combines the replicas' 200 bodies on a gather route.
+	merge func(*Gateway, []replicaScrape) any
+}
+
+// routes is the gateway's single routing description (DESIGN §13). The
+// profile key of an owner route is the path's {name}, else the body's
+// "profile" field as the replica parses it.
+var routes = []route{
+	{"POST /v1/analyze", "analyze", policyAny, nil},
+	{"POST /v1/detect", "detect", policyOwner, nil},
+	{"POST /v1/detect/batch", "detect_batch", policyOwner, nil},
+	{"POST /v1/detect/stream", "detect_stream", policyLines, nil},
+	{"POST /v1/train/batch", "train_batch", policyGrid, nil},
+	{"POST /v1/profiles/{name}/train", "train", policyOwner, nil},
+	{"GET /v1/profiles", "profiles", policyGather, (*Gateway).mergeProfiles},
+	{"GET /v1/profiles/{name}", "profile_get", policyRead, nil},
+	{"PUT /v1/profiles/{name}", "profile_put", policyOwner, nil},
+	{"DELETE /v1/profiles/{name}", "profile_delete", policyBroadcast, nil},
+	{"POST /v1/verify", "verify", policyAny, nil},
+	{"GET /v1/isolation", "isolation", policyGather, (*Gateway).mergeIsolation},
+	{"DELETE /v1/isolation/{a}/{b}", "isolation_lift", policyBroadcast, nil},
+}
+
+// Gateway fronts a samserve fleet: every replica endpoint is relayed by its
+// route's placement policy, and the replica's answer reaches the client
+// verbatim. The gateway writes a body of its own only for its own failures
+// (no replica reachable, gateway health, an empty fleet scrape); everything
+// else — error bodies included — is a replica's bytes, or a merge encoded
+// exactly as one replica would encode it.
 type Gateway struct {
 	cfg     GatewayConfig
 	fleet   *Fleet
@@ -93,7 +135,7 @@ type Gateway struct {
 	metrics *gwMetrics
 	mux     *http.ServeMux
 	logger  *slog.Logger
-	rr      atomic.Uint64 // round-robin cursor for profile-less endpoints
+	rr      atomic.Uint64 // round-robin cursor for policyAny
 
 	// replicaLat/replicaReqs attribute outbound latency per replica,
 	// resolved once at construction (addresses are fixed membership).
@@ -109,7 +151,7 @@ type Gateway struct {
 // background health (and optionally anti-entropy) loops.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	cfg = cfg.withDefaults()
-	client := &Client{HTTP: cfg.HTTP, MaxAttempts: cfg.MaxAttempts, RetryBudget: cfg.RetryBudget}
+	client := &Client{HTTP: cfg.HTTP, MaxAttempts: cfg.MaxAttempts}
 	fleet, err := NewFleet(cfg.Replicas, client)
 	if err != nil {
 		return nil, err
@@ -144,19 +186,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		func() float64 { return float64(fleet.HealthyCount()) })
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/analyze", g.instrument("analyze", g.handleStateless("/v1/analyze")))
-	mux.HandleFunc("POST /v1/detect", g.instrument("detect", g.handleDetect("/v1/detect")))
-	mux.HandleFunc("POST /v1/detect/batch", g.instrument("detect_batch", g.handleDetect("/v1/detect/batch")))
-	mux.HandleFunc("POST /v1/detect/stream", g.instrument("detect_stream", g.handleDetectStream))
-	mux.HandleFunc("POST /v1/train/batch", g.instrument("train_batch", g.handleTrainBatch))
-	mux.HandleFunc("POST /v1/profiles/{name}/train", g.instrument("train", g.handleProfileScoped(http.MethodPost, "/train")))
-	mux.HandleFunc("GET /v1/profiles", g.instrument("profiles", g.handleListProfiles))
-	mux.HandleFunc("GET /v1/profiles/{name}", g.instrument("profile_get", g.handleProfileGet))
-	mux.HandleFunc("PUT /v1/profiles/{name}", g.instrument("profile_put", g.handleProfileScoped(http.MethodPut, "")))
-	mux.HandleFunc("DELETE /v1/profiles/{name}", g.instrument("profile_delete", g.handleProfileDelete))
-	mux.HandleFunc("POST /v1/verify", g.instrument("verify", g.handleStateless("/v1/verify")))
-	mux.HandleFunc("GET /v1/isolation", g.instrument("isolation", g.handleIsolation))
-	mux.HandleFunc("DELETE /v1/isolation/{a}/{b}", g.instrument("isolation_lift", g.handleIsolationLift))
+	for _, rt := range routes {
+		mux.HandleFunc(rt.pattern, g.instrument(rt.endpoint, g.handler(rt)))
+	}
 	mux.HandleFunc("GET /v1/cluster", g.instrument("cluster", g.handleCluster))
 	mux.Handle("GET /metrics", cfg.Registry.Handler())
 	mux.HandleFunc("GET /metrics/fleet", g.instrument("metrics_fleet", g.handleMetricsFleet))
@@ -183,10 +215,6 @@ func (g *Gateway) Fleet() *Fleet { return g.fleet }
 
 // Registry returns the registry holding the gateway's instruments.
 func (g *Gateway) Registry() *obs.Registry { return g.cfg.Registry }
-
-// Tracer returns the gateway's request tracer (nil when tracing is off), for
-// mounting /debug/traces on additional listeners (samgate's debug endpoint).
-func (g *Gateway) Tracer() *obs.Tracer { return g.cfg.Tracer }
 
 // observeReplica is the Client.observe hook: attribute one delivered request
 // to its replica by address prefix.
@@ -235,38 +263,42 @@ func (g *Gateway) syncLoop(interval time.Duration) {
 
 var gwCTJSON = []string{"application/json"}
 
+func (g *Gateway) respFailed(err error) {
+	g.metrics.respErrs.Inc()
+	g.logger.Warn("response relay failed", "err", err)
+}
+
 func (g *Gateway) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header()["Content-Type"] = gwCTJSON
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		g.metrics.respErrs.Inc()
-		g.logger.Warn("response encode failed", "err", err)
+		g.respFailed(err)
 	}
 }
 
+// writeError answers with the replica's ErrorResponse encoding.
 func (g *Gateway) writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	g.writeJSON(w, status, service.ErrorResponse{Error: fmt.Sprintf(format, args...)})
+	w.Header()["Content-Type"] = gwCTJSON
+	w.WriteHeader(status)
+	if _, err := w.Write(service.AppendErrorResponse(nil, fmt.Sprintf(format, args...))); err != nil {
+		g.respFailed(err)
+	}
 }
 
-// readBody buffers the (size-limited) request body, answering the error
-// itself when the read fails.
+// readBody buffers the request body with the replica's own reader, so an
+// over-limit or broken body is refused with the status and bytes a replica
+// would answer.
 func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
+	body, err := service.ReadBody(nil, r, g.cfg.MaxBodyBytes)
 	if err != nil {
-		status := http.StatusBadRequest
-		if _, ok := err.(*http.MaxBytesError); ok {
-			status = http.StatusRequestEntityTooLarge
-		}
-		g.writeError(w, status, "request body: %v", err)
+		g.writeError(w, service.DecodeStatus(err), "%v", err)
 		return nil, false
 	}
 	return body, true
 }
 
 // copyResponse relays a replica response verbatim: status, content type, and
-// body bytes. The gateway is transparent on proxied paths — what the replica
-// answered is exactly what the client reads.
+// body bytes. What the replica answered is exactly what the client reads.
 func (g *Gateway) copyResponse(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
@@ -280,256 +312,214 @@ func (g *Gateway) copyResponse(w http.ResponseWriter, resp *http.Response) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	if _, err := io.Copy(w, resp.Body); err != nil {
-		g.metrics.respErrs.Inc()
-		g.logger.Warn("response relay failed", "err", err)
+		g.respFailed(err)
 	}
 }
 
-// rrOrder returns the healthy replicas rotated by a round-robin cursor — the
-// routing order for endpoints with no profile affinity (analyze, verify).
-// Falls back to the full membership when nothing is healthy.
+// discard drains and closes a response the gateway will not relay.
+func discard(resp *http.Response) {
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+}
+
+// rrOrder is the rank of a request with no profile affinity: the healthy
+// replicas rotated by a round-robin cursor, then the unhealthy ones (the
+// whole membership rotates when nothing is healthy).
 func (g *Gateway) rrOrder() []string {
-	all := g.fleet.Replicas()
-	healthy := make([]string, 0, len(all))
-	for _, addr := range all {
-		if g.fleet.Healthy(addr) {
-			healthy = append(healthy, addr)
-		}
-	}
-	if len(healthy) == 0 {
-		healthy = append(healthy, all...)
-	}
-	n := int(g.rr.Add(1)) % len(healthy)
-	return append(healthy[n:], healthy[:n]...)
+	rank := g.fleet.RankHealthy("", nil)
+	n := max(g.fleet.HealthyCount(), 1)
+	k := int(g.rr.Add(1) % uint64(n))
+	return append(append(rank[k:n:n], rank[:k]...), rank[n:]...)
 }
 
-// proxy forwards a buffered-body request along rank until a replica answers.
-// Dial failures (request never delivered) fail over for every method and
-// mark the replica down; other transport failures and 5xx answers fail over
-// only when idempotent is set. When profile is non-empty and the effective
-// owner answers 404 unknown-profile, pull-on-miss ships the profile's
-// snapshot record from a holder to the owner and retries once.
-func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, rank []string, path string, body []byte, profile string, idempotent bool) {
+// --- placement policies -----------------------------------------------------
+
+// handler builds one route's handler from its policy.
+func (g *Gateway) handler(rt route) http.HandlerFunc {
+	switch rt.policy {
+	case policyGather:
+		return func(w http.ResponseWriter, r *http.Request) { g.gather(w, r, rt.merge) }
+	case policyLines:
+		return g.handleDetectStream
+	case policyGrid:
+		return g.handleTrainBatch
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, ok := g.readBody(w, r)
+		if !ok {
+			return
+		}
+		key := r.PathValue("name")
+		if key == "" && rt.policy == policyOwner {
+			key = service.RoutingKey(body)
+		}
+		rank := g.fleet.Replicas()
+		switch {
+		case rt.policy == policyBroadcast:
+		case key == "":
+			// No key (or none needed): any replica answers the same bytes.
+			rank = g.rrOrder()
+		default:
+			rank = g.fleet.RankHealthy(key, nil)
+		}
+		g.walk(w, r, rt.policy, rank, body, key)
+	}
+}
+
+// walk is the one relay loop behind the any, owner, read and broadcast
+// policies. It sends the request to the replicas in rank order and relays
+// the first 200 answer, else the first answer:
+//   - any and owner stop at the first answer. A dial failure (the request
+//     never left) marks the replica down and moves on; any other transport
+//     failure ends the walk, since the request may have executed. An owner
+//     route whose replica answers 404 for key first pulls the profile's
+//     snapshot record from a holder and retries once; with no holder, the
+//     404 is the answer.
+//   - read walks past failures and non-200 answers to any replica still
+//     holding the profile: a stale copy beats a 404 in a failover window.
+//   - broadcast sends to every member, healthy or not: a profile or
+//     isolation pair may live on any replica (failovers and membership
+//     changes leave copies behind), and a surviving copy would let
+//     pull-on-miss resurrect a deleted profile.
+func (g *Gateway) walk(w http.ResponseWriter, r *http.Request, pol policy, rank []string, body []byte, key string) {
 	ctx := r.Context()
+	uri, ct := r.URL.RequestURI(), r.Header.Get("Content-Type")
+	oneShot := pol == policyAny || pol == policyOwner
+	var best *http.Response // the first 200, else the first answer
 	var lastErr error
 	for i, addr := range rank {
-		resp, err := g.client.do(ctx, r.Method, addr+path, r.Header.Get("Content-Type"), body, false)
+		resp, err := g.client.do(ctx, r.Method, addr+uri, ct, body, false)
+		if err == nil && pol == policyOwner && key != "" && resp.StatusCode == http.StatusNotFound &&
+			g.pullOnMiss(ctx, key, rank[i:]) {
+			discard(resp)
+			resp, err = g.client.do(ctx, r.Method, addr+uri, ct, body, false)
+		}
 		if err != nil {
 			lastErr = err
 			if NotDelivered(err) {
 				g.fleet.MarkDown(addr, err)
-				g.metrics.failovers.Inc()
-				continue
+			} else if oneShot {
+				break
 			}
-			if idempotent && i+1 < len(rank) {
+			if pol != policyBroadcast {
 				g.metrics.failovers.Inc()
-				continue
 			}
-			g.writeError(w, http.StatusBadGateway, "replica %s: %v", addr, err)
-			return
+			continue
 		}
-		if resp.StatusCode == http.StatusNotFound && profile != "" && !g.cfg.DisablePullOnMiss && i == 0 {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if g.pullOnMiss(ctx, profile, rank) {
-				retry, rerr := g.client.do(ctx, r.Method, addr+path, r.Header.Get("Content-Type"), body, false)
-				if rerr == nil {
-					g.copyResponse(w, retry)
-					return
-				}
-				g.writeError(w, http.StatusBadGateway, "replica %s: %v", addr, rerr)
+		if best == nil || (best.StatusCode != http.StatusOK && resp.StatusCode == http.StatusOK) {
+			if best != nil {
+				discard(best)
+			}
+			best = resp
+		} else {
+			discard(resp)
+		}
+		if oneShot || (pol == policyRead && best.StatusCode == http.StatusOK) {
+			break
+		}
+	}
+	if best == nil {
+		g.writeError(w, http.StatusBadGateway, "no replica reachable: %v", lastErr)
+		return
+	}
+	g.copyResponse(w, best)
+}
+
+// replicaScrape is one replica's answer to a fan-out GET.
+type replicaScrape struct {
+	addr string
+	body []byte
+	err  error
+}
+
+// fanOut GETs path from every healthy replica concurrently, returning the
+// outcomes in membership order; a non-200 answer is an error. It backs the
+// gather routes, the anti-entropy pass and the federated metrics scrape.
+func (g *Gateway) fanOut(ctx context.Context, path string) []replicaScrape {
+	var out []replicaScrape
+	for _, addr := range g.fleet.Replicas() {
+		if g.fleet.Healthy(addr) {
+			out = append(out, replicaScrape{addr: addr})
+		}
+	}
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func(sc *replicaScrape) {
+			defer wg.Done()
+			resp, err := g.client.do(ctx, http.MethodGet, sc.addr+path, "", nil, true)
+			if err != nil {
+				sc.err = err
 				return
 			}
-			// No holder anywhere: the profile genuinely does not exist.
-			// Answer the canonical replica error body.
-			g.writeError(w, http.StatusNotFound, "unknown profile: %q", profile)
-			return
-		}
-		if resp.StatusCode >= 500 && idempotent && i+1 < len(rank) {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			g.metrics.failovers.Inc()
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				sc.err = statusError(resp)
+				return
+			}
+			sc.body, sc.err = io.ReadAll(resp.Body)
+		}(&out[i])
+	}
+	wg.Wait()
+	return out
+}
+
+// gather fans a listing out to every healthy replica and answers the merge
+// of the 200 bodies, encoded exactly as a replica encodes its own listing.
+func (g *Gateway) gather(w http.ResponseWriter, r *http.Request, merge func(*Gateway, []replicaScrape) any) {
+	var reached []replicaScrape
+	lastErr := errors.New("no healthy replicas")
+	for _, sc := range g.fanOut(r.Context(), r.URL.Path) {
+		if sc.err != nil {
+			lastErr = sc.err
 			continue
 		}
-		g.copyResponse(w, resp)
+		reached = append(reached, sc)
+	}
+	if len(reached) == 0 {
+		g.writeError(w, http.StatusBadGateway, "no replica reachable: %v", lastErr)
 		return
 	}
-	g.writeError(w, http.StatusBadGateway, "no replica reachable: %v", lastErr)
+	g.writeJSON(w, http.StatusOK, merge(g, reached))
 }
 
-// --- endpoint handlers ------------------------------------------------------
-
-// handleStateless proxies an endpoint with no profile affinity (analyze,
-// verify) to the healthy replicas in round-robin order.
-func (g *Gateway) handleStateless(path string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, ok := g.readBody(w, r)
-		if !ok {
-			return
-		}
-		g.proxy(w, r, g.rrOrder(), path, body, "", false)
-	}
-}
-
-// handleDetect proxies /v1/detect and /v1/detect/batch to the replica owning
-// the request's profile.
-func (g *Gateway) handleDetect(path string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, ok := g.readBody(w, r)
-		if !ok {
-			return
-		}
-		profile := profileField(body)
-		if profile == "" {
-			// The replica owns the error contract for a missing profile; any
-			// replica produces the canonical body.
-			g.proxy(w, r, g.rrOrder(), path, body, "", false)
-			return
-		}
-		g.proxy(w, r, g.fleet.RankHealthy(profile, nil), path, body, profile, false)
-	}
-}
-
-// handleProfileScoped proxies {name}-scoped mutations (train, PUT) to the
-// profile's owner.
-func (g *Gateway) handleProfileScoped(method, suffix string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		body, ok := g.readBody(w, r)
-		if !ok {
-			return
-		}
-		path := "/v1/profiles/" + name + suffix
-		g.proxy(w, r, g.fleet.RankHealthy(name, nil), path, body, "", false)
-	}
-}
-
-// handleProfileGet serves GET /v1/profiles/{name}: the owner first, then —
-// reads being idempotent — any replica still holding the profile (a stale
-// copy is better than a 404 during a failover window; placement repair is
-// pull-on-miss's and anti-entropy's job).
-func (g *Gateway) handleProfileGet(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	ctx := r.Context()
-	rank := g.fleet.RankHealthy(name, nil)
-	var notFound *http.Response
-	for _, addr := range rank {
-		resp, err := g.client.do(ctx, http.MethodGet, addr+"/v1/profiles/"+name, "", nil, false)
-		if err != nil {
-			if NotDelivered(err) {
-				g.fleet.MarkDown(addr, err)
-			}
-			g.metrics.failovers.Inc()
-			continue
-		}
-		if resp.StatusCode == http.StatusOK {
-			if notFound != nil {
-				notFound.Body.Close()
-			}
-			g.copyResponse(w, resp)
-			return
-		}
-		if notFound == nil {
-			notFound = resp // keep the owner's error body
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	if notFound != nil {
-		g.copyResponse(w, notFound)
-		return
-	}
-	g.writeError(w, http.StatusBadGateway, "no replica reachable")
-}
-
-// handleProfileDelete broadcasts the delete to every replica: stale copies
-// (left by failovers or membership changes) must go too, or pull-on-miss
-// would resurrect the profile from one of them.
-func (g *Gateway) handleProfileDelete(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	ctx := r.Context()
-	deleted := false
-	for _, addr := range g.fleet.Replicas() {
-		resp, err := g.client.do(ctx, http.MethodDelete, addr+"/v1/profiles/"+name, "", nil, false)
-		if err != nil {
-			if NotDelivered(err) {
-				g.fleet.MarkDown(addr, err)
-			}
-			continue
-		}
-		if resp.StatusCode == http.StatusOK {
-			deleted = true
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	if !deleted {
-		g.writeError(w, http.StatusNotFound, "unknown profile: %q", name)
-		return
-	}
-	g.writeJSON(w, http.StatusOK, service.DeleteProfileResponse{Profile: name, Deleted: true})
-}
-
-// handleListProfiles scatters GET /v1/profiles to every healthy replica and
-// merges the union: one entry per profile name (the effective owner's entry
-// wins when several replicas hold copies), sorted by name like a single
-// replica's listing.
-func (g *Gateway) handleListProfiles(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
+// mergeProfiles unions the profile listings: one entry per name (the
+// effective owner's entry wins when several replicas hold copies), sorted by
+// name like a single replica's listing.
+func (g *Gateway) mergeProfiles(replies []replicaScrape) any {
 	byName := make(map[string]service.ProfileInfo)
 	fromOwner := make(map[string]bool)
-	reached := false
-	for _, addr := range g.fleet.Replicas() {
-		if !g.fleet.Healthy(addr) {
-			continue
-		}
+	for _, rep := range replies {
 		var infos []service.ProfileInfo
-		if err := g.client.getJSON(ctx, addr+"/v1/profiles", &infos); err != nil {
+		if json.Unmarshal(rep.body, &infos) != nil {
 			continue
 		}
-		reached = true
 		for _, info := range infos {
-			owner := g.fleet.Owner(info.Name) == addr
+			owner := g.fleet.Owner(info.Name) == rep.addr
 			if _, seen := byName[info.Name]; !seen || (owner && !fromOwner[info.Name]) {
-				byName[info.Name] = info
-				fromOwner[info.Name] = owner
+				byName[info.Name], fromOwner[info.Name] = info, owner
 			}
 		}
 	}
-	if !reached {
-		g.writeError(w, http.StatusBadGateway, "no replica reachable")
-		return
+	infos := make([]service.ProfileInfo, 0, len(byName))
+	for _, info := range byName {
+		infos = append(infos, info)
 	}
-	names := make([]string, 0, len(byName))
-	for name := range byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	infos := make([]service.ProfileInfo, 0, len(names))
-	for _, name := range names {
-		infos = append(infos, byName[name])
-	}
-	g.writeJSON(w, http.StatusOK, infos)
+	slices.SortFunc(infos, func(a, b service.ProfileInfo) int { return cmp.Compare(a.Name, b.Name) })
+	return infos
 }
 
-// handleIsolation merges every replica's isolation list: the union of
-// condemned pairs (verification routes round-robin, so any replica may hold
-// a pair), each reported once with its strongest evidence, sorted by pair.
-func (g *Gateway) handleIsolation(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
+// mergeIsolation unions the isolation lists: verification routes
+// round-robin, so any replica may hold a condemned pair. Each pair is
+// reported once with its strongest evidence, sorted by pair.
+func (g *Gateway) mergeIsolation(replies []replicaScrape) any {
 	type key struct{ a, b int }
 	merged := make(map[key]service.IsolatedPairJSON)
-	reached := false
-	for _, addr := range g.fleet.Replicas() {
-		if !g.fleet.Healthy(addr) {
-			continue
-		}
+	for _, rep := range replies {
 		var ir service.IsolationResponse
-		if err := g.client.getJSON(ctx, addr+"/v1/isolation", &ir); err != nil {
+		if json.Unmarshal(rep.body, &ir) != nil {
 			continue
 		}
-		reached = true
 		for _, p := range ir.Pairs {
 			k := key{p.Pair.A, p.Pair.B}
 			if have, ok := merged[k]; !ok || p.Likelihood > have.Likelihood ||
@@ -538,54 +528,135 @@ func (g *Gateway) handleIsolation(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if !reached {
-		g.writeError(w, http.StatusBadGateway, "no replica reachable")
-		return
+	pairs := make([]service.IsolatedPairJSON, 0, len(merged))
+	for _, p := range merged {
+		pairs = append(pairs, p)
 	}
-	keys := make([]key, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
+	slices.SortFunc(pairs, func(x, y service.IsolatedPairJSON) int {
+		return cmp.Or(cmp.Compare(x.Pair.A, y.Pair.A), cmp.Compare(x.Pair.B, y.Pair.B))
 	})
-	pairs := make([]service.IsolatedPairJSON, 0, len(keys))
-	for _, k := range keys {
-		pairs = append(pairs, merged[k])
-	}
-	g.writeJSON(w, http.StatusOK, service.IsolationResponse{Pairs: pairs})
+	return service.IsolationResponse{Pairs: pairs}
 }
 
-// handleIsolationLift broadcasts the lift: the pair may be condemned on any
-// subset of replicas.
-func (g *Gateway) handleIsolationLift(w http.ResponseWriter, r *http.Request) {
-	a, b := r.PathValue("a"), r.PathValue("b")
-	ctx := r.Context()
-	var lifted *http.Response
-	for _, addr := range g.fleet.Replicas() {
-		resp, err := g.client.do(ctx, http.MethodDelete, addr+"/v1/isolation/"+a+"/"+b, "", nil, false)
-		if err != nil {
-			if NotDelivered(err) {
-				g.fleet.MarkDown(addr, err)
-			}
-			continue
-		}
-		if resp.StatusCode == http.StatusOK && lifted == nil {
-			lifted = resp
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	if lifted == nil {
-		g.writeError(w, http.StatusNotFound, "pair (%s,%s) is not isolated", a, b)
+// --- scatter-gather batch training ------------------------------------------
+
+// handleTrainBatch splits a /v1/train/batch scenario grid across the
+// replicas owning each scenario's profile and merges the results back in
+// grid order. Each scenario's training streams derive from (seed, scenario
+// label, run index) alone — a pure function of grid coordinates — so where a
+// scenario runs cannot change what it trains, and the merged response is
+// byte-identical to a single replica sweeping the whole grid.
+func (g *Gateway) handleTrainBatch(w http.ResponseWriter, r *http.Request) {
+	body, ok := g.readBody(w, r)
+	if !ok {
 		return
 	}
-	g.copyResponse(w, lifted)
+	var req service.TrainBatchRequest
+	var names []string
+	err := json.Unmarshal(body, &req)
+	if err == nil {
+		names, err = service.ScenarioProfiles(req.Scenarios)
+	}
+	if err != nil {
+		// Invalid grids get the canonical replica error.
+		g.walk(w, r, policyAny, g.rrOrder(), body, "")
+		return
+	}
+
+	// Group scenario indices by owning replica, preserving grid order.
+	owners := make(map[string][]int)
+	var order []string
+	for i, name := range names {
+		addr := g.fleet.Owner(name)
+		if _, seen := owners[addr]; !seen {
+			order = append(order, addr)
+		}
+		owners[addr] = append(owners[addr], i)
+	}
+	if len(order) == 1 {
+		// One owner: a plain relay, streaming progress and all.
+		g.walk(w, r, policyAny, order, body, "")
+		return
+	}
+
+	// A sweep outlives the server's write timeout; lift it like the replica
+	// handler does.
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
+
+	type shard struct {
+		addr    string
+		indices []int
+		resp    *http.Response // body buffered, so a refusal relays verbatim
+		out     service.TrainBatchResponse
+		err     error
+	}
+	shards := make([]*shard, 0, len(order))
+	var wg sync.WaitGroup
+	for _, addr := range order {
+		sh := &shard{addr: addr, indices: owners[addr]}
+		shards = append(shards, sh)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sub := service.TrainBatchRequest{
+				Runs:     req.Runs,
+				Seed:     req.Seed,
+				Parallel: req.Parallel,
+				// Stream is dropped: progress interleaving across replicas
+				// has no deterministic order; the merged result is one JSON.
+			}
+			for _, i := range sh.indices {
+				sub.Scenarios = append(sub.Scenarios, req.Scenarios[i])
+			}
+			blob, err := json.Marshal(sub)
+			if err != nil {
+				sh.err = err
+				return
+			}
+			if sh.resp, sh.err = g.client.do(r.Context(), http.MethodPost, sh.addr+"/v1/train/batch",
+				"application/json", blob, true); sh.err != nil {
+				return
+			}
+			blob, sh.err = io.ReadAll(sh.resp.Body)
+			sh.resp.Body.Close()
+			sh.resp.Body = io.NopCloser(bytes.NewReader(blob))
+			if sh.err == nil && sh.resp.StatusCode == http.StatusOK {
+				sh.err = json.Unmarshal(blob, &sh.out)
+			}
+		}()
+	}
+	wg.Wait()
+
+	merged := service.TrainBatchResponse{Scenarios: make([]service.TrainBatchResult, len(req.Scenarios))}
+	for _, sh := range shards {
+		switch {
+		case sh.err != nil:
+			g.writeError(w, http.StatusBadGateway, "no replica reachable: replica %s: %v", sh.addr, sh.err)
+			return
+		case sh.resp.StatusCode != http.StatusOK:
+			// A replica's refusal (busy, invalid scenario) is the answer.
+			g.copyResponse(w, sh.resp)
+			return
+		case len(sh.out.Scenarios) != len(sh.indices):
+			g.writeError(w, http.StatusBadGateway, "replica %s answered %d scenarios, want %d",
+				sh.addr, len(sh.out.Scenarios), len(sh.indices))
+			return
+		}
+		for j, i := range sh.indices {
+			merged.Scenarios[i] = sh.out.Scenarios[j]
+		}
+		// Effective runs and seed are grid-global constants; every shard
+		// reports the same values.
+		merged.Runs, merged.Seed = sh.out.Runs, sh.out.Seed
+	}
+	merged.Cells = len(req.Scenarios) * merged.Runs
+	g.metrics.scatters.Inc()
+	// Encoded exactly like a replica's writeJSON, so the merged body is
+	// byte-identical to a single-replica sweep of the same grid.
+	g.writeJSON(w, http.StatusOK, merged)
 }
+
+// --- gateway endpoints ------------------------------------------------------
 
 // handleHealthz reports gateway health: 200 while at least one replica is
 // routable, 503 otherwise.
@@ -620,167 +691,9 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 	g.writeJSON(w, http.StatusOK, resp)
 }
 
-// profileField extracts the top-level "profile" string from a detect body.
-// The fast path scans for the key without a full decode (the gateway sits on
-// the detect hot path); any ambiguity — zero or several occurrences, escape
-// sequences, non-string values — falls back to real JSON decoding, so
-// routing is exact whenever the fast path answers.
-func profileField(body []byte) string {
-	const mark = `"profile"`
-	i := bytes.Index(body, []byte(mark))
-	if i >= 0 && bytes.Index(body[i+len(mark):], []byte(mark)) < 0 {
-		rest := body[i+len(mark):]
-		j := 0
-		for j < len(rest) && (rest[j] == ' ' || rest[j] == '\t' || rest[j] == '\n' || rest[j] == '\r') {
-			j++
-		}
-		if j < len(rest) && rest[j] == ':' {
-			j++
-			for j < len(rest) && (rest[j] == ' ' || rest[j] == '\t' || rest[j] == '\n' || rest[j] == '\r') {
-				j++
-			}
-			if j < len(rest) && rest[j] == '"' {
-				val := rest[j+1:]
-				if end := bytes.IndexByte(val, '"'); end >= 0 && bytes.IndexByte(val[:end], '\\') < 0 {
-					return string(val[:end])
-				}
-			}
-		}
-	}
-	var req struct {
-		Profile string `json:"profile"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		return ""
-	}
-	return req.Profile
-}
-
-// --- scatter-gather batch training ------------------------------------------
-
-// handleTrainBatch splits a /v1/train/batch scenario grid across the
-// replicas owning each scenario's profile and merges the results back in
-// grid order. Each scenario's training streams derive from (seed, scenario
-// label, run index) alone — a pure function of grid coordinates — so where a
-// scenario runs cannot change what it trains, and the merged response is
-// byte-identical to a single replica sweeping the whole grid.
-func (g *Gateway) handleTrainBatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req service.TrainBatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	names, err := service.ScenarioProfiles(req.Scenarios)
-	if err != nil {
-		// Invalid grids get the canonical replica error: forward verbatim.
-		g.proxy(w, r, g.rrOrder(), "/v1/train/batch", body, "", false)
-		return
-	}
-
-	// Group scenario indices by owning replica, preserving grid order.
-	owners := make(map[string][]int)
-	order := make([]string, 0, 4)
-	for i, name := range names {
-		addr := g.fleet.Owner(name)
-		if addr == "" {
-			g.writeError(w, http.StatusBadGateway, "no replica reachable")
-			return
-		}
-		if _, seen := owners[addr]; !seen {
-			order = append(order, addr)
-		}
-		owners[addr] = append(owners[addr], i)
-	}
-	if len(owners) == 1 {
-		// One owner: pure proxy, streaming progress and all.
-		g.proxy(w, r, []string{order[0]}, "/v1/train/batch", body, "", false)
-		return
-	}
-
-	// A sweep outlives the server's write timeout; lift it like the replica
-	// handler does.
-	_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
-
-	type shard struct {
-		addr    string
-		indices []int
-		resp    service.TrainBatchResponse
-		err     error
-	}
-	shards := make([]*shard, 0, len(order))
-	for _, addr := range order {
-		shards = append(shards, &shard{addr: addr, indices: owners[addr]})
-	}
-	var wg sync.WaitGroup
-	for _, sh := range shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			sub := service.TrainBatchRequest{
-				Runs:     req.Runs,
-				Seed:     req.Seed,
-				Parallel: req.Parallel,
-				// Stream is dropped: progress interleaving across replicas
-				// has no deterministic order; the merged result is one JSON.
-			}
-			for _, i := range sh.indices {
-				sub.Scenarios = append(sub.Scenarios, req.Scenarios[i])
-			}
-			blob, err := json.Marshal(sub)
-			if err != nil {
-				sh.err = err
-				return
-			}
-			resp, err := g.client.do(r.Context(), http.MethodPost, sh.addr+"/v1/train/batch",
-				"application/json", blob, true)
-			if err != nil {
-				sh.err = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				sh.err = statusError(resp)
-				return
-			}
-			sh.err = decodeBody(resp.Body, &sh.resp)
-		}(sh)
-	}
-	wg.Wait()
-
-	merged := service.TrainBatchResponse{Scenarios: make([]service.TrainBatchResult, len(req.Scenarios))}
-	for _, sh := range shards {
-		if sh.err != nil {
-			g.writeError(w, http.StatusBadGateway, "train_batch scatter: replica %s: %v", sh.addr, sh.err)
-			return
-		}
-		if len(sh.resp.Scenarios) != len(sh.indices) {
-			g.writeError(w, http.StatusBadGateway,
-				"train_batch scatter: replica %s answered %d scenarios, want %d",
-				sh.addr, len(sh.resp.Scenarios), len(sh.indices))
-			return
-		}
-		for j, i := range sh.indices {
-			merged.Scenarios[i] = sh.resp.Scenarios[j]
-		}
-		// Effective runs and seed are grid-global constants; every shard
-		// reports the same values.
-		merged.Runs, merged.Seed = sh.resp.Runs, sh.resp.Seed
-	}
-	merged.Cells = len(req.Scenarios) * merged.Runs
-	g.metrics.scatters.Inc()
-	// Encoded exactly like a replica's writeJSON, so the merged body is
-	// byte-identical to a single-replica sweep of the same grid.
-	g.writeJSON(w, http.StatusOK, merged)
-}
-
 // --- metrics ----------------------------------------------------------------
 
 type gwMetrics struct {
-	reg             *obs.Registry
 	pulls           *obs.Counter
 	pullErrs        *obs.Counter
 	syncCopies      *obs.Counter
@@ -793,7 +706,6 @@ type gwMetrics struct {
 
 func newGWMetrics(reg *obs.Registry) *gwMetrics {
 	return &gwMetrics{
-		reg: reg,
 		pulls: reg.Counter("samgate_sync_pulls_total",
 			"Profiles repaired at their owner by pull-on-miss."),
 		pullErrs: reg.Counter("samgate_sync_errors_total",
@@ -832,7 +744,7 @@ func (w *gwStatusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter 
 
 // instrument wraps a handler with per-endpoint request counting and latency,
 // plus — when tracing is on — a gateway span whose context rides the request
-// into Client.do, so every proxied, scattered, or failed-over sub-request
+// into Client.do, so every relayed, scattered, or failed-over sub-request
 // carries the gateway span as its traceparent and the replica spans parent
 // under it.
 func (g *Gateway) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
@@ -863,6 +775,3 @@ func (g *Gateway) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		}
 	}
 }
-
-// readAll is io.ReadAll under a name the sync path shares.
-func readAll(r io.Reader) ([]byte, error) { return io.ReadAll(r) }

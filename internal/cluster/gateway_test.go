@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"samnet/internal/attack"
@@ -52,7 +54,12 @@ func genSets(n int, wormhole bool, seedBase uint64) [][][]int {
 // newReplica boots one samserve service on a test listener.
 func newReplica(t *testing.T) *httptest.Server {
 	t.Helper()
-	svc := service.New(service.Config{})
+	return newReplicaWith(t, service.Config{})
+}
+
+func newReplicaWith(t *testing.T, cfg service.Config) *httptest.Server {
+	t.Helper()
+	svc := service.New(cfg)
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -64,7 +71,13 @@ func newReplica(t *testing.T) *httptest.Server {
 // newTestGateway fronts the given replica URLs with background loops off.
 func newTestGateway(t *testing.T, replicas ...string) (*Gateway, *httptest.Server) {
 	t.Helper()
-	g, err := NewGateway(GatewayConfig{Replicas: replicas, HealthInterval: -1})
+	return newGatewayWith(t, GatewayConfig{Replicas: replicas})
+}
+
+func newGatewayWith(t *testing.T, cfg GatewayConfig) (*Gateway, *httptest.Server) {
+	t.Helper()
+	cfg.HealthInterval = -1
+	g, err := NewGateway(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,22 +581,130 @@ func TestNotDelivered(t *testing.T) {
 	}
 }
 
-// TestProfileFieldExtraction pins the routing key scanner against its JSON
-// fallback.
-func TestProfileFieldExtraction(t *testing.T) {
-	cases := []struct{ body, want string }{
-		{`{"profile":"a","routes":[[1,2]]}`, "a"},
-		{`{ "profile" : "spaced" }`, "spaced"},
-		{`{"routes":[[1]],"profile":"late"}`, "late"},
-		{`{"profile":"with\"escape"}`, `with"escape`},        // fallback path
-		{`{"note":"\"profile\":","profile":"real"}`, "real"}, // decoy occurrence
-		{`{"profile":123}`, ""},                              // non-string
-		{`{"routes":[[1]]}`, ""},                             // absent
-		{`not json`, ""},                                     // garbage
+// TestGatewayMatchesLoneReplica drives every routed endpoint through a
+// gateway over two replicas and against a lone replica, in the same order,
+// and requires the same status and body bytes from both worlds: the route
+// table relays replica answers verbatim, error bodies included.
+func TestGatewayMatchesLoneReplica(t *testing.T) {
+	single := newReplica(t)
+	r1, r2 := newReplica(t), newReplica(t)
+	g, gw := newTestGateway(t, r1.URL, r2.URL)
+
+	profiles := []string{"cluster-1tier-MR", "cluster-2tier-MR", "cluster-1tier-SMR", "cluster-2tier-SMR"}
+	owned := profiles[0]
+	// decoy lives on the other replica, so a body key read differently from
+	// the replica's parser would route the request to the wrong one.
+	decoy := ""
+	for i := 0; decoy == ""; i++ {
+		if name := fmt.Sprintf("decoy-%d", i); g.fleet.Owner(name) != g.fleet.Owner(owned) {
+			decoy = name
+		}
 	}
-	for _, tc := range cases {
-		if got := profileField([]byte(tc.body)); got != tc.want {
-			t.Errorf("profileField(%s) = %q, want %q", tc.body, got, tc.want)
+	sets := genSets(8, false, 8000)
+	var stream strings.Builder
+	for i, set := range sets {
+		stream.WriteString(mustMarshal(t, service.DetectRequest{Profile: profiles[i%4], Routes: set}) + "\n")
+		if i == 3 {
+			stream.WriteString("\n{not json\n")
+		}
+	}
+	noUpdate := false
+
+	// {pair} and {record} are filled from the lone replica's earlier answers.
+	rows := []struct{ name, method, path, body string }{
+		{"train/batch", "POST", "/v1/train/batch", gridBody(t)},
+		{"train", "POST", "/v1/profiles/extra/train", mustMarshal(t, service.TrainRequest{RouteSets: genSets(20, false, 1000)})},
+		{"detect", "POST", "/v1/detect", mustMarshal(t, service.DetectRequest{Profile: owned, Routes: sets[0]})},
+		{"detect case-variant key", "POST", "/v1/detect",
+			`{"profile":"` + decoy + `","Profile":"` + owned + `","routes":` + mustMarshal(t, sets[1]) + `}`},
+		{"detect unknown profile", "POST", "/v1/detect", mustMarshal(t, service.DetectRequest{Profile: "ghost", Routes: sets[2]})},
+		{"detect malformed", "POST", "/v1/detect", `{"profile":`},
+		{"detect/batch", "POST", "/v1/detect/batch",
+			mustMarshal(t, service.BatchDetectRequest{Profile: owned, Items: sets[:3], Update: &noUpdate})},
+		{"detect/stream", "POST", "/v1/detect/stream", stream.String()},
+		{"analyze", "POST", "/v1/analyze", mustMarshal(t, map[string]any{"routes": sets[3], "top_k": 2})},
+		{"verify", "POST", "/v1/verify", `{"scenario":{"topo":"cluster"},"isolate":true}`},
+		{"isolation list", "GET", "/v1/isolation", ""},
+		{"isolation lift", "DELETE", "/v1/isolation/{pair}", ""},
+		{"isolation lift again", "DELETE", "/v1/isolation/{pair}", ""},
+		{"isolation lift never isolated", "DELETE", "/v1/isolation/3/7", ""},
+		{"isolation lift self pair", "DELETE", "/v1/isolation/4/4", ""},
+		{"profile list", "GET", "/v1/profiles", ""},
+		{"profile get", "GET", "/v1/profiles/" + owned, ""},
+		{"profile get unknown", "GET", "/v1/profiles/ghost", ""},
+		{"profile put", "PUT", "/v1/profiles/" + owned, "{record}"},
+		{"profile put mismatched", "PUT", "/v1/profiles/other", "{record}"},
+		{"profile delete", "DELETE", "/v1/profiles/" + owned, ""},
+		{"profile delete again", "DELETE", "/v1/profiles/" + owned, ""},
+	}
+	fill := strings.NewReplacer()
+	for _, row := range rows {
+		do := func(base string) (int, string) {
+			req, err := http.NewRequest(row.method, base+fill.Replace(row.path), strings.NewReader(fill.Replace(row.body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			blob, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp.StatusCode, string(blob)
+		}
+		wantStatus, want := do(single.URL)
+		gotStatus, got := do(gw.URL)
+		if gotStatus != wantStatus || got != want {
+			t.Errorf("%s diverged:\n gw:     %d %s\n single: %d %s", row.name, gotStatus, got, wantStatus, want)
+		}
+		switch row.name {
+		case "verify":
+			var vr service.VerifyResponse
+			if err := json.Unmarshal([]byte(want), &vr); err != nil || !vr.Isolated {
+				t.Fatalf("verify did not isolate a pair: %s", want)
+			}
+			fill = strings.NewReplacer("{pair}", fmt.Sprintf("%d/%d", vr.Suspect.A, vr.Suspect.B))
+		case "profile get":
+			fill = strings.NewReplacer("{record}", want)
+		}
+	}
+}
+
+// TestGatewayBodyLimitsMatchReplica: with the same MaxBodyBytes on both
+// sides, an over-limit or broken body is refused with the lone replica's
+// status and bytes, for /v1/detect and for a /v1/detect/stream line.
+func TestGatewayBodyLimitsMatchReplica(t *testing.T) {
+	const limit = 64
+	single := newReplicaWith(t, service.Config{MaxBodyBytes: limit})
+	replica := newReplicaWith(t, service.Config{MaxBodyBytes: limit})
+	g, _ := newGatewayWith(t, GatewayConfig{Replicas: []string{replica.URL}, MaxBodyBytes: limit})
+
+	line := `{"profile":"p","routes":[[1,2]]}`
+	over := `{"profile":"p","routes":[[` + strings.Repeat("1,", limit) + `1]]}`
+	reset := iotest.ErrReader(errors.New("connection reset by peer"))
+	for _, tc := range []struct {
+		name, path string
+		body       func() io.Reader
+	}{
+		{"detect over limit", "/v1/detect", func() io.Reader { return strings.NewReader(over) }},
+		{"detect broken body", "/v1/detect", func() io.Reader { return io.MultiReader(strings.NewReader(`{"profile":`), reset) }},
+		{"stream over-limit line", "/v1/detect/stream", func() io.Reader { return strings.NewReader(line + "\n" + over + "\n" + line + "\n") }},
+		{"stream broken body", "/v1/detect/stream", func() io.Reader { return io.MultiReader(strings.NewReader(line+"\n"), reset) }},
+	} {
+		serve := func(h http.Handler) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, tc.body()))
+			return rec
+		}
+		want, got := serve(single.Config.Handler), serve(g.Handler())
+		if got.Code != want.Code || got.Body.String() != want.Body.String() {
+			t.Errorf("%s diverged:\n gw:     %d %s\n single: %d %s", tc.name, got.Code, got.Body, want.Code, want.Body)
+		}
+		if tc.name == "detect over limit" && want.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("over-limit detect answered %d, want 413", want.Code)
 		}
 	}
 }

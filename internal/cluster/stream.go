@@ -14,19 +14,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
-	"samnet/internal/obs"
 	"samnet/internal/service"
-)
-
-const (
-	gwStreamFlushEvery  = 64
-	gwStreamIdleTimeout = 2 * time.Minute
 )
 
 // upstream is one replica's live stream connection. Only the handler
@@ -46,27 +38,15 @@ type streamSlot struct {
 	errLine []byte
 }
 
-func errorLine(msg string) []byte {
-	blob, _ := json.Marshal(service.ErrorResponse{Error: msg})
-	return append(blob, '\n')
-}
-
+// handleDetectStream frames the request with the replica's own line reader
+// and answers through the replica's stream writer, so framing failures (an
+// over-limit line, a broken body) read exactly as a lone replica words them.
 func (g *Gateway) handleDetectStream(w http.ResponseWriter, r *http.Request) {
-	rc := http.NewResponseController(w)
-	_ = rc.EnableFullDuplex()
-	w.Header()["Content-Type"] = []string{"application/x-ndjson"}
-	w.WriteHeader(http.StatusOK)
-	if err := rc.Flush(); err != nil {
-		g.metrics.respErrs.Inc()
+	out, err := service.StartStream(w)
+	if err != nil {
+		g.respFailed(err)
 		return
 	}
-	extend := func() {
-		idle := time.Now().Add(gwStreamIdleTimeout)
-		_ = rc.SetReadDeadline(idle)
-		_ = rc.SetWriteDeadline(idle)
-	}
-	extend()
-
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 
@@ -80,43 +60,40 @@ func (g *Gateway) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 	}()
 	order := make(chan streamSlot, 256)
 	done := make(chan struct{})
-	go g.mergeStream(w, rc, order, done, extend)
+	go g.mergeStream(out, order, done)
 
-	br := bufio.NewReaderSize(r.Body, 64<<10)
+	lr := service.NewLineReader(r.Body, g.cfg.MaxBodyBytes)
 	for {
-		line, tooLong, err := readLimitedLine(br, g.cfg.MaxBodyBytes)
+		line, lineErr, err := lr.Next()
 		if err != nil {
 			if err != io.EOF {
 				// The client connection failed mid-read: answer once, after
 				// every pending verdict, and end the stream.
-				order <- streamSlot{errLine: errorLine(fmt.Sprintf("request body: %v", err))}
+				order <- streamSlot{errLine: service.AppendErrorResponse(nil, err.Error())}
 			}
 			break
 		}
-		if tooLong {
-			order <- streamSlot{errLine: errorLine(fmt.Sprintf(
-				"request body exceeds %d bytes", g.cfg.MaxBodyBytes))}
-			continue
-		}
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
+		if lineErr != nil {
+			order <- streamSlot{errLine: service.AppendErrorResponse(nil, lineErr.Error())}
 			continue
 		}
 		// Unparseable lines get profile "" — still a deterministic rendezvous
 		// key, so some replica answers the canonical per-line error in order.
-		addr := g.fleet.Owner(profileField(line))
+		addr := g.fleet.Owner(service.RoutingKey(line))
 		u := ups[addr]
 		if u == nil {
 			u = g.openUpstream(ctx, addr)
 			ups[addr] = u
 		}
 		if u.err == nil {
+			// The appended newline lands on the line's own consumed newline
+			// (or trimmed tail) in the reader's buffer, never on unread input.
 			if _, werr := u.pw.Write(append(line, '\n')); werr != nil {
 				u.err = werr
 			}
 		}
 		if u.err != nil {
-			order <- streamSlot{errLine: errorLine(fmt.Sprintf("replica %s: %v", u.addr, u.err))}
+			order <- streamSlot{errLine: service.AppendErrorResponse(nil, fmt.Sprintf("replica %s: %v", u.addr, u.err))}
 			continue
 		}
 		order <- streamSlot{u: u}
@@ -132,112 +109,62 @@ func (g *Gateway) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 
 // openUpstream dials one replica's stream endpoint with a pipe body the
 // handler feeds line by line. The replica answers the 200 header before the
-// first verdict, so Do returns as soon as the connection is up.
+// first verdict, so the request returns as soon as the connection is up.
 func (g *Gateway) openUpstream(ctx context.Context, addr string) *upstream {
 	u := &upstream{addr: addr}
 	pr, pw := io.Pipe()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/detect/stream", pr)
-	if err != nil {
-		u.err = err
-		return u
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	// Stream scatter propagates the gateway span too: the replica's stream
-	// span (and its per-line children) joins the same trace.
-	if sctx, ok := obs.SpanFromContext(ctx); ok && sctx.Valid() {
-		req.Header["Traceparent"] = []string{sctx.Traceparent()}
-	}
-	resp, err := g.client.httpClient().Do(req)
-	if err != nil {
+	resp, err := g.client.send(ctx, http.MethodPost, addr+"/v1/detect/stream", "application/x-ndjson", pr)
+	switch {
+	case err != nil:
 		if NotDelivered(err) {
 			g.fleet.MarkDown(addr, err)
 		}
 		u.err = err
-		pw.Close()
-		return u
-	}
-	if resp.StatusCode != http.StatusOK {
+	case resp.StatusCode != http.StatusOK:
 		u.err = statusError(resp)
 		resp.Body.Close()
-		pw.Close()
+	default:
+		u.pw, u.resp = pw, resp
+		u.br = bufio.NewReaderSize(resp.Body, 64<<10)
 		return u
 	}
-	u.pw, u.resp = pw, resp
-	u.br = bufio.NewReaderSize(resp.Body, 64<<10)
+	pw.Close()
 	return u
 }
 
 // mergeStream emits response lines in input order, reading each slot's
-// answer from its upstream. An upstream that ends early answers an error
-// line for each of its remaining slots (its own tracking, not u.err — that
-// field belongs to the handler goroutine). A client write failure drains the
-// remaining slots without writing so the handler never blocks on the order
-// queue.
-func (g *Gateway) mergeStream(w http.ResponseWriter, rc *http.ResponseController, order <-chan streamSlot, done chan<- struct{}, extend func()) {
+// answer from its upstream, and flushes when the order queue drains. An
+// upstream that ends early answers an error line for each of its remaining
+// slots (its own tracking, not u.err — that field belongs to the handler
+// goroutine). A client write failure drains the remaining slots without
+// writing so the handler never blocks on the order queue.
+func (g *Gateway) mergeStream(out *service.StreamWriter, order <-chan streamSlot, done chan<- struct{}) {
 	defer close(done)
 	dead := make(map[*upstream]error)
 	failed := false
-	pending := 0
 	for slot := range order {
 		line := slot.errLine
-		if slot.u != nil {
-			if derr, down := dead[slot.u]; down {
-				line = errorLine(fmt.Sprintf("replica %s: stream ended early: %v", slot.u.addr, derr))
-			} else {
-				resp, err := slot.u.br.ReadBytes('\n')
+		if u := slot.u; u != nil {
+			err := dead[u]
+			if err == nil {
+				var resp []byte
+				resp, err = u.br.ReadBytes('\n')
 				switch {
 				case err == nil:
 					line = resp
 				case len(bytes.TrimSpace(resp)) > 0:
-					line = append(resp, '\n')
+					line, err = append(resp, '\n'), nil
 				default:
-					dead[slot.u] = err
-					line = errorLine(fmt.Sprintf("replica %s: stream ended early: %v", slot.u.addr, err))
+					dead[u] = err
 				}
 			}
+			if err != nil {
+				line = service.AppendErrorResponse(nil, fmt.Sprintf("replica %s: stream ended early: %v", u.addr, err))
+			}
 		}
-		if failed {
-			continue
-		}
-		if _, err := w.Write(line); err != nil {
+		if !failed && out.WriteLine(line, len(order) == 0) != nil {
 			g.metrics.respErrs.Inc()
 			failed = true
-			continue
 		}
-		pending++
-		if pending >= gwStreamFlushEvery || len(order) == 0 {
-			if err := rc.Flush(); err != nil {
-				g.metrics.respErrs.Inc()
-				failed = true
-				continue
-			}
-			pending = 0
-			extend()
-		}
-	}
-}
-
-// readLimitedLine reads one newline-delimited line, reporting (but not
-// buffering) lines over limit so the stream stays aligned, and treating a
-// trailing unterminated line as a line.
-func readLimitedLine(br *bufio.Reader, limit int64) (line []byte, tooLong bool, err error) {
-	for {
-		frag, rerr := br.ReadSlice('\n')
-		if !tooLong {
-			line = append(line, frag...)
-			if int64(len(line)) > limit+1 { // +1: the newline itself
-				tooLong, line = true, nil
-			}
-		}
-		if rerr == bufio.ErrBufferFull {
-			continue
-		}
-		if rerr != nil {
-			if len(bytes.TrimSpace(line)) > 0 || tooLong {
-				return line, tooLong, nil
-			}
-			return nil, false, rerr
-		}
-		return line, tooLong, nil
 	}
 }

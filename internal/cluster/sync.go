@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 
 	"samnet/internal/service"
 )
@@ -37,7 +40,7 @@ func (c *Client) shipProfile(ctx context.Context, src, dst, name string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("pull %s from %s: %w", name, src, statusError(resp))
 	}
-	record, err := readAll(resp.Body)
+	record, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return fmt.Errorf("pull %s from %s: %w", name, src, err)
 	}
@@ -56,9 +59,6 @@ func (c *Client) shipProfile(ctx context.Context, src, dst, name string) error {
 // order for a holder and ship the record over. Reports whether a repair
 // happened (so the caller can retry the original request).
 func (g *Gateway) pullOnMiss(ctx context.Context, name string, rank []string) bool {
-	if len(rank) < 2 {
-		return false
-	}
 	owner := rank[0]
 	for _, src := range rank[1:] {
 		if !g.fleet.Healthy(src) {
@@ -77,58 +77,34 @@ func (g *Gateway) pullOnMiss(ctx context.Context, name string, rank []string) bo
 }
 
 // syncOnce runs one anti-entropy pass and returns how many records it
-// shipped. For every profile resident anywhere in the fleet, the effective
-// owner is computed and, if the owner does not hold the profile, the record
-// is shipped from a replica that does.
+// shipped. For every trained profile resident anywhere in the fleet, the
+// effective owner is computed and, if the owner does not hold the profile,
+// the record is shipped from the best-ranked holder (so repeated passes are
+// deterministic about their source).
 func (g *Gateway) syncOnce(ctx context.Context) (shipped int) {
 	holders := make(map[string][]string) // profile -> replicas holding it
-	for _, addr := range g.fleet.Replicas() {
-		if !g.fleet.Healthy(addr) {
-			continue
-		}
+	for _, sc := range g.fanOut(ctx, "/v1/profiles") {
 		var infos []service.ProfileInfo
-		if err := g.client.getJSON(ctx, addr+"/v1/profiles", &infos); err != nil {
-			g.logger.Debug("anti-entropy list failed", "replica", addr, "err", err)
+		if sc.err == nil {
+			sc.err = json.Unmarshal(sc.body, &infos)
+		}
+		if sc.err != nil {
+			g.logger.Debug("anti-entropy list failed", "replica", sc.addr, "err", sc.err)
 			continue
 		}
 		for _, info := range infos {
 			if info.Trained {
-				holders[info.Name] = append(holders[info.Name], addr)
+				holders[info.Name] = append(holders[info.Name], sc.addr)
 			}
 		}
 	}
 	for name, held := range holders {
-		owner := g.fleet.Owner(name)
-		if owner == "" || !g.fleet.Healthy(owner) {
+		rank := g.fleet.RankHealthy(name, nil)
+		owner := rank[0]
+		if !g.fleet.Healthy(owner) || slices.Contains(held, owner) {
 			continue
 		}
-		ownerHasIt := false
-		for _, addr := range held {
-			if addr == owner {
-				ownerHasIt = true
-				break
-			}
-		}
-		if ownerHasIt {
-			continue
-		}
-		// Ship from the best-ranked holder so repeated passes are
-		// deterministic about their source.
-		src := ""
-		for _, addr := range g.fleet.RankHealthy(name, nil) {
-			for _, h := range held {
-				if h == addr {
-					src = addr
-					break
-				}
-			}
-			if src != "" {
-				break
-			}
-		}
-		if src == "" {
-			continue
-		}
+		src := rank[slices.IndexFunc(rank, func(addr string) bool { return slices.Contains(held, addr) })]
 		if err := g.client.shipProfile(ctx, src, owner, name); err != nil {
 			g.metrics.pullErrs.Inc()
 			g.logger.Warn("anti-entropy ship failed", "profile", name, "from", src, "to", owner, "err", err)

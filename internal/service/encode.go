@@ -63,32 +63,15 @@ func jsonStringSafe(c byte) bool {
 		c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }
 
-// appendJSONString appends s as a JSON string. The fast path covers plain
-// ASCII that needs no escaping; anything else delegates to encoding/json so
-// escapes, invalid UTF-8 and HTML characters stay byte-identical by
-// construction.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if !jsonStringSafe(s[i]) {
-			blob, err := json.Marshal(s)
-			if err != nil { // unreachable: a string always marshals
-				return append(b, `""`...)
-			}
-			return append(b, blob...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-// appendJSONStringBytes is appendJSONString for a name still sitting in a
-// pooled request buffer.
-func appendJSONStringBytes(b, s []byte) []byte {
+// appendJSONString appends s — a string, or a name still sitting in a pooled
+// request buffer — as a JSON string. The fast path covers plain ASCII that
+// needs no escaping; anything else delegates to encoding/json so escapes,
+// invalid UTF-8 and HTML characters stay byte-identical by construction.
+func appendJSONString[S string | []byte](b []byte, s S) []byte {
 	for i := 0; i < len(s); i++ {
 		if !jsonStringSafe(s[i]) {
 			blob, err := json.Marshal(string(s))
-			if err != nil {
+			if err != nil { // unreachable: a string always marshals
 				return append(b, `""`...)
 			}
 			return append(b, blob...)
@@ -142,7 +125,7 @@ func appendVerdict(b []byte, v VerdictJSON) []byte {
 // cold-path payloads.
 func appendDetectResponse(b, profile []byte, v VerdictJSON) []byte {
 	b = append(b, `{"profile":`...)
-	b = appendJSONStringBytes(b, profile)
+	b = appendJSONString(b, profile)
 	b = append(b, `,"verdict":`...)
 	b = appendVerdict(b, v)
 	return append(b, '}', '\n')
@@ -153,7 +136,7 @@ func appendDetectResponse(b, profile []byte, v VerdictJSON) []byte {
 // failed, matching BatchDetectResponse's omitempty contract.
 func appendBatchDetectResponse(b, profile []byte, verdicts []VerdictJSON, errs []string) []byte {
 	b = append(b, `{"profile":`...)
-	b = appendJSONStringBytes(b, profile)
+	b = appendJSONString(b, profile)
 	b = append(b, `,"verdicts":[`...)
 	for i, v := range verdicts {
 		if i > 0 {
@@ -217,8 +200,10 @@ func appendAnalyzeResponse(b []byte, r AnalyzeResponse) []byte {
 	return append(b, '}', '\n')
 }
 
-// appendErrorResponse appends an ErrorResponse body.
-func appendErrorResponse(b []byte, msg string) []byte {
+// AppendErrorResponse appends an ErrorResponse body: the bytes of every
+// samserve error answer and failed stream line, which samgate reuses for its
+// own so the two can never word a failure differently.
+func AppendErrorResponse(b []byte, msg string) []byte {
 	b = append(b, `{"error":`...)
 	b = appendJSONString(b, msg)
 	return append(b, '}', '\n')

@@ -45,21 +45,66 @@ func allowedStatus(code int) bool {
 	return false
 }
 
+// detectCorpus seeds the fuzz targets that read detect request bodies.
+var detectCorpus = []string{
+	`{"profile":"p","routes":[[0,1,2],[0,3,2]]}`,
+	`{"profile":"p","routes":[]}`,
+	`{"profile":"missing","routes":[[1,2]]}`,
+	`{"profile":"p","routes":[[0,1,2]],"update":false}`,
+	`{"profile":"p","items":[[[0,1,2]],[[0,3,2]]]}`,
+	`{"routes":[[-1,2]]}`,
+	`{"routes":[[0,1`,
+	`null`,
+	`{"profile":"p","routes":[[0,1]]}{"x":1}`,
+	`{"profile":"p","routes":[[9999999999999999999]]}`,
+}
+
+// FuzzRoutingKey pins the gateway's routing key to the replica's parser: for
+// every body parseRequest accepts as a detect request, RoutingKey names the
+// profile the replica would score. The seed table pins known keys too.
+func FuzzRoutingKey(f *testing.F) {
+	for _, tc := range []struct{ body, want string }{
+		{`{"profile":"a","routes":[[1,2]]}`, "a"},
+		{`{ "profile" : "spaced" }`, "spaced"},
+		{`{"routes":[[1]],"profile":"late"}`, "late"},
+		{`{"profile":"with\"escape"}`, `with"escape`},
+		{`{"note":"\"profile\":","profile":"real"}`, "real"}, // decoy occurrence
+		{`{"profile":"a","Profile":"b"}`, "b"},               // case-folded, last wins
+		{`{"profile":"a","profile":null}`, "a"},              // null is a no-op
+		{`{"profile":123}`, ""},                              // non-string
+		{`{"routes":[[1]]}`, ""},                             // absent
+		{`not json`, ""},                                     // garbage
+	} {
+		if got := RoutingKey([]byte(tc.body)); got != tc.want {
+			f.Errorf("RoutingKey(%s) = %q, want %q", tc.body, got, tc.want)
+		}
+		f.Add(tc.body)
+	}
+	for _, body := range detectCorpus {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		got := RoutingKey([]byte(body))
+		sc := getScratch()
+		defer putScratch(sc)
+		sc.body = append(sc.body[:0], body...)
+		if sc.parseRequest(kindDetect) != nil {
+			return
+		}
+		if want := string(sc.profile); got != want {
+			t.Fatalf("RoutingKey(%q) = %q, parser scores %q", body, got, want)
+		}
+	})
+}
+
 // FuzzDetectDecoding throws arbitrary bytes at the detect and batch-detect
 // request decoders: malformed bodies must map to clean 4xx answers, and
 // bodies that do decode must score without panicking.
 func FuzzDetectDecoding(f *testing.F) {
 	mux := fuzzService(f)
-	f.Add(`{"profile":"p","routes":[[0,1,2],[0,3,2]]}`)
-	f.Add(`{"profile":"p","routes":[]}`)
-	f.Add(`{"profile":"missing","routes":[[1,2]]}`)
-	f.Add(`{"profile":"p","routes":[[0,1,2]],"update":false}`)
-	f.Add(`{"profile":"p","items":[[[0,1,2]],[[0,3,2]]]}`)
-	f.Add(`{"routes":[[-1,2]]}`)
-	f.Add(`{"routes":[[0,1`)
-	f.Add(`null`)
-	f.Add(`{"profile":"p","routes":[[0,1]]}{"x":1}`)
-	f.Add(`{"profile":"p","routes":[[9999999999999999999]]}`)
+	for _, body := range detectCorpus {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, body string) {
 		for _, path := range []string{"/v1/detect", "/v1/detect/batch"} {
 			req := httptest.NewRequest("POST", path, strings.NewReader(body))

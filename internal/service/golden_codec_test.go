@@ -125,7 +125,7 @@ func TestAppendEncodersGolden(t *testing.T) {
 	t.Run("error", func(t *testing.T) {
 		for _, msg := range goldenStrings {
 			want := encGolden(t, ErrorResponse{Error: msg})
-			got := appendErrorResponse(nil, msg)
+			got := AppendErrorResponse(nil, msg)
 			if !bytes.Equal(got, want) {
 				t.Errorf("error %q:\n got %s\nwant %s", msg, got, want)
 			}

@@ -186,10 +186,13 @@ func New(cfg Config) *Service {
 		"Condemned pairs currently on the isolation list.",
 		func() float64 { return float64(s.iso.Len()) })
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/analyze", s.hot("analyze", s.handleAnalyze))
-	mux.HandleFunc("POST /v1/detect", s.hot("detect", s.handleDetect))
-	mux.HandleFunc("POST /v1/detect/batch", s.hot("detect_batch", s.handleDetectBatch))
-	mux.HandleFunc("POST /v1/detect/stream", s.hot("detect_stream", s.handleDetectStream))
+	// The hot paths are instrumented but not wrapped: they read their body
+	// through pooled scratch (ReadBody enforces MaxBodyBytes itself),
+	// skipping MaxBytesReader's per-request allocation.
+	mux.HandleFunc("POST /v1/analyze", s.metrics.instrument("analyze", s.handleAnalyze))
+	mux.HandleFunc("POST /v1/detect", s.metrics.instrument("detect", s.handleDetect))
+	mux.HandleFunc("POST /v1/detect/batch", s.metrics.instrument("detect_batch", s.handleDetectBatch))
+	mux.HandleFunc("POST /v1/detect/stream", s.metrics.instrument("detect_stream", s.handleDetectStream))
 	mux.HandleFunc("POST /v1/profiles/{name}/train", s.wrap("train", s.handleTrain))
 	mux.HandleFunc("POST /v1/train/batch", s.wrap("train_batch", s.handleTrainBatch))
 	mux.HandleFunc("POST /v1/verify", s.wrap("verify", s.handleVerify))
@@ -361,13 +364,6 @@ func (s *Service) wrap(name string, h http.HandlerFunc) http.HandlerFunc {
 	})
 }
 
-// hot registers a hot-path handler: instrumentation only. These handlers
-// read their body through pooled scratch (wireScratch.readBody enforces
-// MaxBodyBytes itself), skipping MaxBytesReader's per-request allocation.
-func (s *Service) hot(name string, h http.HandlerFunc) http.HandlerFunc {
-	return s.metrics.instrument(name, h)
-}
-
 // writeJSON ships v through encoding/json — the writer for everything off
 // the detect hot path (and for explain responses, whose decision records are
 // too rich to hand-encode). Encode errors after the status line are counted
@@ -391,12 +387,12 @@ func (s *Service) errorf(w http.ResponseWriter, sc *wireScratch, status int, for
 	if len(args) > 0 {
 		msg = fmt.Sprintf(format, args...)
 	}
-	sc.out = appendErrorResponse(sc.out[:0], msg)
+	sc.out = AppendErrorResponse(sc.out[:0], msg)
 	s.writeBuf(w, status, sc.out)
 }
 
-// decodeStatus maps a decoding error to its HTTP status.
-func decodeStatus(err error) int {
+// DecodeStatus maps a body-read or decoding error to its HTTP status.
+func DecodeStatus(err error) int {
 	if errors.Is(err, errBodyTooLarge) {
 		return http.StatusRequestEntityTooLarge
 	}
@@ -407,11 +403,11 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
 	if err := sc.readBody(r, s.cfg.MaxBodyBytes); err != nil {
-		s.errorf(w, sc, decodeStatus(err), "%v", err)
+		s.errorf(w, sc, DecodeStatus(err), "%v", err)
 		return
 	}
 	if err := sc.parseRequest(kindAnalyze); err != nil {
-		s.errorf(w, sc, decodeStatus(err), "%v", err)
+		s.errorf(w, sc, DecodeStatus(err), "%v", err)
 		return
 	}
 	sc.materializeRoutes()
@@ -455,11 +451,11 @@ func (s *Service) handleDetect(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
 	if err := sc.readBody(r, s.cfg.MaxBodyBytes); err != nil {
-		s.errorf(w, sc, decodeStatus(err), "%v", err)
+		s.errorf(w, sc, DecodeStatus(err), "%v", err)
 		return
 	}
 	if err := sc.parseRequest(kindDetect); err != nil {
-		s.errorf(w, sc, decodeStatus(err), "%v", err)
+		s.errorf(w, sc, DecodeStatus(err), "%v", err)
 		return
 	}
 	sc.trace = requestTraceHex(r)
@@ -481,20 +477,20 @@ func (s *Service) handleDetect(w http.ResponseWriter, r *http.Request) {
 // through encoding/json instead.
 func (s *Service) detectScratch(sc *wireScratch) (status int, rec *obs.Decision, v sam.Verdict) {
 	if len(sc.profile) == 0 {
-		sc.out = appendErrorResponse(sc.out[:0], "missing profile name")
+		sc.out = AppendErrorResponse(sc.out[:0], "missing profile name")
 		return http.StatusBadRequest, nil, v
 	}
 	sc.materializeRoutes()
 	e, err := s.store.getBytes(sc.profile)
 	if err != nil {
-		sc.out = appendErrorResponse(sc.out[:0], err.Error())
+		sc.out = AppendErrorResponse(sc.out[:0], err.Error())
 		return scoreStatus(err), nil, v
 	}
 	// e.name is the store's interned copy of the profile name: verdicts are
 	// observed under it so no per-request string materializes.
 	v, err = e.score(sam.Analyze(sc.routes), sc.requestUpdate())
 	if err != nil {
-		sc.out = appendErrorResponse(sc.out[:0], fmt.Sprintf("profile %q: %v", e.name, err))
+		sc.out = AppendErrorResponse(sc.out[:0], fmt.Sprintf("profile %q: %v", e.name, err))
 		return scoreStatus(err), nil, v
 	}
 	if rec = s.observe(e.name, v, sc.explain, sc.trace); rec != nil {
@@ -542,11 +538,11 @@ func (s *Service) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
 	if err := sc.readBody(r, s.cfg.MaxBodyBytes); err != nil {
-		s.errorf(w, sc, decodeStatus(err), "%v", err)
+		s.errorf(w, sc, DecodeStatus(err), "%v", err)
 		return
 	}
 	if err := sc.parseRequest(kindBatch); err != nil {
-		s.errorf(w, sc, decodeStatus(err), "%v", err)
+		s.errorf(w, sc, DecodeStatus(err), "%v", err)
 		return
 	}
 	sc.trace = requestTraceHex(r)
@@ -628,7 +624,7 @@ func (s *Service) handleTrain(w http.ResponseWriter, r *http.Request) {
 	}
 	var req TrainRequest
 	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, decodeStatus(err), "%v", err)
+		s.writeError(w, DecodeStatus(err), "%v", err)
 		return
 	}
 	if len(req.RouteSets) == 0 {
@@ -697,7 +693,7 @@ func (s *Service) handlePutProfile(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var rec ProfileResponse
 	if err := decodeJSON(r, &rec); err != nil {
-		s.writeError(w, decodeStatus(err), "%v", err)
+		s.writeError(w, DecodeStatus(err), "%v", err)
 		return
 	}
 	if rec.Name != "" && rec.Name != name {

@@ -30,7 +30,6 @@ package service
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"net/http"
 	"time"
@@ -49,23 +48,15 @@ const streamFlushEvery = 64
 const streamIdleTimeout = 2 * time.Minute
 
 func (s *Service) handleDetectStream(w http.ResponseWriter, r *http.Request) {
-	rc := http.NewResponseController(w)
-	// Full duplex: the handler writes response lines while the client is
-	// still streaming request lines (net/http otherwise drains the body
-	// before letting responses interleave).
-	_ = rc.EnableFullDuplex()
-	w.Header()["Content-Type"] = ctNDJSON
-	w.WriteHeader(http.StatusOK)
-	// Ship the header immediately so the client's Do() returns and it can
-	// start its reader before the first verdict.
-	if err := rc.Flush(); err != nil {
+	out, err := StartStream(w)
+	if err != nil {
 		s.responseFailed("stream flush", err)
 		return
 	}
 
 	sc := getScratch()
 	defer putScratch(sc)
-	lr := lineReader{r: r.Body, buf: sc.lbuf[:0], limit: s.cfg.MaxBodyBytes}
+	lr := LineReader{lineReader{r: r.Body, buf: sc.lbuf[:0], limit: s.cfg.MaxBodyBytes}}
 	defer func() { sc.lbuf = lr.buf }()
 
 	// Per-line child spans: the stream request's own span (started by
@@ -76,64 +67,32 @@ func (s *Service) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 	tracer := s.metrics.tracer
 	parent, _ := obs.SpanFromContext(r.Context())
 
-	// Slide the per-request deadlines forward at every flush: the server's
-	// blanket ReadTimeout/WriteTimeout would otherwise cut a healthy
-	// long-running stream mid-flight. Flushes happen at least once per
-	// streamFlushEvery lines and on every lockstep exchange, so only a
-	// genuinely idle peer can run into the deadline. Errors (a
-	// ResponseWriter without deadline support, e.g. in tests) just leave
-	// the defaults in place.
-	extend := func() {
-		idle := time.Now().Add(streamIdleTimeout)
-		_ = rc.SetReadDeadline(idle)
-		_ = rc.SetWriteDeadline(idle)
-	}
-	extend()
-
-	pending := 0 // response lines written since the last flush
 	for {
-		line, err := lr.next()
-		var body []byte
-		switch {
-		case err == nil:
-			// Scored below.
-		case errors.Is(err, errBodyTooLarge):
-			// The over-limit line was discarded up to its newline, so the
-			// reader is still line-aligned: answer and continue. Crucially
-			// this never leaves the handler with a half-read body — doing
-			// so after a full-duplex response trips a net/http race where
-			// the post-handler body discard hits EOF and fires the
-			// deferred background-read hook after finishRequest already
-			// aborted pending reads, panicking ("invalid concurrent
-			// Body.Read call") on a reused connection.
-			body = appendErrorResponse(sc.out[:0], err.Error())
-			sc.out = body
-		default:
-			if !errors.Is(err, io.EOF) {
+		line, lineErr, err := lr.Next()
+		if err != nil {
+			if err != io.EOF {
 				// The connection itself failed mid-read: answer once and
 				// end the stream (nothing further can arrive on it).
-				sc.out = appendErrorResponse(sc.out[:0], err.Error())
-				if _, werr := w.Write(sc.out); werr != nil {
+				sc.out = AppendErrorResponse(sc.out[:0], err.Error())
+				if werr := out.WriteLine(sc.out, true); werr != nil {
 					s.responseFailed("stream write", werr)
 				}
 			}
-			if ferr := rc.Flush(); ferr != nil {
-				s.responseFailed("stream flush", ferr)
-			}
 			return
 		}
-		if body == nil {
+		if lineErr == nil {
 			sc.reset()
 			sc.body = append(sc.body[:0], line...)
-			if perr := sc.parseRequest(kindDetect); perr != nil {
-				// A line that parsed as a complete (but invalid) JSON value
-				// is a semantic failure: report and continue. parseRequest
-				// only sees full lines, so framing stays intact.
-				body = appendErrorResponse(sc.out[:0], perr.Error())
-				sc.out = body
-			}
+			// A line that parsed as a complete (but invalid) JSON value is a
+			// semantic failure: report and continue. parseRequest only sees
+			// full lines, so framing stays intact.
+			lineErr = sc.parseRequest(kindDetect)
 		}
-		if body == nil {
+		var body []byte
+		if lineErr != nil {
+			body = AppendErrorResponse(sc.out[:0], lineErr.Error())
+			sc.out = body
+		} else {
 			var lineSpan obs.ActiveSpan
 			if tracer.Enabled() {
 				lineSpan = tracer.Start("detect_stream_line", parent)
@@ -141,6 +100,7 @@ func (s *Service) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 			}
 			lineStatus, rec, v := s.detectScratch(sc)
 			tracer.Finish(lineSpan, lineStatus)
+			body = sc.out
 			if rec != nil {
 				// Explain lines are cold-path: encoding/json builds the line
 				// (Encode appends the newline NDJSON needs).
@@ -152,26 +112,96 @@ func (s *Service) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				body = buf.Bytes()
-			} else {
-				body = sc.out
 			}
 		}
-		if _, err := w.Write(body); err != nil {
+		// Adaptive flush: only when no complete line is already buffered
+		// (a lockstep client is waiting) or the batch is large enough.
+		if err := out.WriteLine(body, !lr.buffered()); err != nil {
 			s.responseFailed("stream write", err)
 			return
 		}
-		pending++
-		// Adaptive flush: only when no complete line is already buffered
-		// (a lockstep client is waiting) or the batch is large enough.
-		if pending >= streamFlushEvery || !lr.buffered() {
-			if err := rc.Flush(); err != nil {
-				s.responseFailed("stream flush", err)
-				return
-			}
-			pending = 0
-			extend()
-		}
 	}
+}
+
+// StreamWriter is the response side of both /v1/detect/stream endpoints,
+// samserve's and samgate's: an application/x-ndjson 200 in full-duplex mode,
+// flushed whenever the input drains or every streamFlushEvery lines, with
+// the connection's idle deadline slid forward at every flush.
+type StreamWriter struct {
+	w       http.ResponseWriter
+	rc      *http.ResponseController
+	pending int // lines written since the last flush
+}
+
+// StartStream commits the stream's 200 header and flushes it at once, so the
+// client's Do returns and it can start reading before the first answer.
+func StartStream(w http.ResponseWriter) (*StreamWriter, error) {
+	sw := &StreamWriter{w: w, rc: http.NewResponseController(w)}
+	// Full duplex: response lines go out while the client is still
+	// streaming request lines (net/http otherwise drains the body before
+	// letting responses interleave).
+	_ = sw.rc.EnableFullDuplex()
+	w.Header()["Content-Type"] = ctNDJSON
+	w.WriteHeader(http.StatusOK)
+	return sw, sw.flush()
+}
+
+// WriteLine writes one response line. drained reports that no further input
+// line is waiting, which flushes at once so a lockstep client is answered.
+func (sw *StreamWriter) WriteLine(line []byte, drained bool) error {
+	if _, err := sw.w.Write(line); err != nil {
+		return err
+	}
+	if sw.pending++; drained || sw.pending >= streamFlushEvery {
+		return sw.flush()
+	}
+	return nil
+}
+
+// flush ships the buffered lines and slides the read and write deadlines
+// forward: the server's blanket ReadTimeout/WriteTimeout would otherwise cut
+// a healthy long-running stream mid-flight, so only a genuinely idle peer
+// runs into them. Deadline errors (a ResponseWriter without deadline
+// support, e.g. in tests) leave the defaults in place.
+func (sw *StreamWriter) flush() error {
+	if err := sw.rc.Flush(); err != nil {
+		return err
+	}
+	sw.pending = 0
+	idle := time.Now().Add(streamIdleTimeout)
+	_ = sw.rc.SetReadDeadline(idle)
+	_ = sw.rc.SetWriteDeadline(idle)
+	return nil
+}
+
+// LineReader frames an NDJSON request body for both /v1/detect/stream
+// endpoints, so samgate splits a stream into exactly the lines samserve
+// would score.
+type LineReader struct{ lineReader }
+
+// NewLineReader frames r with a per-line limit of limit bytes.
+func NewLineReader(r io.Reader, limit int64) *LineReader {
+	return &LineReader{lineReader{r: r, buf: make([]byte, 0, 64<<10), limit: limit}}
+}
+
+// Next returns the next non-empty line (valid until the following call).
+// lineErr reports a line that failed framing — an over-limit line,
+// discarded up to its newline — which is answered with an error line while
+// the stream reads on. err ends the stream: io.EOF at a clean end, any other
+// error when the body read failed.
+//
+// Because an over-limit line is consumed to its newline, a stream handler
+// never returns with a half-read body. Doing so after a full-duplex response
+// trips a net/http race: the post-handler body discard hits EOF and fires
+// the background-read hook after finishRequest already aborted pending
+// reads, panicking ("invalid concurrent Body.Read call") on a reused
+// connection.
+func (lr *LineReader) Next() (line []byte, lineErr, err error) {
+	line, err = lr.next()
+	if err == errBodyTooLarge {
+		return nil, err, nil
+	}
+	return line, nil, err
 }
 
 // lineReader splits the request body into newline-delimited frames using one

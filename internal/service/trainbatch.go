@@ -127,7 +127,7 @@ func trainCell(sc trainScenario, seed uint64, run int) ([]routing.Route, error) 
 func (s *Service) handleTrainBatch(w http.ResponseWriter, r *http.Request) {
 	var req TrainBatchRequest
 	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, decodeStatus(err), "%v", err)
+		s.writeError(w, DecodeStatus(err), "%v", err)
 		return
 	}
 	scenarios, err := resolveScenarios(req.Scenarios)

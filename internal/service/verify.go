@@ -73,7 +73,7 @@ func evidenceJSON(evidence []verify.Evidence) []EvidenceJSON {
 func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 	var req VerifyRequest
 	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, decodeStatus(err), "%v", err)
+		s.writeError(w, DecodeStatus(err), "%v", err)
 		return
 	}
 	scenarios, err := resolveScenarios([]TrainScenarioJSON{req.Scenario})

@@ -118,8 +118,16 @@ func (sc *wireScratch) resetRoutes() {
 // readBody slurps the request body into the pooled buffer, enforcing the
 // configured size limit (the hot handlers skip http.MaxBytesReader and its
 // per-request allocation; the limit lives here instead).
-func (sc *wireScratch) readBody(r *http.Request, limit int64) error {
-	buf := sc.body[:0]
+func (sc *wireScratch) readBody(r *http.Request, limit int64) (err error) {
+	sc.body, err = ReadBody(sc.body[:0], r, limit)
+	return err
+}
+
+// ReadBody appends r's body to buf under limit exactly as the detect
+// handlers read theirs: the error is errBodyTooLarge past the limit or a
+// wrapped read failure, and DecodeStatus maps it to samserve's status. The
+// grown buffer is returned even on error so a pooled caller keeps it.
+func ReadBody(buf []byte, r *http.Request, limit int64) ([]byte, error) {
 	if cap(buf) == 0 {
 		hint := r.ContentLength
 		if hint <= 0 || hint > 4096 {
@@ -133,15 +141,14 @@ func (sc *wireScratch) readBody(r *http.Request, limit int64) error {
 		}
 		n, err := r.Body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
-		sc.body = buf
 		if int64(len(buf)) > limit {
-			return errBodyTooLarge
+			return buf, errBodyTooLarge
 		}
 		switch {
 		case err == io.EOF:
-			return nil
+			return buf, nil
 		case err != nil:
-			return fmt.Errorf("reading request body: %w", err)
+			return buf, fmt.Errorf("reading request body: %w", err)
 		}
 	}
 }
@@ -186,7 +193,27 @@ const (
 	kindDetect reqKind = iota
 	kindBatch
 	kindAnalyze
+	kindKey // the profile field alone: RoutingKey's schema
 )
+
+// RoutingKey returns the profile a /v1/detect or /v1/detect/batch body (or a
+// stream line) names, which is what samgate places the request by. It runs
+// parseRequest itself, so the key is the one the replica scores: ASCII
+// case-folded field names, last duplicate wins, null is a no-op, escapes are
+// decoded. Other fields are skipped by shape alone; a body that does not
+// parse, or names no profile, yields "".
+func RoutingKey(body []byte) string {
+	sc := getScratch()
+	defer putScratch(sc)
+	held := sc.body
+	sc.body = body
+	err := sc.parseRequest(kindKey)
+	sc.body = held
+	if err != nil {
+		return ""
+	}
+	return string(sc.profile)
+}
 
 // parseRequest parses one request object of the given kind from sc.body,
 // rejecting trailing data like decodeJSON. A bare null leaves every field
@@ -229,6 +256,8 @@ func (sc *wireScratch) parseRequest(kind reqKind) error {
 				err = sc.batchField(key)
 			case kindAnalyze:
 				err = sc.analyzeField(key)
+			case kindKey:
+				err = sc.keyField(key)
 			}
 			if err != nil {
 				return err
@@ -281,6 +310,13 @@ func (sc *wireScratch) batchField(key []byte) error {
 		return p.parseBoolField(&sc.update, &sc.updateSet)
 	}
 	return p.skipValue(0)
+}
+
+func (sc *wireScratch) keyField(key []byte) error {
+	if keyIs(key, "profile") {
+		return sc.p.parseStringField(&sc.profile)
+	}
+	return sc.p.skipShape()
 }
 
 func (sc *wireScratch) analyzeField(key []byte) error {
@@ -780,6 +816,37 @@ func (p *jparser) parseIntValue() (int64, error) {
 		v = -v
 	}
 	return v, nil
+}
+
+// skipShape discards one value like skipValue, but skips arrays and objects
+// by bracket matching alone, at a fraction of skipValue's cost on long route
+// arrays. It ends where skipValue would on any valid value, which is all
+// RoutingKey needs: the key must match the replica's only for bodies the
+// full parser accepts.
+func (p *jparser) skipShape() error {
+	p.skipWS()
+	if c := p.peek(); c != '[' && c != '{' {
+		return p.skipValue(0)
+	}
+	buf := p.buf
+	for i, depth := p.pos, 0; i < len(buf); i++ {
+		switch buf[i] {
+		case '"':
+			p.pos = i
+			if _, err := p.parseString(); err != nil {
+				return err
+			}
+			i = p.pos - 1
+		case '[', '{':
+			depth++
+		case ']', '}':
+			if depth--; depth == 0 {
+				p.pos = i + 1
+				return nil
+			}
+		}
+	}
+	return p.syntaxErr("unterminated value")
 }
 
 // skipValue validates and discards one JSON value of any shape (unknown
