@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	samserve [-addr :8080] [-workers N] [-queue N] [-shards N]
+//	samserve [-addr :8080] [-workers N] [-queue N]
 //	         [-decisions N] [-traces N] [-trace-slow 250ms] [-log-requests N]
 //	         [-debug-addr :6060] [-log-format text|json]
 //	         [-profile name=file.json]...
@@ -84,7 +84,6 @@ func main() {
 		debugAddr    = flag.String("debug-addr", "", "debug listener for pprof, metrics and decisions (empty = disabled)")
 		workers      = flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
 		queue        = flag.Int("queue", 0, "worker queue depth (0 = default)")
-		shards       = flag.Int("shards", 0, "profile store shards (0 = default)")
 		maxBody      = flag.Int64("max-body", 0, "request body limit in bytes (0 = default 8MiB)")
 		decisions    = flag.Int("decisions", 0, "decision record buffer (0 = default 256, negative disables capture)")
 		traces       = flag.Int("traces", 256, "span ring size behind /debug/traces (negative disables tracing)")
@@ -120,7 +119,6 @@ func main() {
 	cfg := service.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
-		Shards:         *shards,
 		MaxBodyBytes:   *maxBody,
 		DecisionBuffer: *decisions,
 		Tracer:         tracer,
@@ -184,7 +182,7 @@ func main() {
 
 	logger.Info("starting",
 		"addr", *addr,
-		"workers", *workers, "queue", *queue, "shards", *shards,
+		"workers", *workers, "queue", *queue,
 		"max_body", *maxBody, "decisions", *decisions,
 		"traces", *traces, "trace_slow", *traceSlow, "log_requests", *logRequests,
 		"profiles", len(profiles),

@@ -725,53 +725,20 @@ func newGWMetrics(reg *obs.Registry) *gwMetrics {
 	}
 }
 
-// gwStatusWriter captures the status a traced gateway request answered; it
-// is allocated only on the tracing path. Unwrap keeps ResponseController
-// working for the stream scatter (full duplex, deadlines).
-type gwStatusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *gwStatusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *gwStatusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
 // instrument wraps a handler with per-endpoint request counting and latency,
-// plus — when tracing is on — a gateway span whose context rides the request
-// into Client.do, so every relayed, scattered, or failed-over sub-request
-// carries the gateway span as its traceparent and the replica spans parent
-// under it.
+// plus — when tracing is on — a gateway span (obs.Tracer.Serve) whose
+// context rides the request into Client.do, so every relayed, scattered, or
+// failed-over sub-request carries the gateway span as its traceparent and
+// the replica spans parent under it.
 func (g *Gateway) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	reqs := g.cfg.Registry.Counter("samgate_requests_total",
 		"Requests served, by endpoint.", obs.Label{Key: "endpoint", Value: name})
 	lat := g.cfg.Registry.Histogram("samgate_request_duration_seconds",
 		"Request latency.", obs.DefaultLatencyBuckets, obs.Label{Key: "endpoint", Value: name})
-	tracer := g.cfg.Tracer
 	return func(w http.ResponseWriter, r *http.Request) {
-		var span obs.ActiveSpan
-		if tracer.Enabled() {
-			span = tracer.Start(name, obs.ParentFromRequest(r))
-			sw := &gwStatusWriter{ResponseWriter: w}
-			sw.Header()["Traceparent"] = []string{span.Context().Traceparent()}
-			r = r.WithContext(obs.ContextWithSpan(r.Context(), span.Context()))
-			w = sw
-		}
 		begin := time.Now()
-		h(w, r)
+		g.cfg.Tracer.Serve(name, w, r, h)
 		reqs.Inc()
 		lat.ObserveDuration(time.Since(begin))
-		if sw, ok := w.(*gwStatusWriter); ok {
-			status := sw.status
-			if status == 0 {
-				status = http.StatusOK
-			}
-			tracer.Finish(span, status)
-		}
 	}
 }

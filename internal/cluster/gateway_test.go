@@ -685,18 +685,43 @@ func TestGatewayBodyLimitsMatchReplica(t *testing.T) {
 	line := `{"profile":"p","routes":[[1,2]]}`
 	over := `{"profile":"p","routes":[[` + strings.Repeat("1,", limit) + `1]]}`
 	reset := iotest.ErrReader(errors.New("connection reset by peer"))
-	for _, tc := range []struct {
-		name, path string
-		body       func() io.Reader
-	}{
-		{"detect over limit", "/v1/detect", func() io.Reader { return strings.NewReader(over) }},
-		{"detect broken body", "/v1/detect", func() io.Reader { return io.MultiReader(strings.NewReader(`{"profile":`), reset) }},
-		{"stream over-limit line", "/v1/detect/stream", func() io.Reader { return strings.NewReader(line + "\n" + over + "\n" + line + "\n") }},
-		{"stream broken body", "/v1/detect/stream", func() io.Reader { return io.MultiReader(strings.NewReader(line+"\n"), reset) }},
+	type row struct {
+		name, method, path string
+		body               func() io.Reader
+		status             int // the replica's status; 0 leaves it unchecked
+	}
+	rows := []row{
+		{"detect over limit", http.MethodPost, "/v1/detect", func() io.Reader { return strings.NewReader(over) }, 0},
+		{"detect broken body", http.MethodPost, "/v1/detect", func() io.Reader { return io.MultiReader(strings.NewReader(`{"profile":`), reset) }, 0},
+		{"stream over-limit line", http.MethodPost, "/v1/detect/stream", func() io.Reader { return strings.NewReader(line + "\n" + over + "\n" + line + "\n") }, 0},
+		{"stream broken body", http.MethodPost, "/v1/detect/stream", func() io.Reader { return io.MultiReader(strings.NewReader(line+"\n"), reset) }, 0},
+	}
+	// The endpoints that decode through encoding/json read their body the
+	// same way as the detect path, so they refuse the same way: an
+	// over-limit body is 413 even when it goes bad before the limit or is
+	// only padded past it with whitespace, and a failed read is worded as a
+	// read failure, not as invalid JSON.
+	for _, ep := range []struct{ method, path, valid string }{
+		{http.MethodPost, "/v1/profiles/p/train", `{"route_sets":[[[1,2]]]}`},
+		{http.MethodPost, "/v1/train/batch", `{"scenarios":[{"topo":"cluster"}],"runs":1}`},
+		{http.MethodPost, "/v1/verify", `{"scenario":{"topo":"cluster"}}`},
+		{http.MethodPut, "/v1/profiles/p", `{"name":"p","runs":1}`},
 	} {
+		malformed := `{"x": x` + strings.Repeat(" ", limit)
+		padded := ep.valid + strings.Repeat(" ", 200)
+		rows = append(rows,
+			row{ep.method + " " + ep.path + " malformed over limit", ep.method, ep.path,
+				func() io.Reader { return strings.NewReader(malformed) }, http.StatusRequestEntityTooLarge},
+			row{ep.method + " " + ep.path + " padded over limit", ep.method, ep.path,
+				func() io.Reader { return strings.NewReader(padded) }, http.StatusRequestEntityTooLarge},
+			row{ep.method + " " + ep.path + " broken body", ep.method, ep.path,
+				func() io.Reader { return io.MultiReader(strings.NewReader(ep.valid[:5]), reset) }, http.StatusBadRequest},
+		)
+	}
+	for _, tc := range rows {
 		serve := func(h http.Handler) *httptest.ResponseRecorder {
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, tc.body()))
+			h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, tc.body()))
 			return rec
 		}
 		want, got := serve(single.Config.Handler), serve(g.Handler())
@@ -705,6 +730,9 @@ func TestGatewayBodyLimitsMatchReplica(t *testing.T) {
 		}
 		if tc.name == "detect over limit" && want.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("over-limit detect answered %d, want 413", want.Code)
+		}
+		if tc.status != 0 && want.Code != tc.status {
+			t.Errorf("%s: replica answered %d %s, want %d", tc.name, want.Code, want.Body, tc.status)
 		}
 	}
 }

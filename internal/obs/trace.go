@@ -421,6 +421,29 @@ func (t *Tracer) Finish(a ActiveSpan, status int) {
 	t.recent.record(sp)
 }
 
+// Serve runs h as one request span named name and returns the status h
+// answered: the one traced-request wrapper behind samserve's and samgate's
+// per-endpoint instrumentation. With tracing on it continues the caller's
+// trace (or roots a new one), echoes the span in the Traceparent response
+// header so clients and the access log can join the trace, hands the span
+// context to h through the request context for downstream propagation, and
+// records the span with the status. A nil or disabled tracer costs one
+// atomic load, and the pooled status capture allocates nothing.
+func (t *Tracer) Serve(name string, w http.ResponseWriter, r *http.Request, h http.HandlerFunc) int {
+	sw := NewStatusWriter(w)
+	var span ActiveSpan
+	if t.Enabled() {
+		span = t.Start(name, ParentFromRequest(r))
+		sw.Header()["Traceparent"] = []string{span.Context().Traceparent()}
+		r = r.WithContext(ContextWithSpan(r.Context(), span.Context()))
+	}
+	h(sw, r)
+	status := sw.Status()
+	sw.Release()
+	t.Finish(span, status)
+	return status
+}
+
 // Snapshot returns a copy of the retained recent spans, oldest first.
 func (t *Tracer) Snapshot() []Span {
 	if t == nil {

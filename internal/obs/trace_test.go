@@ -3,6 +3,8 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -344,5 +346,102 @@ func TestParentFromRequestNoAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ParentFromRequest miss allocs = %v, want 0", allocs)
+	}
+}
+
+// nopWriter is a ResponseWriter that allocates nothing per request.
+type nopWriter struct{ h http.Header }
+
+func (w nopWriter) Header() http.Header         { return w.h }
+func (w nopWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w nopWriter) WriteHeader(int)             {}
+
+// TestServeZeroAllocWhenTracingOff pins the traced-request wrapper's cost with
+// tracing off: a nil or disabled tracer takes one branch, and the pooled
+// StatusWriter allocates nothing per request.
+func TestServeZeroAllocWhenTracingOff(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of Puts under the race detector, so pooled-path allocation counts are meaningless")
+	}
+	disabled := NewTracer(8, 0)
+	disabled.SetEnabled(false)
+	w := nopWriter{h: http.Header{}}
+	r := httptest.NewRequest("POST", "/v1/detect", nil)
+	h := func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusAccepted) }
+	for _, tc := range []struct {
+		name string
+		tr   *Tracer
+	}{{"nil", nil}, {"disabled", disabled}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if got := tc.tr.Serve("detect", w, r, h); got != http.StatusAccepted {
+				t.Fatalf("%s tracer: Serve = %d, want 202", tc.name, got)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s tracer: Serve allocs = %v, want 0", tc.name, allocs)
+		}
+		if len(w.h) != 0 {
+			t.Errorf("%s tracer: response headers %v, want none", tc.name, w.h)
+		}
+	}
+	if disabled.Recorded() != 0 {
+		t.Errorf("disabled tracer recorded %d spans", disabled.Recorded())
+	}
+}
+
+// TestServeConcurrent drives Serve from several goroutines with tracing on:
+// every request sees its own pooled StatusWriter over its own response, the
+// span context and the Traceparent echo, and every returned status and span
+// status is the one its handler answered, whether it wrote a header, wrote
+// two, or only copied a body in. Run it under -race.
+func TestServeConcurrent(t *testing.T) {
+	const workers, reqs = 8, 200
+	tr := NewTracer(workers*reqs, 0)
+	statuses := []int{http.StatusOK, http.StatusCreated, http.StatusNotFound, http.StatusConflict,
+		http.StatusTooManyRequests, http.StatusInternalServerError, http.StatusBadGateway, http.StatusTeapot}
+	names := []string{"g0", "g1", "g2", "g3", "g4", "g5", "g6", "g7"}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			want := statuses[g]
+			for i := 0; i < reqs; i++ {
+				rec := httptest.NewRecorder()
+				got := tr.Serve(names[g], rec, httptest.NewRequest("GET", "/", nil), func(w http.ResponseWriter, r *http.Request) {
+					sw, ok := w.(*StatusWriter)
+					if !ok || sw.Unwrap() != rec {
+						t.Errorf("handler writer %T does not wrap its own response", w)
+						return
+					}
+					if _, ok := SpanFromContext(r.Context()); !ok {
+						t.Error("handler request carries no span context")
+					}
+					if want == http.StatusOK {
+						io.Copy(w, strings.NewReader("x")) // no WriteHeader: a body alone is a 200
+						return
+					}
+					w.WriteHeader(want)
+					w.WriteHeader(http.StatusOK) // ignored by net/http; the first status wins
+					w.Write([]byte("x"))
+				})
+				if got != want || rec.Code != want {
+					t.Errorf("worker %d: Serve = %d, recorder %d, want %d", g, got, rec.Code, want)
+				}
+				if _, _, ok := ParseTraceparent(rec.Header().Get("Traceparent")); !ok {
+					t.Errorf("worker %d: no traceparent echo in %v", g, rec.Header())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	spans := tr.Snapshot()
+	if len(spans) != workers*reqs {
+		t.Fatalf("recorded %d spans, want %d", len(spans), workers*reqs)
+	}
+	for _, sp := range spans {
+		if want := statuses[sp.Name[1]-'0']; sp.Status != want {
+			t.Fatalf("span %s status %d, want %d", sp.Name, sp.Status, want)
+		}
 	}
 }

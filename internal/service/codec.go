@@ -1,11 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
 
 	"samnet/internal/obs"
 	"samnet/internal/routing"
@@ -322,18 +322,16 @@ const (
 	maxRoutesPerSet = 4096
 	maxRouteHops    = 1024
 	maxNodeID       = 1 << 30
+	// maxBatchItems caps the route sets of one /v1/detect/batch request.
+	maxBatchItems = 256
 )
 
 var errBodyTooLarge = errors.New("request body exceeds the size limit")
 
-// decodeJSON strictly decodes one JSON value from the (size-limited) body.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// decodeJSON strictly decodes one JSON value from a body read by ReadBody.
+func decodeJSON(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	if err := dec.Decode(v); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return errBodyTooLarge
-		}
 		return fmt.Errorf("invalid JSON body: %w", err)
 	}
 	// Reject trailing garbage so "{}{}" cannot sneak half-parsed state in.

@@ -20,6 +20,8 @@ import (
 	"net/http"
 	"strconv"
 	"unicode/utf8"
+
+	"samnet/internal/obs"
 )
 
 // Content-Type header values pre-allocated as one-element slices: direct map
@@ -120,10 +122,17 @@ func appendVerdict(b []byte, v VerdictJSON) []byte {
 }
 
 // appendDetectResponse appends a full /v1/detect response line (terminating
-// newline included, as json.Encoder.Encode emits). The explain variant of
-// DetectResponse goes through encoding/json instead — decision records are
-// cold-path payloads.
-func appendDetectResponse(b, profile []byte, v VerdictJSON) []byte {
+// newline included, as json.Encoder.Encode emits). With an explain record it
+// falls back to encoding/json, the way appendJSONString does for escapes:
+// decision records are cold-path payloads too rich to hand-encode.
+func appendDetectResponse(b, profile []byte, v VerdictJSON, rec *obs.Decision) []byte {
+	if rec != nil {
+		blob, err := json.Marshal(DetectResponse{Profile: string(profile), Verdict: v, Explain: rec})
+		if err != nil { // only a non-finite statistic fails, and the detector makes none
+			return AppendErrorResponse(b, err.Error())
+		}
+		return append(append(b, blob...), '\n')
+	}
 	b = append(b, `{"profile":`...)
 	b = appendJSONString(b, profile)
 	b = append(b, `,"verdict":`...)

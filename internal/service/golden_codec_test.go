@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"samnet/internal/obs"
 )
 
 // encGolden renders v exactly as the old writeJSON did.
@@ -56,7 +58,7 @@ func TestAppendEncodersGolden(t *testing.T) {
 		for i, profile := range goldenStrings {
 			v := goldenVerdict(i)
 			want := encGolden(t, DetectResponse{Profile: profile, Verdict: v})
-			got := appendDetectResponse(nil, []byte(profile), v)
+			got := appendDetectResponse(nil, []byte(profile), v, nil)
 			if !bytes.Equal(got, want) {
 				t.Errorf("detect profile=%q:\n got %s\nwant %s", profile, got, want)
 			}
@@ -68,9 +70,28 @@ func TestAppendEncodersGolden(t *testing.T) {
 		for i := range goldenFloats {
 			v := goldenVerdict(i)
 			want := encGolden(t, DetectResponse{Profile: "p", Verdict: v})
-			got := appendDetectResponse(nil, []byte("p"), v)
+			got := appendDetectResponse(nil, []byte("p"), v, nil)
 			if !bytes.Equal(got, want) {
 				t.Errorf("verdict %d:\n got %s\nwant %s", i, got, want)
+			}
+		}
+	})
+
+	t.Run("detect-explain", func(t *testing.T) {
+		// A decision record takes the encoding/json fallback; the line must
+		// still be exactly what the old writeJSON emitted.
+		for i, profile := range goldenStrings {
+			v := goldenVerdict(i)
+			rec := &obs.Decision{
+				Profile: profile, Routes: v.Routes, N: v.N, PMax: v.PMax, Phi: v.Phi, ZPMax: v.ZPMax,
+				Links:    []obs.DecisionLink{{A: i, B: i + 1, Count: 3, P: v.PMax}},
+				Suspect:  obs.DecisionLink{A: v.Suspects[0], B: v.Suspects[1]},
+				Decision: v.Decision,
+			}
+			want := encGolden(t, DetectResponse{Profile: profile, Verdict: v, Explain: rec})
+			got := appendDetectResponse([]byte("prefix"), []byte(profile), v, rec)
+			if !bytes.Equal(got, append([]byte("prefix"), want...)) {
+				t.Errorf("detect-explain profile=%q:\n got %s\nwant %s", profile, got, want)
 			}
 		}
 	})

@@ -115,7 +115,7 @@ func postJSONStatus(t *testing.T, url, body string, want int) ([]byte, error) {
 // silently-dropped profile — after the final load the profile answers with a
 // live detector. Run under -race this also proves the retry loop is clean.
 func TestLoadSurvivesConcurrentDelete(t *testing.T) {
-	svc := New(Config{Shards: 1})
+	svc := New(Config{})
 	defer svc.Close()
 	p := benchProfile(t, "raced", 7000)
 
@@ -272,7 +272,7 @@ func manyScenarios(t *testing.T, n int) []TrainScenarioJSON {
 	t.Helper()
 	out := make([]TrainScenarioJSON, n)
 	for i := range out {
-		out[i] = TrainScenarioJSON{Topo: "cluster", Profile: string(rune('a' + i%26)) + string(rune('0'+i/26))}
+		out[i] = TrainScenarioJSON{Topo: "cluster", Profile: string(rune('a'+i%26)) + string(rune('0'+i/26))}
 	}
 	return out
 }

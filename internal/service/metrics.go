@@ -2,7 +2,6 @@ package service
 
 import (
 	"net/http"
-	"sync"
 	"time"
 
 	"samnet/internal/obs"
@@ -11,15 +10,11 @@ import (
 )
 
 // metrics bundles the service's pre-resolved obs instruments. Every series is
-// registered up front (at New or at wrap time), so the request hot path never
-// touches the registry's mutex — it only increments atomics it already holds
-// pointers to.
+// registered up front (at New, as each route is instrumented), so the
+// request hot path never touches the registry's mutex — it only increments
+// atomics it already holds pointers to.
 type metrics struct {
 	reg *obs.Registry
-
-	// tracer captures per-request spans when enabled; nil (or disabled)
-	// keeps the instrument wrapper on its zero-extra-alloc path.
-	tracer *obs.Tracer
 
 	// Per-detection instruments: one counter per hard decision plus the
 	// distributions of the paper's statistics as scored in production.
@@ -51,8 +46,8 @@ type metrics struct {
 	respErrors *obs.Counter
 }
 
-func newMetrics(reg *obs.Registry, tracer *obs.Tracer) *metrics {
-	m := &metrics{reg: reg, tracer: tracer}
+func newMetrics(reg *obs.Registry) *metrics {
+	m := &metrics{reg: reg}
 	for d := sam.Normal; d <= sam.Attacked; d++ {
 		m.detections[d] = reg.Counter("samserve_detections_total",
 			"Scored route sets, by hard decision.",
@@ -102,16 +97,7 @@ func newMetrics(reg *obs.Registry, tracer *obs.Tracer) *metrics {
 
 // observeVerify feeds one probe verdict into the verification instruments.
 func (m *metrics) observeVerify(v verify.Verdict, refused bool) {
-	outcome := "cleared"
-	switch {
-	case refused:
-		outcome = "refused"
-	case v.Condemned:
-		outcome = "condemned"
-	case len(v.Evidence) == 0:
-		outcome = "unproven"
-	}
-	m.verifications[outcome].Inc()
+	m.verifications[verifyOutcome(v, refused)].Inc()
 	for _, e := range v.Evidence {
 		if int(e.Kind) < len(m.verifyEvidence) && m.verifyEvidence[e.Kind] != nil {
 			m.verifyEvidence[e.Kind].Inc()
@@ -166,63 +152,16 @@ func (em *endpointMetrics) record(status int, d time.Duration) {
 	em.latency.ObserveDuration(d)
 }
 
-// statusWriter captures the status code a handler writes, for metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// Unwrap exposes the underlying writer so http.ResponseController can reach
-// optional interfaces (Flusher for the batch-training progress stream) that
-// the embedding hides.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// statusWriterPool recycles the per-request status capture wrapper; at the
-// serving throughput target even this one small struct per request is
-// measurable garbage.
-var statusWriterPool = sync.Pool{New: func() any { return new(statusWriter) }}
-
 // instrument wraps a handler with request counting, latency observation,
 // and — when tracing is enabled — a server span under the given endpoint
-// name. The tracing branch is guarded by one atomic load, so with the
-// tracer off (or nil) the wrapper's cost is exactly what it was before
-// tracing existed: the zero-alloc detect guarantee does not move.
-func (m *metrics) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	em := m.endpoint(name)
+// name (obs.Tracer.Serve). With the tracer off (or nil) the wrapper costs
+// one atomic load and allocates nothing: the zero-alloc detect guarantee
+// does not move.
+func (s *Service) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
+	em := s.metrics.endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
-		sw := statusWriterPool.Get().(*statusWriter)
-		sw.ResponseWriter, sw.status = w, 0
-		var span obs.ActiveSpan
-		if m.tracer.Enabled() {
-			// Continue the caller's trace (gateway hop, external client)
-			// or root a new one. The span context rides the request
-			// context for downstream propagation, and the response echoes
-			// the header so clients and the access log can join the trace.
-			span = m.tracer.Start(name, obs.ParentFromRequest(r))
-			sw.Header()["Traceparent"] = []string{span.Context().Traceparent()}
-			r = r.WithContext(obs.ContextWithSpan(r.Context(), span.Context()))
-		}
 		begin := time.Now()
-		h(sw, r)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		sw.ResponseWriter = nil
-		statusWriterPool.Put(sw)
+		status := s.cfg.Tracer.Serve(name, w, r, h)
 		em.record(status, time.Since(begin))
-		m.tracer.Finish(span, status)
 	}
 }

@@ -258,7 +258,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 		`"pmf_counts":[1,1],"pmf_total":2}}` + "\n"))
 	f.Add([]byte("{}\n{}\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		svc := New(Config{Shards: 2})
+		svc := New(Config{})
 		defer svc.Close()
 		st, err := svc.ReadSnapshot(bytes.NewReader(data))
 		if err != nil {

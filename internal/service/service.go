@@ -46,8 +46,6 @@ import (
 
 // Config tunes the service. The zero value selects sensible defaults.
 type Config struct {
-	// Shards is the profile-store shard count (default 16).
-	Shards int
 	// Workers bounds batch-detection parallelism (default NumCPU).
 	Workers int
 	// QueueDepth caps tasks admitted to the worker pool, queued or running;
@@ -55,13 +53,6 @@ type Config struct {
 	QueueDepth int
 	// MaxBodyBytes caps request bodies (default 8 MiB).
 	MaxBodyBytes int64
-	// MaxBatchItems caps items per /v1/detect/batch request (default 256).
-	MaxBatchItems int
-	// Detector configures detectors built for trained profiles; zero fields
-	// take the sam defaults.
-	Detector sam.DetectorConfig
-	// PMFBins is the trainer binning (0 selects sam.DefaultPMFBins).
-	PMFBins int
 	// Registry receives the service's instruments. Nil creates a private
 	// registry; inject one to merge the service's series into a larger
 	// exposition (each Service must then be the registry's only samserve_*
@@ -77,9 +68,6 @@ type Config struct {
 	// and allocates nothing extra, and response bodies are byte-identical
 	// either way (spans are observe-only, like decision records).
 	Tracer *obs.Tracer
-	// Verify configures the probe engine behind POST /v1/verify; zero fields
-	// take the verify defaults (per-request knobs override).
-	Verify verify.Config
 	// ProfileTTL evicts profiles idle (no store lookup) for longer than this
 	// duration; 0 disables idle eviction.
 	ProfileTTL time.Duration
@@ -93,9 +81,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
 	}
@@ -107,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxBatchItems <= 0 {
-		c.MaxBatchItems = 256
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -159,11 +141,11 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:     cfg,
-		store:   newStore(cfg.Shards, cfg.Detector, cfg.PMFBins),
+		store:   newStore(),
 		pool:    newPool(cfg.Workers, cfg.QueueDepth),
-		metrics: newMetrics(cfg.Registry, cfg.Tracer),
+		metrics: newMetrics(cfg.Registry),
 		logger:  cfg.Logger,
-		detCfg:  cfg.Detector.WithDefaults(),
+		detCfg:  sam.DetectorConfig{}.WithDefaults(),
 		iso:     verify.NewIsolationSet(),
 	}
 	if cfg.DecisionBuffer > 0 {
@@ -186,22 +168,21 @@ func New(cfg Config) *Service {
 		"Condemned pairs currently on the isolation list.",
 		func() float64 { return float64(s.iso.Len()) })
 	mux := http.NewServeMux()
-	// The hot paths are instrumented but not wrapped: they read their body
-	// through pooled scratch (ReadBody enforces MaxBodyBytes itself),
-	// skipping MaxBytesReader's per-request allocation.
-	mux.HandleFunc("POST /v1/analyze", s.metrics.instrument("analyze", s.handleAnalyze))
-	mux.HandleFunc("POST /v1/detect", s.metrics.instrument("detect", s.handleDetect))
-	mux.HandleFunc("POST /v1/detect/batch", s.metrics.instrument("detect_batch", s.handleDetectBatch))
-	mux.HandleFunc("POST /v1/detect/stream", s.metrics.instrument("detect_stream", s.handleDetectStream))
-	mux.HandleFunc("POST /v1/profiles/{name}/train", s.wrap("train", s.handleTrain))
-	mux.HandleFunc("POST /v1/train/batch", s.wrap("train_batch", s.handleTrainBatch))
-	mux.HandleFunc("POST /v1/verify", s.wrap("verify", s.handleVerify))
-	mux.HandleFunc("GET /v1/isolation", s.wrap("isolation", s.handleIsolation))
-	mux.HandleFunc("DELETE /v1/isolation/{a}/{b}", s.wrap("isolation_lift", s.handleIsolationLift))
-	mux.HandleFunc("GET /v1/profiles", s.wrap("profiles", s.handleListProfiles))
-	mux.HandleFunc("GET /v1/profiles/{name}", s.wrap("profile_get", s.handleGetProfile))
-	mux.HandleFunc("PUT /v1/profiles/{name}", s.wrap("profile_put", s.handlePutProfile))
-	mux.HandleFunc("DELETE /v1/profiles/{name}", s.wrap("profile_delete", s.handleDeleteProfile))
+	// Every handler reads its body through ReadBody, which enforces
+	// MaxBodyBytes without MaxBytesReader's per-request allocation.
+	mux.HandleFunc("POST /v1/analyze", s.instrument("analyze", s.handleAnalyze))
+	mux.HandleFunc("POST /v1/detect", s.instrument("detect", s.handleDetect))
+	mux.HandleFunc("POST /v1/detect/batch", s.instrument("detect_batch", s.handleDetectBatch))
+	mux.HandleFunc("POST /v1/detect/stream", s.instrument("detect_stream", s.handleDetectStream))
+	mux.HandleFunc("POST /v1/profiles/{name}/train", s.instrument("train", s.handleTrain))
+	mux.HandleFunc("POST /v1/train/batch", s.instrument("train_batch", s.handleTrainBatch))
+	mux.HandleFunc("POST /v1/verify", s.instrument("verify", s.handleVerify))
+	mux.HandleFunc("GET /v1/isolation", s.instrument("isolation", s.handleIsolation))
+	mux.HandleFunc("DELETE /v1/isolation/{a}/{b}", s.instrument("isolation_lift", s.handleIsolationLift))
+	mux.HandleFunc("GET /v1/profiles", s.instrument("profiles", s.handleListProfiles))
+	mux.HandleFunc("GET /v1/profiles/{name}", s.instrument("profile_get", s.handleGetProfile))
+	mux.HandleFunc("PUT /v1/profiles/{name}", s.instrument("profile_put", s.handlePutProfile))
+	mux.HandleFunc("DELETE /v1/profiles/{name}", s.instrument("profile_delete", s.handleDeleteProfile))
 	mux.HandleFunc("GET /debug/decisions", s.handleDecisions)
 	mux.Handle("GET /debug/traces", cfg.Tracer.Handler())
 	mux.Handle("GET /metrics", cfg.Registry.Handler())
@@ -300,10 +281,6 @@ func (s *Service) Registry() *obs.Registry { return s.cfg.Registry }
 // Decisions returns the decision record ring (nil when capture is disabled).
 func (s *Service) Decisions() *obs.DecisionRing { return s.decisions }
 
-// Tracer returns the request tracer (nil when tracing is off), for mounting
-// /debug/traces on additional listeners (samserve's debug endpoint).
-func (s *Service) Tracer() *obs.Tracer { return s.cfg.Tracer }
-
 // Handler returns the service's HTTP handler.
 func (s *Service) Handler() http.Handler { return s.mux }
 
@@ -356,18 +333,9 @@ func (s *Service) RestoreProfile(name string, p *sam.Profile, pmaxMean, phiMean 
 	return nil
 }
 
-// wrap applies body limiting and metrics instrumentation to a handler.
-func (s *Service) wrap(name string, h http.HandlerFunc) http.HandlerFunc {
-	return s.metrics.instrument(name, func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		h(w, r)
-	})
-}
-
 // writeJSON ships v through encoding/json — the writer for everything off
-// the detect hot path (and for explain responses, whose decision records are
-// too rich to hand-encode). Encode errors after the status line are counted
-// and logged instead of silently shipping a 200 with truncated JSON.
+// the detect hot path. Encode errors after the status line are counted and
+// logged instead of silently shipping a 200 with truncated JSON.
 func (s *Service) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header()["Content-Type"] = ctJSON
 	w.WriteHeader(status)
@@ -376,19 +344,10 @@ func (s *Service) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
+// writeError answers an ErrorResponse, encoded by AppendErrorResponse like
+// every failed stream line and every samgate error.
 func (s *Service) writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	s.writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// errorf is writeError for handlers holding a scratch: the body is built in
-// the pooled buffer with the append encoder.
-func (s *Service) errorf(w http.ResponseWriter, sc *wireScratch, status int, format string, args ...any) {
-	msg := format
-	if len(args) > 0 {
-		msg = fmt.Sprintf(format, args...)
-	}
-	sc.out = AppendErrorResponse(sc.out[:0], msg)
-	s.writeBuf(w, status, sc.out)
+	s.writeBuf(w, status, AppendErrorResponse(nil, fmt.Sprintf(format, args...)))
 }
 
 // DecodeStatus maps a body-read or decoding error to its HTTP status.
@@ -399,15 +358,44 @@ func DecodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
+// readRequest reads r's body into sc under MaxBodyBytes and parses it as a
+// request of the given kind: the request path of analyze, detect and batch.
+// On failure it has answered the error and reports false.
+func (s *Service) readRequest(w http.ResponseWriter, r *http.Request, sc *wireScratch, kind reqKind) bool {
+	var err error
+	sc.body, err = ReadBody(sc.body[:0], r, s.cfg.MaxBodyBytes)
+	if err == nil {
+		err = sc.parseRequest(kind)
+	}
+	if err != nil {
+		s.writeError(w, DecodeStatus(err), "%v", err)
+		return false
+	}
+	return true
+}
+
+// readJSON is readRequest for the handlers whose requests decode through
+// encoding/json: the body is read the same way, into pooled scratch, and
+// decoded into v.
+func (s *Service) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	sc := getScratch()
+	defer putScratch(sc)
+	var err error
+	sc.body, err = ReadBody(sc.body[:0], r, s.cfg.MaxBodyBytes)
+	if err == nil {
+		err = decodeJSON(sc.body, v)
+	}
+	if err != nil {
+		s.writeError(w, DecodeStatus(err), "%v", err)
+		return false
+	}
+	return true
+}
+
 func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
-	if err := sc.readBody(r, s.cfg.MaxBodyBytes); err != nil {
-		s.errorf(w, sc, DecodeStatus(err), "%v", err)
-		return
-	}
-	if err := sc.parseRequest(kindAnalyze); err != nil {
-		s.errorf(w, sc, DecodeStatus(err), "%v", err)
+	if !s.readRequest(w, r, sc, kindAnalyze) {
 		return
 	}
 	sc.materializeRoutes()
@@ -434,8 +422,8 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.writeBuf(w, http.StatusOK, sc.out)
 }
 
-// scoreOrError maps store/entry errors onto HTTP statuses shared by the
-// detect endpoints: 404 unknown profile, 409 not yet trained.
+// scoreStatus maps store/entry errors onto the HTTP statuses the profile
+// endpoints share: 404 unknown profile, 409 not yet trained.
 func scoreStatus(err error) int {
 	switch {
 	case errors.Is(err, errUnknownProfile):
@@ -447,57 +435,61 @@ func scoreStatus(err error) int {
 	}
 }
 
+// lookup resolves the profile a parsed detect or batch request names and
+// materializes its routes. It refuses what both endpoints refuse, in this
+// order: 400 without a profile name, 400 past the batch item cap (a detect
+// request has no items), then 404 for an unknown profile. An untrained
+// profile fails at scoring instead: 409 on detect, a per-item error in a
+// batch. On failure the entry is nil and the error body is in sc.out.
+func (s *Service) lookup(sc *wireScratch) (*entry, int) {
+	var err error
+	status := http.StatusBadRequest
+	switch {
+	case len(sc.profile) == 0:
+		err = errors.New("missing profile name")
+	case len(sc.setEnds) > maxBatchItems:
+		err = fmt.Errorf("batch has %d items, limit %d", len(sc.setEnds), maxBatchItems)
+	default:
+		var e *entry
+		if e, err = s.store.getBytes(sc.profile); err == nil {
+			sc.materializeRoutes()
+			return e, http.StatusOK
+		}
+		status = scoreStatus(err)
+	}
+	sc.out = AppendErrorResponse(sc.out[:0], err.Error())
+	return nil, status
+}
+
 func (s *Service) handleDetect(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
-	if err := sc.readBody(r, s.cfg.MaxBodyBytes); err != nil {
-		s.errorf(w, sc, DecodeStatus(err), "%v", err)
-		return
-	}
-	if err := sc.parseRequest(kindDetect); err != nil {
-		s.errorf(w, sc, DecodeStatus(err), "%v", err)
+	if !s.readRequest(w, r, sc, kindDetect) {
 		return
 	}
 	sc.trace = requestTraceHex(r)
-	status, rec, v := s.detectScratch(sc)
-	if rec != nil {
-		s.writeJSON(w, http.StatusOK, DetectResponse{
-			Profile: string(sc.profile), Verdict: verdictJSON(v), Explain: rec,
-		})
-		return
-	}
-	s.writeBuf(w, status, sc.out)
+	s.writeBuf(w, s.detectScratch(sc), sc.out)
 }
 
 // detectScratch runs one parsed detect request to completion: profile
-// lookup, scoring, observation, and response encoding into sc.out. It is
-// shared by /v1/detect and each /v1/detect/stream line. The returned status
-// goes with the sc.out body — except when rec is non-nil (explain requested),
-// where the caller must build the cold-path DetectResponse with the record
-// through encoding/json instead.
-func (s *Service) detectScratch(sc *wireScratch) (status int, rec *obs.Decision, v sam.Verdict) {
-	if len(sc.profile) == 0 {
-		sc.out = AppendErrorResponse(sc.out[:0], "missing profile name")
-		return http.StatusBadRequest, nil, v
-	}
-	sc.materializeRoutes()
-	e, err := s.store.getBytes(sc.profile)
-	if err != nil {
-		sc.out = AppendErrorResponse(sc.out[:0], err.Error())
-		return scoreStatus(err), nil, v
+// lookup, scoring, observation, and encoding the answer — verdict, explain
+// record or error — into sc.out. It is shared by /v1/detect and each
+// /v1/detect/stream line; the returned status goes with the sc.out body.
+func (s *Service) detectScratch(sc *wireScratch) int {
+	e, status := s.lookup(sc)
+	if e == nil {
+		return status
 	}
 	// e.name is the store's interned copy of the profile name: verdicts are
 	// observed under it so no per-request string materializes.
-	v, err = e.score(sam.Analyze(sc.routes), sc.requestUpdate())
+	v, err := e.score(sam.Analyze(sc.routes), sc.requestUpdate())
 	if err != nil {
 		sc.out = AppendErrorResponse(sc.out[:0], fmt.Sprintf("profile %q: %v", e.name, err))
-		return scoreStatus(err), nil, v
+		return scoreStatus(err)
 	}
-	if rec = s.observe(e.name, v, sc.explain, sc.trace); rec != nil {
-		return http.StatusOK, rec, v
-	}
-	sc.out = appendDetectResponse(sc.out[:0], sc.profile, verdictJSON(v))
-	return http.StatusOK, nil, v
+	rec := s.observe(e.name, v, sc.explain, sc.trace)
+	sc.out = appendDetectResponse(sc.out[:0], sc.profile, verdictJSON(v), rec)
+	return http.StatusOK
 }
 
 // observe feeds one scored verdict into the instruments and, when capture is
@@ -537,27 +529,13 @@ func requestTraceHex(r *http.Request) string {
 func (s *Service) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
-	if err := sc.readBody(r, s.cfg.MaxBodyBytes); err != nil {
-		s.errorf(w, sc, DecodeStatus(err), "%v", err)
-		return
-	}
-	if err := sc.parseRequest(kindBatch); err != nil {
-		s.errorf(w, sc, DecodeStatus(err), "%v", err)
+	if !s.readRequest(w, r, sc, kindBatch) {
 		return
 	}
 	sc.trace = requestTraceHex(r)
-	if len(sc.profile) == 0 {
-		s.errorf(w, sc, http.StatusBadRequest, "missing profile name")
-		return
-	}
-	if len(sc.setEnds) > s.cfg.MaxBatchItems {
-		s.errorf(w, sc, http.StatusBadRequest, "batch has %d items, limit %d", len(sc.setEnds), s.cfg.MaxBatchItems)
-		return
-	}
-	sc.materializeRoutes()
-	e, err := s.store.getBytes(sc.profile)
-	if err != nil {
-		s.errorf(w, sc, scoreStatus(err), "%v", err)
+	e, status := s.lookup(sc)
+	if e == nil {
+		s.writeBuf(w, status, sc.out)
 		return
 	}
 	update := sc.requestUpdate()
@@ -583,12 +561,11 @@ func (s *Service) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if !s.pool.tryRun(sc.tasks) {
 		w.Header().Set("Retry-After", "1")
-		s.errorf(w, sc, http.StatusTooManyRequests,
+		s.writeError(w, http.StatusTooManyRequests,
 			"worker pool saturated (%d items would exceed queue depth %d)", n, s.cfg.QueueDepth)
 		return
 	}
-	status := s.finishBatch(sc, e.name)
-	s.writeBuf(w, status, sc.out)
+	s.writeBuf(w, s.finishBatch(sc, e.name), sc.out)
 }
 
 // finishBatch turns a scored batch into the wire response after the pool
@@ -623,8 +600,7 @@ func (s *Service) handleTrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req TrainRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, DecodeStatus(err), "%v", err)
+	if !s.readJSON(w, r, &req) {
 		return
 	}
 	if len(req.RouteSets) == 0 {
@@ -692,8 +668,7 @@ func (s *Service) handleGetProfile(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handlePutProfile(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var rec ProfileResponse
-	if err := decodeJSON(r, &rec); err != nil {
-		s.writeError(w, DecodeStatus(err), "%v", err)
+	if !s.readJSON(w, r, &rec) {
 		return
 	}
 	if rec.Name != "" && rec.Name != name {

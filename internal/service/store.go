@@ -32,7 +32,6 @@ type entry struct {
 	name     string
 	trainer  *sam.Trainer
 	detector *sam.Detector
-	cfg      sam.DetectorConfig
 	// lastAccess is the wall clock (unix nanos) of the entry's most recent
 	// store lookup; the idle-TTL sweeper and the LRU cap read it to pick
 	// eviction victims.
@@ -64,7 +63,7 @@ func (e *entry) train(sets [][]routing.Route) (int, error) {
 	if err != nil {
 		return runs, fmt.Errorf("%w: %v", errProfileBuild, err)
 	}
-	e.detector = sam.NewDetector(p, e.cfg)
+	e.detector = sam.NewDetector(p, sam.DetectorConfig{})
 	return runs, nil
 }
 
@@ -111,7 +110,7 @@ func (e *entry) snapshot() (p *sam.Profile, pmaxMean, phiMean float64, runs int,
 func (e *entry) load(p *sam.Profile) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.detector = sam.NewDetector(p.Clone(), e.cfg)
+	e.detector = sam.NewDetector(p.Clone(), sam.DetectorConfig{})
 }
 
 // restore is load plus the adaptive feature means captured by a snapshot, so
@@ -120,7 +119,7 @@ func (e *entry) load(p *sam.Profile) {
 func (e *entry) restore(p *sam.Profile, pmaxMean, phiMean float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.detector = sam.NewDetector(p.Clone(), e.cfg)
+	e.detector = sam.NewDetector(p.Clone(), sam.DetectorConfig{})
 	e.detector.SetAdaptiveMeans(pmaxMean, phiMean)
 }
 
@@ -140,17 +139,18 @@ func (e *entry) retrain(tr *sam.Trainer) (int, error) {
 		return runs, fmt.Errorf("%w: %v", errProfileBuild, err)
 	}
 	e.trainer = tr
-	e.detector = sam.NewDetector(p, e.cfg)
+	e.detector = sam.NewDetector(p, sam.DetectorConfig{})
 	return runs, nil
 }
+
+// storeShards is the profile store's shard count.
+const storeShards = 16
 
 // store is the sharded profile registry. Profile names hash onto shards so
 // concurrent requests for different profiles rarely contend on the same
 // lock; the per-entry mutex then scopes contention to one profile.
 type store struct {
-	shards []storeShard
-	cfg    sam.DetectorConfig
-	bins   int
+	shards [storeShards]storeShard
 }
 
 type storeShard struct {
@@ -158,13 +158,10 @@ type storeShard struct {
 	entries map[string]*entry
 }
 
-// newStore builds a store with the given shard count (minimum 1), detector
-// configuration, and PMF binning for new trainers.
-func newStore(shards int, cfg sam.DetectorConfig, bins int) *store {
-	if shards < 1 {
-		shards = 1
-	}
-	s := &store{shards: make([]storeShard, shards), cfg: cfg, bins: bins}
+// newStore builds an empty store. Detectors take the sam defaults and new
+// trainers sam.DefaultPMFBins.
+func newStore() *store {
+	s := &store{}
 	for i := range s.shards {
 		s.shards[i].entries = make(map[string]*entry)
 	}
@@ -173,7 +170,8 @@ func newStore(shards int, cfg sam.DetectorConfig, bins int) *store {
 
 // shard hashes name with inline FNV-1a: hash/fnv's heap-allocated digest
 // state showed up in the detect hot path, and the algorithm is three lines.
-func (s *store) shard(name string) *storeShard {
+// name may still sit in a pooled request buffer.
+func shard[S string | []byte](s *store, name S) *storeShard {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -183,39 +181,20 @@ func (s *store) shard(name string) *storeShard {
 		h ^= uint32(name[i])
 		h *= prime32
 	}
-	return &s.shards[h%uint32(len(s.shards))]
+	return &s.shards[h%storeShards]
 }
 
-// get returns the named entry or errUnknownProfile, stamping its last-access
-// time for the idle-TTL sweeper.
-func (s *store) get(name string) (*entry, error) {
-	sh := s.shard(name)
-	sh.mu.RLock()
-	e := sh.entries[name]
-	sh.mu.RUnlock()
-	if e == nil {
-		return nil, fmt.Errorf("%w: %q", errUnknownProfile, name)
-	}
-	e.touch()
-	return e, nil
-}
+// get is getBytes for a name held as a string, off the detect hot path.
+func (s *store) get(name string) (*entry, error) { return s.getBytes([]byte(name)) }
 
-// getBytes is get for a profile name still sitting in a pooled request
-// buffer. The map lookup with an inline string conversion compiles without
-// allocating, and the interned e.name gives callers a stable string without
-// copying the bytes — the serving hot path's way to avoid one string
-// allocation per request.
+// getBytes returns the named entry or errUnknownProfile, stamping its
+// last-access time for the idle-TTL sweeper. The name may still sit in a
+// pooled request buffer: the map lookup with an inline string conversion
+// compiles without allocating, and the interned e.name gives callers a
+// stable string without copying the bytes — the serving hot path's way to
+// avoid one string allocation per request.
 func (s *store) getBytes(name []byte) (*entry, error) {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= prime32
-	}
-	sh := &s.shards[h%uint32(len(s.shards))]
+	sh := shard(s, name)
 	sh.mu.RLock()
 	e := sh.entries[string(name)]
 	sh.mu.RUnlock()
@@ -229,7 +208,7 @@ func (s *store) getBytes(name []byte) (*entry, error) {
 // getOrCreate returns the named entry, creating an empty trainer on first
 // use, and stamps its last-access time.
 func (s *store) getOrCreate(name string) *entry {
-	sh := s.shard(name)
+	sh := shard(s, name)
 	sh.mu.RLock()
 	e := sh.entries[name]
 	sh.mu.RUnlock()
@@ -239,7 +218,7 @@ func (s *store) getOrCreate(name string) *entry {
 	}
 	sh.mu.Lock()
 	if e = sh.entries[name]; e == nil {
-		e = &entry{name: name, trainer: sam.NewTrainer(name, s.bins), cfg: s.cfg}
+		e = &entry{name: name, trainer: sam.NewTrainer(name, sam.DefaultPMFBins)}
 		sh.entries[name] = e
 	}
 	sh.mu.Unlock()
@@ -258,7 +237,7 @@ func (s *store) withResident(name string, fn func(*entry)) *entry {
 	for {
 		e := s.getOrCreate(name)
 		fn(e)
-		sh := s.shard(name)
+		sh := shard(s, name)
 		sh.mu.RLock()
 		resident := sh.entries[name] == e
 		sh.mu.RUnlock()
@@ -284,7 +263,7 @@ func (s *store) restore(name string, p *sam.Profile, pmaxMean, phiMean float64) 
 // scores holding the entry pointer finish against their copy; new lookups
 // answer errUnknownProfile.
 func (s *store) remove(name string) bool {
-	sh := s.shard(name)
+	sh := shard(s, name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.entries[name]; !ok {
@@ -299,7 +278,7 @@ func (s *store) remove(name string) bool {
 // write lock, so an entry re-created or re-used after the candidate scan is
 // never evicted by a stale observation.
 func (s *store) removeIfIdle(name string, e *entry, cutoff int64) bool {
-	sh := s.shard(name)
+	sh := shard(s, name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.entries[name] != e || e.lastAccess.Load() > cutoff {

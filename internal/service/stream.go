@@ -64,7 +64,7 @@ func (s *Service) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 	// line inside an hours-long pipelined connection is still traceable.
 	// With tracing off, parent stays zero and the loop takes one atomic
 	// load per line.
-	tracer := s.metrics.tracer
+	tracer := s.cfg.Tracer
 	parent, _ := obs.SpanFromContext(r.Context())
 
 	for {
@@ -88,35 +88,19 @@ func (s *Service) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 			// full lines, so framing stays intact.
 			lineErr = sc.parseRequest(kindDetect)
 		}
-		var body []byte
 		if lineErr != nil {
-			body = AppendErrorResponse(sc.out[:0], lineErr.Error())
-			sc.out = body
+			sc.out = AppendErrorResponse(sc.out[:0], lineErr.Error())
 		} else {
 			var lineSpan obs.ActiveSpan
 			if tracer.Enabled() {
 				lineSpan = tracer.Start("detect_stream_line", parent)
 				sc.trace = lineSpan.Context().TraceHex()
 			}
-			lineStatus, rec, v := s.detectScratch(sc)
-			tracer.Finish(lineSpan, lineStatus)
-			body = sc.out
-			if rec != nil {
-				// Explain lines are cold-path: encoding/json builds the line
-				// (Encode appends the newline NDJSON needs).
-				var buf bytes.Buffer
-				if err := writeJSONLine(&buf, DetectResponse{
-					Profile: string(sc.profile), Verdict: verdictJSON(v), Explain: rec,
-				}); err != nil {
-					s.responseFailed("stream encode", err)
-					return
-				}
-				body = buf.Bytes()
-			}
+			tracer.Finish(lineSpan, s.detectScratch(sc))
 		}
 		// Adaptive flush: only when no complete line is already buffered
 		// (a lockstep client is waiting) or the batch is large enough.
-		if err := out.WriteLine(body, !lr.buffered()); err != nil {
+		if err := out.WriteLine(sc.out, !lr.buffered()); err != nil {
 			s.responseFailed("stream write", err)
 			return
 		}

@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -312,5 +314,46 @@ func BenchmarkDetectNoTelemetry(b *testing.B) {
 			b.Fatal(err)
 		}
 		svc.observe("test", v, false, "")
+	}
+}
+
+// TestStreamExplainMatchesDetect pins the one detect core: an explain line on
+// /v1/detect/stream answers exactly the bytes /v1/detect answers for the same
+// request, decision record included. Each endpoint gets a fresh service over
+// the same loaded profile, and updates are frozen, so both score from the
+// same state.
+func TestStreamExplainMatchesDetect(t *testing.T) {
+	p := benchProfile(t, "explain", 8000)
+	serve := func(svc *Service, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec
+	}
+	detectSvc, streamSvc := New(Config{}), New(Config{})
+	for _, svc := range []*Service{detectSvc, streamSvc} {
+		t.Cleanup(svc.Close)
+		if err := svc.LoadProfile("explain", p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	off := false
+	var lines []string
+	var want bytes.Buffer
+	for _, routes := range [][][]int{genSets(1, true, 6000)[0], genSets(1, false, 6100)[0], genSets(1, true, 6200)[0]} {
+		line := mustJSON(t, DetectRequest{Profile: "explain", Routes: routes, Update: &off, Explain: true})
+		rec := serve(detectSvc, "/v1/detect", line)
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"explain":{`) {
+			t.Fatalf("detect: %d %s", rec.Code, rec.Body)
+		}
+		want.Write(rec.Body.Bytes())
+		lines = append(lines, line)
+	}
+	got := serve(streamSvc, "/v1/detect/stream", strings.Join(lines, "\n")+"\n")
+	if got.Code != http.StatusOK {
+		t.Fatalf("stream: %d %s", got.Code, got.Body)
+	}
+	if !bytes.Equal(got.Body.Bytes(), want.Bytes()) {
+		t.Errorf("stream explain lines differ from /v1/detect:\nstream: %s\ndetect: %s", got.Body, want.Bytes())
 	}
 }

@@ -126,8 +126,7 @@ func trainCell(sc trainScenario, seed uint64, run int) ([]routing.Route, error) 
 
 func (s *Service) handleTrainBatch(w http.ResponseWriter, r *http.Request) {
 	var req TrainBatchRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, DecodeStatus(err), "%v", err)
+	if !s.readJSON(w, r, &req) {
 		return
 	}
 	scenarios, err := resolveScenarios(req.Scenarios)
@@ -198,7 +197,7 @@ func (s *Service) handleTrainBatch(w http.ResponseWriter, r *http.Request) {
 	results := make([]TrainBatchResult, len(scenarios))
 	for o, sc := range scenarios {
 		res := TrainBatchResult{Profile: sc.profile, Label: sc.label}
-		tr := sam.NewTrainer(sc.label, s.cfg.PMFBins)
+		tr := sam.NewTrainer(sc.label, sam.DefaultPMFBins)
 		for _, cell := range grid[o] {
 			if cell.err != nil {
 				res.Error = cell.err.Error()

@@ -72,8 +72,7 @@ func evidenceJSON(evidence []verify.Evidence) []EvidenceJSON {
 
 func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 	var req VerifyRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, DecodeStatus(err), "%v", err)
+	if !s.readJSON(w, r, &req) {
 		return
 	}
 	scenarios, err := resolveScenarios([]TrainScenarioJSON{req.Scenario})
@@ -189,7 +188,7 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 		pair = st.Suspect
 	}
 
-	cfg := s.cfg.Verify
+	var cfg verify.Config
 	if req.Timeout != 0 {
 		cfg.Timeout = sim.Time(req.Timeout)
 	}
@@ -243,8 +242,8 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// verifyOutcome names a verdict for decision records, mirroring the metric
-// outcome label.
+// verifyOutcome names a verdict: the samserve_verifications_total outcome
+// label and the decision record's decision.
 func verifyOutcome(v verify.Verdict, refused bool) string {
 	switch {
 	case refused:

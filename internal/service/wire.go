@@ -115,16 +115,9 @@ func (sc *wireScratch) resetRoutes() {
 	sc.sets = sc.sets[:0]
 }
 
-// readBody slurps the request body into the pooled buffer, enforcing the
-// configured size limit (the hot handlers skip http.MaxBytesReader and its
-// per-request allocation; the limit lives here instead).
-func (sc *wireScratch) readBody(r *http.Request, limit int64) (err error) {
-	sc.body, err = ReadBody(sc.body[:0], r, limit)
-	return err
-}
-
-// ReadBody appends r's body to buf under limit exactly as the detect
-// handlers read theirs: the error is errBodyTooLarge past the limit or a
+// ReadBody appends r's body to buf under limit exactly as every samserve
+// handler reads its own (into pooled scratch, without MaxBytesReader's
+// per-request allocation): the error is errBodyTooLarge past the limit or a
 // wrapped read failure, and DecodeStatus maps it to samserve's status. The
 // grown buffer is returned even on error so a pooled caller keeps it.
 func ReadBody(buf []byte, r *http.Request, limit int64) ([]byte, error) {

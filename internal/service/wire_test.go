@@ -44,7 +44,7 @@ func TestDetectServeZeroAlloc(t *testing.T) {
 	}
 
 	req, rd, w := benchRequest("/v1/detect", body)
-	// Warm the pools (scratch, statusWriter, analyze scratch).
+	// Warm the pools (scratch, StatusWriter, analyze scratch).
 	for i := 0; i < 8; i++ {
 		rd.Reset(body)
 		w.status = 0
@@ -77,7 +77,7 @@ func TestDetectServeZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc.materializeRoutes()
-		sc.out = appendDetectResponse(sc.out[:0], sc.profile, v)
+		sc.out = appendDetectResponse(sc.out[:0], sc.profile, v, nil)
 	}); got != 0 {
 		t.Errorf("codec path allocates %.1f times per op, want 0", got)
 	}
@@ -125,7 +125,7 @@ func TestWireParserMatchesEncodingJSON(t *testing.T) {
 	for _, body := range bodies {
 		// Old path.
 		var oldReq DetectRequest
-		oldErr := decodeJSON(httptest.NewRequest("POST", "/v1/detect", strings.NewReader(body)), &oldReq)
+		oldErr := decodeJSON([]byte(body), &oldReq)
 		var oldRoutes any
 		if oldErr == nil {
 			routes, rerr := decodeRoutes(oldReq.Routes)
