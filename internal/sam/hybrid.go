@@ -80,6 +80,9 @@ type HybridVerdict struct {
 // chains and adaptive tunnels still claim links with implausibly long
 // honest detours and cost tunnel latency; forged links are never
 // corroborated and their replies arrive faster than radio allows.
+//
+// Evaluate is safe for concurrent use; adaptive updates through Detector
+// are not.
 type HybridDetector struct {
 	cfg       HybridConfig
 	det       *Detector
@@ -144,8 +147,11 @@ func (h *HybridDetector) Evaluate(s Stats, routes []routing.Route, times []sim.T
 		}
 	}
 
-	// Neighbor-table comparison over every link the route set claims.
+	// Neighbor-table comparison over every link the route set claims; one
+	// pooled scratch serves every link's detour search.
 	if h.neighbors != nil {
+		sc := detourPool.Get().(*detourScratch)
+		defer detourPool.Put(sc)
 		for _, lc := range s.ByLink {
 			l := lc.Link
 			if !h.neighbors.Corroborated(l.A, l.B) {
@@ -153,7 +159,7 @@ func (h *HybridDetector) Evaluate(s Stats, routes []routing.Route, times []sim.T
 				v.SuspectLinks = append(v.SuspectLinks, l)
 				continue
 			}
-			if d := h.neighbors.DetourHops(l); d < 0 || d >= h.cfg.DetourHops {
+			if d := h.neighbors.detourHops(l, sc); d < 0 || d >= h.cfg.DetourHops {
 				v.ByNeighbor = true
 				v.SuspectLinks = append(v.SuspectLinks, l)
 			}

@@ -29,13 +29,28 @@ type TimerHandler interface {
 	Timer(id uint64)
 }
 
-// event is one queue entry. The hot paths — packet delivery and protocol
-// timers — are concrete structs dispatched by the engine itself (fn == nil),
-// so delivering a packet or firing a timeout allocates nothing. Schedule'd
-// callbacks ride the same queue with fn set.
-type event struct {
+// key is one heap entry: the event's (at, seq) order plus the slab slot of
+// its payload. Keys hold no pointers, so sifting one is a plain 24-byte move
+// with no GC write barrier; the payload is written once when scheduled and
+// read once when fired.
+type key struct {
 	at   Time
 	seq  uint64
+	slot int32
+}
+
+func (k key) less(o key) bool {
+	if k.at != o.at {
+		return k.at < o.at
+	}
+	return k.seq < o.seq
+}
+
+// payload is what an event does. The hot paths — packet delivery and
+// protocol timers — are concrete fields dispatched by the engine itself
+// (fn == nil), so delivering a packet or firing a timeout allocates nothing.
+// Schedule'd callbacks ride the same queue with fn set.
+type payload struct {
 	fn   func() // slow path: scheduled callback; nil for deliveries/timers
 	pkt  Packet
 	th   TimerHandler // timer events: receiver of tid; nil for deliveries
@@ -46,13 +61,17 @@ type event struct {
 
 // Engine is the event loop. The zero value is ready to use.
 //
-// The queue is a hand-rolled 4-ary min-heap of concrete events rather than
-// container/heap: no interface boxing per push/pop, and the shallower tree
-// roughly halves the sift depth for the flood-sized queues discovery builds.
+// The queue is a hand-rolled 4-ary min-heap rather than container/heap: no
+// interface boxing per push/pop, and the shallower tree roughly halves the
+// sift depth for the flood-sized queues discovery builds. The heap holds
+// pointer-free keys; payloads live in a slab whose freed slots are reused.
 // Heap order is (at, seq); since every event's (at, seq) key is unique, pop
-// order — and therefore every simulation output — is independent of arity.
+// order — and therefore every simulation output — is independent of arity
+// and of slot assignment.
 type Engine struct {
-	pq        []event
+	pq        []key
+	slab      []payload
+	free      []int32 // slab slots not holding a pending event
 	now       Time
 	seq       uint64
 	processed uint64
@@ -77,14 +96,12 @@ func (e *Engine) Schedule(d Time, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	e.seq++
-	e.push(event{at: e.now + d, seq: e.seq, fn: fn})
+	e.push(d, payload{fn: fn})
 }
 
 // scheduleDelivery enqueues a packet reception without boxing or closures.
 func (e *Engine) scheduleDelivery(d Time, from, to topology.NodeID, pkt Packet) {
-	e.seq++
-	e.push(event{at: e.now + d, seq: e.seq, pkt: pkt, from: from, to: to})
+	e.push(d, payload{pkt: pkt, from: from, to: to})
 }
 
 // ScheduleTimer fires h.Timer(id) after delay d. Like deliveries (and unlike
@@ -98,83 +115,99 @@ func (e *Engine) ScheduleTimer(d Time, h TimerHandler, id uint64) {
 	if h == nil {
 		panic("sim: nil timer handler")
 	}
-	e.seq++
-	e.push(event{at: e.now + d, seq: e.seq, th: h, tid: id})
+	e.push(d, payload{th: h, tid: id})
 }
 
-// reset rewinds the engine to its zero state, keeping the queue's capacity.
+// reset rewinds the engine to its zero state, keeping the capacity of the
+// heap, the slab and the free list.
 func (e *Engine) reset() {
-	for i := range e.pq {
-		e.pq[i] = event{}
+	// pop zeroes a slot as it frees it, so only unfired events still hold
+	// fn/pkt/th references.
+	for _, k := range e.pq {
+		e.slab[k.slot] = payload{}
 	}
-	e.pq = e.pq[:0]
+	e.pq, e.slab, e.free = e.pq[:0], e.slab[:0], e.free[:0]
 	e.now, e.seq, e.processed = 0, 0, 0
 }
 
-func (ev *event) less(other *event) bool {
-	if ev.at != other.at {
-		return ev.at < other.at
+// push stores p in a free slab slot and sifts its key up from the end of
+// the heap, moving the hole rather than swapping.
+func (e *Engine) push(d Time, p payload) {
+	var slot int32
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slab[slot] = p
+	} else {
+		slot = int32(len(e.slab))
+		e.slab = append(e.slab, p)
 	}
-	return ev.seq < other.seq
-}
-
-func (e *Engine) push(ev event) {
-	e.pq = append(e.pq, ev)
+	e.seq++
+	k := key{at: e.now + d, seq: e.seq, slot: slot}
+	e.pq = append(e.pq, k)
 	i := len(e.pq) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !e.pq[i].less(&e.pq[parent]) {
+		if !k.less(e.pq[parent]) {
 			break
 		}
-		e.pq[i], e.pq[parent] = e.pq[parent], e.pq[i]
+		e.pq[i] = e.pq[parent]
 		i = parent
 	}
+	e.pq[i] = k
 }
 
-func (e *Engine) pop() event {
+// pop removes the earliest event, frees its slab slot and returns its time
+// and payload. The last key sifts down from the root through the hole.
+func (e *Engine) pop() (Time, payload) {
 	top := e.pq[0]
 	n := len(e.pq) - 1
-	e.pq[0] = e.pq[n]
-	e.pq[n] = event{} // release fn/pkt references
+	last := e.pq[n]
 	e.pq = e.pq[:n]
-	i := 0
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.pq[c].less(&e.pq[min]) {
-				min = c
+	if n > 0 {
+		i := 0
+		for {
+			first := i<<2 + 1
+			if first >= n {
+				break
 			}
+			min := first
+			end := first + 4
+			if end > n {
+				end = n
+			}
+			for c := first + 1; c < end; c++ {
+				if e.pq[c].less(e.pq[min]) {
+					min = c
+				}
+			}
+			if !e.pq[min].less(last) {
+				break
+			}
+			e.pq[i] = e.pq[min]
+			i = min
 		}
-		if !e.pq[min].less(&e.pq[i]) {
-			break
-		}
-		e.pq[i], e.pq[min] = e.pq[min], e.pq[i]
-		i = min
+		e.pq[i] = last
 	}
-	return top
+	p := e.slab[top.slot]
+	e.slab[top.slot] = payload{} // release fn/pkt/th references
+	e.free = append(e.free, top.slot)
+	return top.at, p
 }
 
 // fire executes one popped event at its timestamp.
-func (e *Engine) fire(ev *event) {
-	e.now = ev.at
+func (e *Engine) fire(at Time, p *payload) {
+	e.now = at
 	e.processed++
-	if ev.fn != nil {
-		ev.fn()
+	if p.fn != nil {
+		p.fn()
 		return
 	}
-	if ev.th != nil {
-		ev.th.Timer(ev.tid)
+	if p.th != nil {
+		p.th.Timer(p.tid)
 		return
 	}
-	e.net.dispatch(ev.from, ev.to, ev.pkt)
+	e.net.dispatch(p.from, p.to, p.pkt)
 }
 
 // Run executes events until the queue drains and returns the final time.
@@ -185,8 +218,8 @@ func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 // the current time.
 func (e *Engine) RunUntil(deadline Time) Time {
 	for len(e.pq) > 0 && e.pq[0].at <= deadline {
-		ev := e.pop()
-		e.fire(&ev)
+		at, p := e.pop()
+		e.fire(at, &p)
 	}
 	if deadline != Forever && deadline > e.now {
 		e.now = deadline
@@ -200,7 +233,7 @@ func (e *Engine) Step() bool {
 	if len(e.pq) == 0 {
 		return false
 	}
-	ev := e.pop()
-	e.fire(&ev)
+	at, p := e.pop()
+	e.fire(at, &p)
 	return true
 }

@@ -214,10 +214,35 @@ func (t *Topology) build() {
 		return
 	}
 	n := len(t.pos)
-	adj := make([][]NodeID, n)
 	r2 := t.radius * t.radius
-	// O(n^2) is fine at the paper's scales (tens of nodes); a grid index
-	// would only pay off far beyond them.
+	// Count degrees first so every row can be a capped window of one
+	// backing array: three allocations per build (degrees, backing array,
+	// row headers) instead of a few appends per node. O(n^2) is fine at the
+	// paper's scales (tens of nodes); a grid index would only pay off far
+	// beyond them.
+	deg := make([]int, n)
+	total := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if t.pos[i].Dist2(t.pos[j]) <= r2 {
+				deg[i]++
+				deg[j]++
+				total += 2
+			}
+		}
+	}
+	for l := range t.extra {
+		deg[l.A]++
+		deg[l.B]++
+		total += 2
+	}
+	flat := make([]NodeID, total)
+	adj := make([][]NodeID, n)
+	off := 0
+	for i := range adj {
+		adj[i] = flat[off : off : off+deg[i]]
+		off += deg[i]
+	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if t.pos[i].Dist2(t.pos[j]) <= r2 {
