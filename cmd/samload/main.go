@@ -1,6 +1,6 @@
 // Command samload is the end-to-end serving benchmark for samserve. It
-// builds a topology through the library facade, runs multi-path route
-// discoveries under normal and wormhole conditions, trains a profile over
+// runs multi-path route discoveries of scenario cells (internal/cli) under
+// normal and wormhole conditions, trains a profile over
 // the service API, and then drives the detect endpoints with concurrent
 // clients — reporting throughput, latency percentiles, and detection
 // accuracy (detection rate on wormhole route sets, false-positive rate on
@@ -57,7 +57,6 @@ import (
 	"io"
 	"log/slog"
 	"math"
-	"math/rand/v2"
 	"net"
 	"net/http"
 	"os"
@@ -274,35 +273,27 @@ func resolveServer(addr string) (string, func()) {
 }
 
 // generate produces training route sets plus the normal/attacked evaluation
-// corpus, all from MR discoveries on the named topology.
+// corpus from MR discoveries of scenario cells (internal/cli): training is
+// runs 0..train-1 of the clean scenario — the grid /v1/train/batch sweeps —
+// and the corpus pairs runs train..train+corpus-1 clean with the same runs
+// under one forwarding wormhole.
 func generate(topoName string, tier int, seed uint64, train, corpus int) (trainSets, normal, attacked [][][]int) {
-	discover := func(net *samnet.Network, n int, seedBase uint64) [][][]int {
-		out := make([][][]int, 0, n)
-		rng := rand.New(rand.NewPCG(seedBase, 0x10ad))
-		for i := 0; i < n; i++ {
-			src, dst := net.PickPair(rng)
-			d := samnet.DiscoverMR(net, src, dst, seedBase+uint64(i)*7919)
-			out = append(out, routesJSON(d.Routes))
+	clean, err := cli.Resolve(topoName, tier, "mr")
+	if err != nil {
+		fatal(err)
+	}
+	armed, err := clean.Armed(1, "forward", "")
+	if err != nil {
+		fatal(err)
+	}
+	discover := func(sc cli.Scenario, from, n int) [][][]int {
+		out := make([][][]int, n)
+		for i := range out {
+			out[i] = routesJSON(sc.Cell(seed, from+i).Discover().Routes)
 		}
 		return out
 	}
-
-	buildNet := func() *samnet.Network {
-		net, err := cli.BuildTopology(topoName, tier, seed)
-		if err != nil {
-			fatal(err)
-		}
-		return net
-	}
-
-	net := buildNet()
-	trainSets = discover(net, train, seed)
-	normal = discover(net, corpus, seed+1_000_000)
-
-	sc := samnet.Attack(net, 1, samnet.BehaviorForward)
-	attacked = discover(net, corpus, seed+2_000_000)
-	sc.Teardown()
-	return trainSets, normal, attacked
+	return discover(clean, 0, train), discover(clean, train, corpus), discover(armed, train, corpus)
 }
 
 func routesJSON(routes []samnet.Route) [][]int {

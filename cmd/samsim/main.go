@@ -10,11 +10,14 @@
 //	       [-runs N] [-parallel P] [-progress] [-log-format text|json]
 //	       [-cpuprofile file] [-memprofile file]
 //
-// With -runs N > 1, samsim runs N independent discoveries of the same
-// condition on a worker pool (-parallel, default all cores) and prints one
-// summary line per run plus aggregates. Each run's seed derives from the run
-// index (see internal/runner), so output is bitwise-identical for any
-// -parallel level, including 1.
+// Every run is a cell of the scenario grid batch training sweeps
+// (internal/cli): run i has the topology, source/destination pair and
+// simulation seed that /v1/train/batch and samtrain use for run i of the
+// same scenario and seed, with the wormholes armed on top. With -runs N > 1,
+// samsim runs cells 0..N-1 on a worker pool (-parallel, default all cores)
+// and prints one summary line per run plus aggregates; the output is
+// bitwise-identical for any -parallel level, including 1. A single run is
+// cell 0, reported in detail.
 package main
 
 import (
@@ -22,15 +25,13 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math/rand/v2"
 	"os"
 
-	"samnet/internal/attack"
 	"samnet/internal/cli"
 	"samnet/internal/obs"
+	"samnet/internal/routing"
 	"samnet/internal/runner"
 	"samnet/internal/sam"
-	"samnet/internal/sim"
 	"samnet/internal/topology"
 	"samnet/internal/viz"
 )
@@ -45,7 +46,7 @@ func main() {
 		wormholes = flag.Int("wormholes", 1, "active wormhole pairs (0-2)")
 		behavior  = flag.String("behavior", "forward", "attacker payload behaviour: forward, blackhole, greyhole")
 		protoName = flag.String("protocol", "mr", "routing protocol: mr, smr, dsr, aomdv, mdsr")
-		seed      = flag.Uint64("seed", 1, "simulation seed (master seed with -runs > 1)")
+		seed      = flag.Uint64("seed", 1, "master seed of the scenario grid")
 		profile   = flag.String("profile", "", "trained profile JSON (from samtrain) to evaluate a verdict")
 		verbose   = flag.Bool("v", false, "print every route (single-run mode)")
 		showMap   = flag.Bool("map", false, "render an ASCII map with the first route overlaid (single-run mode)")
@@ -69,66 +70,39 @@ func main() {
 	}
 	defer stopProfiles()
 
-	var beh attack.PayloadBehavior
-	switch *behavior {
-	case "forward":
-		beh = attack.Forward
-	case "blackhole":
-		beh = attack.Blackhole
-	case "greyhole":
-		beh = attack.Greyhole
-	default:
-		fatal(fmt.Errorf("unknown behavior %q", *behavior))
+	sc, err := cli.Resolve(*topoName, *tier, *protoName)
+	if err == nil {
+		sc, err = sc.Armed(*wormholes, *behavior, "")
 	}
-
+	if err != nil {
+		fatal(err)
+	}
+	det := loadDetector(*profile)
 	if *runsN > 1 {
-		runBatch(batchConfig{
-			topo: *topoName, tier: *tier, wormholes: *wormholes, behavior: beh,
-			protocol: *protoName, seed: *seed, profile: *profile,
-			runs: *runsN, parallel: *parallel, progress: *progress,
-		})
+		runBatch(sc, det, *seed, *runsN, *parallel, *progress)
 		return
 	}
 
-	net, err := cli.BuildTopology(*topoName, *tier, *seed)
-	if err != nil {
-		fatal(err)
-	}
-
-	var sc *attack.Scenario
-	if *wormholes > 0 {
-		sc = attack.NewScenario(net, *wormholes, beh)
-	}
-
-	proto, err := cli.BuildProtocol(*protoName)
-	if err != nil {
-		fatal(err)
-	}
-
-	src, dst := net.PickPair(rand.New(rand.NewPCG(*seed, 77)))
-	simNet := sim.NewNetwork(net.Topo, sim.Config{Seed: *seed})
-	if sc != nil {
-		sc.Arm(simNet)
-	}
-	disc := proto.Discover(simNet, src, dst)
-	st := sam.Analyze(disc.Routes)
-
+	c := sc.Cell(*seed, 0)
+	disc := c.Discover()
+	o := summarize(c, disc, det)
+	net := c.Net
 	fmt.Printf("topology %s (%d nodes), protocol %s, src=%d dst=%d, seed=%d\n",
-		net.Topo.Name(), net.Topo.N(), proto.Name(), src, dst, *seed)
-	if sc != nil {
-		for i, l := range sc.TunnelLinks() {
+		net.Topo.Name(), net.Topo.N(), sc.Proto.Name(), o.src, o.dst, *seed)
+	if c.Attack != nil {
+		for i, l := range c.Attack.TunnelLinks() {
 			fmt.Printf("wormhole %d: link %v (spans %d normal hops), behaviour %v\n",
-				i+1, l, net.TunnelSpan(i), beh)
+				i+1, l, net.TunnelSpan(i), sc.Behavior)
 		}
 	}
-	fmt.Printf("\nroutes: %d   overhead (tx+rx): %d\n", len(disc.Routes), disc.Overhead())
-	tx, rx := simNet.TotalTraffic()
-	fmt.Printf("traffic: tx=%d rx=%d dropped=%d lost=%d\n", tx, rx, simNet.Dropped(), simNet.Lost())
+	fmt.Printf("\nroutes: %d   overhead (tx+rx): %d\n", o.routes, o.overhead)
+	fmt.Printf("traffic: tx=%d rx=%d dropped=%d lost=%d\n", o.tx, o.rx, o.dropped, o.lost)
 	if *verbose {
 		for _, r := range disc.Routes {
 			fmt.Println("  ", r)
 		}
 	}
+	st := o.stats
 	fmt.Printf("p_max = %.4f (link %v)\nphi   = %.4f\nsuspect link: %v\n",
 		st.PMax, st.MaxLink, st.Phi, st.Suspect)
 	if *showMap {
@@ -139,68 +113,38 @@ func main() {
 			fmt.Print(viz.Network(net))
 		}
 	}
-	if sc != nil {
-		aff := 0.0
-		for _, l := range sc.TunnelLinks() {
-			if a := disc.AffectedBy(l); a > aff {
-				aff = a
-			}
-		}
-		fmt.Printf("routes affected by a tunnel: %.0f%%\n", 100*aff)
+	if c.Attack != nil {
+		fmt.Printf("routes affected by a tunnel: %.0f%%\n", 100*o.affected)
 	}
-
-	if *profile != "" {
-		blob, err := os.ReadFile(*profile)
-		if err != nil {
-			fatal(err)
-		}
-		var p sam.Profile
-		if err := json.Unmarshal(blob, &p); err != nil {
-			fatal(err)
-		}
-		det := sam.NewDetector(&p, sam.DetectorConfig{})
-		v := det.Evaluate(st)
+	if v := o.verdict; v != nil {
 		fmt.Printf("\nverdict vs profile %q: %v (lambda=%.3f, z_pmax=%.2f, z_phi=%.2f, tv=%.2f)\n",
-			p.Label, v.Decision, v.Lambda, v.ZPMax, v.ZPhi, v.TV)
+			det.Profile().Label, v.Decision, v.Lambda, v.ZPMax, v.ZPhi, v.TV)
 		if v.Decision != sam.Normal {
 			fmt.Printf("accused pair: nodes %d and %d\n", v.Suspects[0], v.Suspects[1])
 		}
 	}
 }
 
-// batchConfig is one samsim condition fanned over -runs independent
-// discoveries.
-type batchConfig struct {
-	topo      string
-	tier      int
-	wormholes int
-	behavior  attack.PayloadBehavior
-	protocol  string
-	seed      uint64
-	profile   string
-	runs      int
-	parallel  int
-	progress  bool
-}
-
-// simScratch is one worker's reusable simulation network (see
-// sim.Network.Retarget); sharing it across the runs a worker happens to
-// execute cannot perturb results.
-type simScratch struct{ net *sim.Network }
-
-func (s *simScratch) network(topo *topology.Topology, cfg sim.Config) *sim.Network {
-	if s.net == nil {
-		s.net = sim.NewNetwork(topo, cfg)
-	} else {
-		s.net.Retarget(topo, cfg)
+// loadDetector reads a trained profile JSON (from samtrain) into a detector;
+// an empty path means no verdicts.
+func loadDetector(path string) *sam.Detector {
+	if path == "" {
+		return nil
 	}
-	return s.net
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		fatal(err)
+	}
+	var p sam.Profile
+	if err := json.Unmarshal(blob, &p); err != nil {
+		fatal(err)
+	}
+	return sam.NewDetector(&p, sam.DetectorConfig{})
 }
 
-// batchOut is the result of one run of the batch grid. Fields are written by
-// exactly one worker (the run's own) and read only after the pool drains.
-type batchOut struct {
-	err      error
+// runOut is the result of one run. Fields are written by exactly one
+// worker (the run's own) and read only after the pool drains.
+type runOut struct {
 	src, dst topology.NodeID
 	routes   int
 	overhead int64
@@ -212,87 +156,48 @@ type batchOut struct {
 	lost     int64 // channel loss
 }
 
-// runBatch executes cfg.runs independent discoveries of the same condition
-// on the runner pool and prints one line per run, in run order, plus
-// aggregates. Randomness per run derives from (master seed, condition label,
-// run index) — never from worker identity — so the report is identical for
-// every -parallel level.
-func runBatch(cfg batchConfig) {
-	proto, err := cli.BuildProtocol(cfg.protocol)
-	if err != nil {
-		fatal(err)
+// summarize reduces one cell's discovery to its report line. Evaluate is
+// read-only on the detector (Update is never called here), so sharing one
+// detector across workers is safe and keeps every run scored against the
+// same frozen profile.
+func summarize(c cli.Cell, disc *routing.Discovery, det *sam.Detector) runOut {
+	o := runOut{
+		src: c.Src, dst: c.Dst,
+		routes:   len(disc.Routes),
+		overhead: disc.Overhead(),
+		stats:    sam.Analyze(disc.Routes),
+		dropped:  c.Sim.Dropped(),
+		lost:     c.Sim.Lost(),
 	}
-	var det *sam.Detector
-	if cfg.profile != "" {
-		blob, err := os.ReadFile(cfg.profile)
-		if err != nil {
-			fatal(err)
+	o.tx, o.rx = c.Sim.TotalTraffic()
+	if c.Attack != nil {
+		for _, l := range c.Attack.TunnelLinks() {
+			o.affected = max(o.affected, disc.AffectedBy(l))
 		}
-		var p sam.Profile
-		if err := json.Unmarshal(blob, &p); err != nil {
-			fatal(err)
-		}
-		det = sam.NewDetector(&p, sam.DetectorConfig{})
 	}
-	label := fmt.Sprintf("samsim/%s-%dtier/%s/w%d", cfg.topo, cfg.tier, proto.Name(), cfg.wormholes)
+	if det != nil {
+		v := det.Evaluate(o.stats)
+		o.verdict = &v
+	}
+	return o
+}
 
-	// The progress hook observes run completion only; stdout is identical
-	// with or without it.
+// runBatch runs cells 0..runs-1 on the runner pool and prints one line per
+// run, in run order, plus aggregates. The progress hook observes run
+// completion only; stdout is identical with or without it.
+func runBatch(sc cli.Scenario, det *sam.Detector, seed uint64, runs, parallel int, progress bool) {
 	var pr *obs.Progress
-	if cfg.progress {
+	if progress {
 		pr = obs.NewProgress(os.Stderr, "samsim", 0)
 	}
-
-	// Each worker reuses one simulation network across its runs; Retarget is
-	// behaviourally indistinguishable from a fresh NewNetwork (it zeroes the
-	// traffic counters too), so the report stays bitwise-identical for every
-	// -parallel level.
-	newScratch := func() *simScratch { return new(simScratch) }
-	outs := runner.MapWorkerProgress(cfg.parallel, cfg.runs, pr, newScratch, func(run int, scratch *simScratch) batchOut {
-		seedR := runner.DeriveSeed(cfg.seed, label, run)
-		net, err := cli.BuildTopology(cfg.topo, cfg.tier, seedR)
-		if err != nil {
-			return batchOut{err: err}
-		}
-		var sc *attack.Scenario
-		if cfg.wormholes > 0 {
-			sc = attack.NewScenario(net, cfg.wormholes, cfg.behavior)
-			defer sc.Teardown()
-		}
-		src, dst := net.PickPair(rand.New(rand.NewPCG(seedR, 77)))
-		simNet := scratch.network(net.Topo, sim.Config{Seed: seedR})
-		if sc != nil {
-			sc.Arm(simNet)
-		}
-		disc := proto.Discover(simNet, src, dst)
-		o := batchOut{
-			src: src, dst: dst,
-			routes:   len(disc.Routes),
-			overhead: disc.Overhead(),
-			stats:    sam.Analyze(disc.Routes),
-		}
-		o.tx, o.rx = simNet.TotalTraffic()
-		o.dropped = simNet.Dropped()
-		o.lost = simNet.Lost()
-		if sc != nil {
-			for _, l := range sc.TunnelLinks() {
-				if a := disc.AffectedBy(l); a > o.affected {
-					o.affected = a
-				}
-			}
-		}
-		if det != nil {
-			// Evaluate is read-only on the detector (Update is never called
-			// here), so sharing one detector across workers is safe and keeps
-			// every run scored against the same frozen profile.
-			v := det.Evaluate(o.stats)
-			o.verdict = &v
-		}
-		return o
+	outs := runner.MapProgress(parallel, runs, pr, func(run int) runOut {
+		c := sc.Cell(seed, run)
+		return summarize(c, c.Discover(), det)
 	})
 	pr.Finish()
 
-	fmt.Printf("condition %s, %d runs, master seed %d\n\n", label, cfg.runs, cfg.seed)
+	fmt.Printf("condition %s, %d wormholes (%v), %d runs, master seed %d\n\n",
+		sc.Label, sc.Wormholes, sc.Behavior, runs, seed)
 	fmt.Printf("%4s %5s %5s %9s %8s %8s %8s  %s\n",
 		"run", "src", "dst", "routes", "p_max", "phi", "affected", verdictHeader(det))
 	var (
@@ -302,9 +207,6 @@ func runBatch(cfg batchConfig) {
 		totTx, totRx, totDr, totLo int64
 	)
 	for run, o := range outs {
-		if o.err != nil {
-			fatal(fmt.Errorf("run %d: %w", run, o.err))
-		}
 		v := ""
 		if o.verdict != nil {
 			v = fmt.Sprintf("%s (lambda=%.3f)", o.verdict.Decision, o.verdict.Lambda)

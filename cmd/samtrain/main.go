@@ -12,30 +12,26 @@
 // -snapshot switches the output to samserve's snapshot format (header line
 // plus one profile record), so a trained profile can seed a samserve
 // -snapshot file directly; -name sets the record's store name (default: the
-// training label).
+// name /v1/train/batch gives the scenario, e.g. cluster-1tier-MR).
 //
-// Discoveries run on a worker pool (-parallel, default all cores) but every
-// run's randomness is derived from its run index, and results fold into the
-// trainer in run order — the emitted profile is byte-identical for any
-// parallelism, including -parallel 1.
+// Training is the service's batch-training fold (cli.Train) over the same
+// scenario cells, so the record is byte-identical to the profile
+// POST /v1/train/batch installs for the same scenario, -seed and -runs.
+// Discoveries run on a worker pool (-parallel, default all cores) and fold
+// into the trainer in run order — the emitted profile is byte-identical for
+// any parallelism, including -parallel 1.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"log/slog"
-	"math/rand/v2"
 	"os"
 
 	"samnet/internal/cli"
 	"samnet/internal/obs"
-	"samnet/internal/routing"
-	"samnet/internal/runner"
-	"samnet/internal/sam"
 	"samnet/internal/service"
-	"samnet/internal/sim"
 )
 
 // logger is the command's structured logger, set before any work begins.
@@ -51,7 +47,7 @@ func main() {
 		seed      = flag.Uint64("seed", 2005, "master seed")
 		out       = flag.String("o", "", "output file (default stdout)")
 		snapshot  = flag.Bool("snapshot", false, "emit samserve snapshot format instead of bare profile JSON")
-		name      = flag.String("name", "", "store name for -snapshot records (default: the training label)")
+		name      = flag.String("name", "", "store name for -snapshot records (default: the /v1/train/batch profile name)")
 		progress  = flag.Bool("progress", false, "report run progress (runs/s, ETA) on stderr")
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
 	)
@@ -62,49 +58,21 @@ func main() {
 		fatal(err)
 	}
 
-	proto, err := cli.BuildProtocol(*protoName)
+	sc, err := cli.Resolve(*topoName, *tier, *protoName)
 	if err != nil {
 		fatal(err)
 	}
-
-	label := fmt.Sprintf("%s-%dtier/%s", *topoName, *tier, proto.Name())
-	logger.Info("training", "label", label, "runs", *runs, "seed", *seed)
+	logger.Info("training", "label", sc.Label, "runs", *runs, "seed", *seed)
 
 	// The runner announces the run count via Start, so the tracker begins
-	// with an empty total.
+	// with an empty total. It observes completion counts only, so it cannot
+	// perturb the emitted profile.
 	var pr *obs.Progress
 	if *progress {
 		pr = obs.NewProgress(os.Stderr, "samtrain", 0)
 	}
-
-	type discOut struct {
-		routes []routing.Route
-		err    error
-	}
-	// Each run's seeds depend only on the run index, never on which worker
-	// executes it; the trainer fold below is serial and in run order. The
-	// progress hook observes completion counts only, so it cannot perturb
-	// the emitted profile.
-	outs := runner.MapProgress(*parallel, *runs, pr, func(run int) discOut {
-		net, err := cli.BuildTopology(*topoName, *tier, *seed+uint64(run))
-		if err != nil {
-			return discOut{err: err}
-		}
-		pairRng := rand.New(rand.NewPCG(*seed, uint64(run)))
-		src, dst := net.PickPair(pairRng)
-		simNet := sim.NewNetwork(net.Topo, sim.Config{Seed: *seed + uint64(run)*7919})
-		d := proto.Discover(simNet, src, dst)
-		return discOut{routes: d.Routes}
-	})
-
+	trainer := cli.Train([]cli.Scenario{sc}, *seed, *runs, *parallel, pr)[0]
 	pr.Finish()
-	trainer := sam.NewTrainer(label, 0)
-	for _, o := range outs {
-		if o.err != nil {
-			fatal(o.err)
-		}
-		trainer.ObserveRoutes(o.routes)
-	}
 	profile, err := trainer.Profile()
 	if err != nil {
 		fatal(err)
@@ -117,7 +85,7 @@ func main() {
 		// means — the low-pass filter's starting point.
 		recName := *name
 		if recName == "" {
-			recName = label
+			recName = sc.ProfileName()
 		}
 		var buf bytes.Buffer
 		if err := service.WriteSnapshotHeader(&buf); err != nil {
@@ -145,7 +113,7 @@ func main() {
 	} else if err := os.WriteFile(*out, blob, 0o644); err != nil {
 		fatal(err)
 	}
-	logger.Info("trained", "label", label, "runs", trainer.Runs(),
+	logger.Info("trained", "label", sc.Label, "runs", trainer.Runs(),
 		"pmax", profile.PMax.String(), "phi", profile.Phi.String())
 }
 

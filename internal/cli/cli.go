@@ -1,6 +1,7 @@
-// Package cli holds the small amount of logic the command-line tools share:
-// resolving topology and protocol names to constructors. Keeping it out of
-// the main packages makes it testable.
+// Package cli holds the logic the command-line tools and the service share:
+// resolving topology and protocol names to constructors, and the scenario
+// cell every discovery outside the paper sweeps is built from. Keeping it out
+// of the main packages makes it testable.
 package cli
 
 import (

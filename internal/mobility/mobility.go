@@ -16,12 +16,13 @@ import (
 	"math/rand/v2"
 
 	"samnet/internal/geom"
+	"samnet/internal/knob"
 	"samnet/internal/topology"
 )
 
 // ExplicitZero requests a true zero for Config fields whose zero value means
 // "use the default" — the repo-wide convention for zero-vs-unset config.
-const ExplicitZero = -1
+const ExplicitZero = knob.ExplicitZero
 
 // Config parameterizes the random-waypoint model.
 type Config struct {
@@ -43,12 +44,7 @@ func (c *Config) defaults() {
 	if c.MaxSpeed == 0 {
 		c.MaxSpeed = 1.5
 	}
-	switch {
-	case c.Pause == 0:
-		c.Pause = 1
-	case c.Pause < 0:
-		c.Pause = 0
-	}
+	c.Pause = knob.Resolve(c.Pause, 1)
 }
 
 // Model moves the nodes of one topology.

@@ -83,6 +83,32 @@ type ForwardRule func(self, from topology.NodeID, q *RREQ, st *NodeState) bool
 // ignores them.
 type ForgeFunc func(self, from topology.NodeID, q *RREQ, prefix Route) Route
 
+// Protocol-level HopSlack settings, shared by every protocol that exposes a
+// HopSlack field (mr, dsr). A protocol's zero value selects DefaultHopSlack.
+const (
+	// DefaultHopSlack admits routes up to two hops longer than the first.
+	DefaultHopSlack = 2
+	// HopSlackStrict admits only routes as short as the first arrival.
+	HopSlackStrict = -1
+	// HopSlackNone disables the destination hop filter.
+	HopSlackNone = -2
+)
+
+// ProtocolHopSlack resolves a protocol's HopSlack field to
+// FloodConfig.HopSlack: a positive slack is kept, HopSlackStrict becomes 0,
+// HopSlackNone becomes -1 (no filter), and anything else DefaultHopSlack.
+func ProtocolHopSlack(v int) int {
+	switch {
+	case v > 0:
+		return v
+	case v == HopSlackStrict:
+		return 0
+	case v == HopSlackNone:
+		return -1
+	}
+	return DefaultHopSlack
+}
+
 // FloodConfig parameterizes the shared flooding framework that DSR and MR
 // are built from.
 type FloodConfig struct {
@@ -112,7 +138,8 @@ type FloodConfig struct {
 	// destination "waits a certain amount of time ... to collect all the
 	// obtained routes"; bounding by hop count rather than wall-clock keeps
 	// the collection deterministic. Zero (the default) keeps only routes as
-	// short as the first one.
+	// short as the first one. Protocols resolve their own HopSlack field to
+	// this one with ProtocolHopSlack.
 	HopSlack int
 	// SuppressReplies skips the RREP phase entirely (used by analyses that
 	// only need the route set).

@@ -391,3 +391,15 @@ func TestArrivalTimesOrdered(t *testing.T) {
 		t.Error("arrivals not recorded")
 	}
 }
+
+// TestProtocolHopSlack pins the protocol-level HopSlack settings mr and dsr
+// share onto the flood's.
+func TestProtocolHopSlack(t *testing.T) {
+	for in, want := range map[int]int{
+		0: DefaultHopSlack, 3: 3, HopSlackStrict: 0, HopSlackNone: -1, -7: DefaultHopSlack,
+	} {
+		if got := ProtocolHopSlack(in); got != want {
+			t.Errorf("ProtocolHopSlack(%d) = %d, want %d", in, got, want)
+		}
+	}
+}

@@ -11,6 +11,7 @@
 package mr
 
 import (
+	"samnet/internal/knob"
 	"samnet/internal/routing"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
@@ -62,12 +63,11 @@ const (
 	// DefaultMaxForwards is the per-node forward budget when
 	// Protocol.MaxForwards is zero.
 	DefaultMaxForwards = 6
-	// DefaultHopSlack admits routes up to two hops longer than the first.
-	DefaultHopSlack = 2
-	// HopSlackStrict admits only routes as short as the first arrival.
-	HopSlackStrict = -1
-	// HopSlackNone disables the destination hop filter.
-	HopSlackNone = -2
+	// DefaultHopSlack, HopSlackStrict and HopSlackNone are the routing
+	// package's HopSlack settings, shared with dsr.
+	DefaultHopSlack = routing.DefaultHopSlack
+	HopSlackStrict  = routing.HopSlackStrict
+	HopSlackNone    = routing.HopSlackNone
 )
 
 // Name implements routing.Protocol.
@@ -80,29 +80,13 @@ func (p *Protocol) Name() string {
 
 // Discover implements routing.Protocol.
 func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing.Discovery {
-	maxFwd := p.MaxForwards
-	switch {
-	case maxFwd == 0:
-		maxFwd = DefaultMaxForwards
-	case maxFwd < 0:
-		maxFwd = 0 // unlimited
-	}
-	slack := DefaultHopSlack
-	switch {
-	case p.HopSlack > 0:
-		slack = p.HopSlack
-	case p.HopSlack == HopSlackStrict:
-		slack = 0
-	case p.HopSlack == HopSlackNone:
-		slack = -1
-	}
 	return routing.RunDiscovery(net, src, dst, routing.FloodConfig{
 		Name:            p.Name(),
 		Rule:            p.rule,
-		MaxForwards:     maxFwd,
+		MaxForwards:     knob.Resolve(p.MaxForwards, DefaultMaxForwards), // 0 = unlimited
 		MaxReplies:      p.MaxReplies,
 		WaitWindow:      p.WaitWindow,
-		HopSlack:        slack,
+		HopSlack:        routing.ProtocolHopSlack(p.HopSlack),
 		SuppressReplies: p.SuppressReplies,
 		Avoid:           p.Avoid,
 		Forge:           p.Forge,

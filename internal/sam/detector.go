@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"samnet/internal/knob"
 	"samnet/internal/stats"
 	"samnet/internal/topology"
 )
@@ -41,28 +42,16 @@ type DetectorConfig struct {
 // meaningfully zero — MinStd: 0 disables the std floor, AttackLambda: 0
 // reserves the Attacked verdict for lambda exactly 0, ZLow/TVLow: 0 start
 // the risk ramps immediately — take this (or any negative value) instead.
-const ExplicitZero = -1.0
-
-// resolve maps a config field to its effective value: zero selects the
-// default, negative (ExplicitZero) selects a true zero.
-func resolve(v, def float64) float64 {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
-}
+const ExplicitZero = knob.ExplicitZero
 
 func (c *DetectorConfig) defaults() {
-	c.ZLow = resolve(c.ZLow, 1.5)
-	c.ZHigh = resolve(c.ZHigh, 4)
-	c.MinStd = resolve(c.MinStd, 0.02)
-	c.TVLow = resolve(c.TVLow, 0.3)
-	c.TVHigh = resolve(c.TVHigh, 0.7)
-	c.SuspectLambda = resolve(c.SuspectLambda, 0.7)
-	c.AttackLambda = resolve(c.AttackLambda, 0.25)
+	c.ZLow = knob.Resolve(c.ZLow, 1.5)
+	c.ZHigh = knob.Resolve(c.ZHigh, 4)
+	c.MinStd = knob.Resolve(c.MinStd, 0.02)
+	c.TVLow = knob.Resolve(c.TVLow, 0.3)
+	c.TVHigh = knob.Resolve(c.TVHigh, 0.7)
+	c.SuspectLambda = knob.Resolve(c.SuspectLambda, 0.7)
+	c.AttackLambda = knob.Resolve(c.AttackLambda, 0.25)
 	if c.Beta == 0 {
 		c.Beta = 0.1
 	}

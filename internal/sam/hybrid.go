@@ -1,6 +1,7 @@
 package sam
 
 import (
+	"samnet/internal/knob"
 	"samnet/internal/routing"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
@@ -36,14 +37,14 @@ type HybridConfig struct {
 
 func (c *HybridConfig) defaults() {
 	c.Detector.defaults()
-	c.TVThreshold = resolve(c.TVThreshold, 0.5)
-	c.TailProb = resolve(c.TailProb, 0.02)
+	c.TVThreshold = knob.Resolve(c.TVThreshold, 0.5)
+	c.TailProb = knob.Resolve(c.TailProb, 0.02)
 	if c.DetourHops <= 0 {
 		c.DetourHops = 4
 	}
-	c.SlowHopRatio = resolve(c.SlowHopRatio, 1.2)
-	c.FastHopRatio = resolve(c.FastHopRatio, 0.6)
-	c.NominalHopDelay = sim.Time(resolve(float64(c.NominalHopDelay), 1.05))
+	c.SlowHopRatio = knob.Resolve(c.SlowHopRatio, 1.2)
+	c.FastHopRatio = knob.Resolve(c.FastHopRatio, 0.6)
+	c.NominalHopDelay = knob.Resolve(c.NominalHopDelay, 1.05)
 }
 
 // HybridVerdict is the hybrid detector's evaluation: the fused decision plus

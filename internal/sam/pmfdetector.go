@@ -1,6 +1,7 @@
 package sam
 
 import (
+	"samnet/internal/knob"
 	"samnet/internal/stats"
 	"samnet/internal/topology"
 )
@@ -40,8 +41,8 @@ func NewPMFDetector(profile *Profile, tvThreshold, tailProb float64) *PMFDetecto
 	}
 	return &PMFDetector{
 		profile:     profile,
-		TVThreshold: resolve(tvThreshold, 0.5),
-		TailProb:    resolve(tailProb, 0.02),
+		TVThreshold: knob.Resolve(tvThreshold, 0.5),
+		TailProb:    knob.Resolve(tailProb, 0.02),
 	}
 }
 

@@ -8,8 +8,7 @@ package service
 // The request and response writer are reused across iterations — httptest's
 // per-iteration NewRequest/NewRecorder used to contribute ~15 allocs/op of
 // pure harness noise, which would mask the serving path's own allocation
-// behaviour that BenchmarkServiceDetect exists to pin (CI fails it above
-// 9 allocs/op).
+// behaviour (TestServiceDetectAllocs fails the same path above 9 allocs).
 
 import (
 	"bytes"
@@ -22,7 +21,7 @@ import (
 // benchHandler returns the handler of a service trained on 20 normal
 // cluster discoveries, plus a marshalled detect body for the given batch
 // size (0 = single-detect request).
-func benchHandler(b *testing.B, cfg Config, batch int) (http.Handler, []byte, string) {
+func benchHandler(b testing.TB, cfg Config, batch int) (http.Handler, []byte, string) {
 	b.Helper()
 	svc := New(cfg)
 	b.Cleanup(svc.Close)
@@ -86,8 +85,32 @@ func benchRequest(path string, body []byte) (*http.Request, *bytes.Reader, *disc
 	return req, rd, &discardWriter{h: make(http.Header)}
 }
 
+// TestServiceDetectAllocs pins BenchmarkServiceDetect's request path — one
+// /v1/detect through the full handler stack — at single-digit allocations
+// (≤ 9): the detect path is pooled end to end (DESIGN.md §12), so a stray
+// per-request allocation is a regression even when every other test passes.
+func TestServiceDetectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of Puts under the race detector, so pooled-path allocation counts are meaningless")
+	}
+	mux, body, path := benchHandler(t, Config{}, 0)
+	req, rd, w := benchRequest(path, body)
+	serve := func() {
+		rd.Reset(body)
+		w.status = 0
+		mux.ServeHTTP(w, req)
+	}
+	serve()
+	if w.status != http.StatusOK {
+		t.Fatalf("status %d", w.status)
+	}
+	if got := testing.AllocsPerRun(200, serve); got > 9 {
+		t.Errorf("detect allocates %.1f times per request, want <= 9", got)
+	}
+}
+
 // BenchmarkServiceDetect measures one /v1/detect request through the full
-// handler stack. CI pins its allocs/op at single digits (≤ 9).
+// handler stack; TestServiceDetectAllocs gates its allocations.
 func BenchmarkServiceDetect(b *testing.B) {
 	mux, body, path := benchHandler(b, Config{}, 0)
 	req, rd, w := benchRequest(path, body)

@@ -7,10 +7,6 @@ import (
 
 	"samnet/internal/cli"
 	"samnet/internal/obs"
-	"samnet/internal/routing"
-	"samnet/internal/runner"
-	"samnet/internal/sam"
-	"samnet/internal/sim"
 )
 
 // Batch training: POST /v1/train/batch runs a server-side training sweep
@@ -18,11 +14,10 @@ import (
 // protocol) condition, exactly the axes the paper trains a profile per
 // (§IV) — and installs one profile per scenario.
 //
-// The sweep runs on internal/runner under its determinism contract: every
-// run's randomness derives from (seed, scenario label, run index) via
-// runner.DeriveSeed/StreamRNG — a pure function of the cell's grid
-// coordinates — results merge in grid order, and each scenario's trainer
-// folds serially over its runs. Repeating the same request therefore
+// The sweep is cli.Train over cli scenario cells: every run's randomness
+// derives from (seed, scenario label, run index) — a pure function of the
+// cell's grid coordinates — results merge in grid order, and each scenario's
+// trainer folds serially over its runs. Repeating the same request therefore
 // produces byte-identical profiles at any parallelism, and batch training is
 // declarative: the entry's training state is *replaced*, not accumulated, so
 // re-posting a grid converges instead of doubling run counts.
@@ -34,64 +29,42 @@ const (
 	maxTrainCells           = 8192
 )
 
-// trainScenario is one resolved grid cell axis: constructors plus the
-// deterministic label its random streams derive from.
-type trainScenario struct {
-	profile string
-	label   string
-	topo    string
-	tier    int
-	proto   routing.Protocol
-}
-
-// resolveScenarios validates the wire scenarios against the known topology
-// and protocol names and fills defaults (tier 1, protocol mr, profile named
-// after the label).
-func resolveScenarios(in []TrainScenarioJSON) ([]trainScenario, error) {
+// resolveScenarios validates the wire scenarios, fills defaults (tier 1,
+// protocol mr, profile named after the label) and returns each scenario with
+// the name of the profile it trains.
+func resolveScenarios(in []TrainScenarioJSON) ([]cli.Scenario, []string, error) {
 	if len(in) == 0 {
-		return nil, fmt.Errorf("scenarios must not be empty")
+		return nil, nil, fmt.Errorf("scenarios must not be empty")
 	}
 	if len(in) > maxTrainScenarios {
-		return nil, fmt.Errorf("request has %d scenarios, limit %d", len(in), maxTrainScenarios)
+		return nil, nil, fmt.Errorf("request has %d scenarios, limit %d", len(in), maxTrainScenarios)
 	}
-	out := make([]trainScenario, len(in))
+	scenarios := make([]cli.Scenario, len(in))
+	names := make([]string, len(in))
 	seen := make(map[string]int, len(in))
-	for i, sc := range in {
-		tier := sc.Tier
+	for i, spec := range in {
+		tier, protocol := spec.Tier, spec.Protocol
 		if tier == 0 {
 			tier = 1
 		}
-		if tier < 0 || tier > 4 {
-			return nil, fmt.Errorf("scenario %d: tier %d out of range [1,4]", i, sc.Tier)
+		if protocol == "" {
+			protocol = "mr"
 		}
-		protoName := sc.Protocol
-		if protoName == "" {
-			protoName = "mr"
-		}
-		proto, err := cli.BuildProtocol(protoName)
+		sc, err := cli.Resolve(spec.Topo, tier, protocol)
 		if err != nil {
-			return nil, fmt.Errorf("scenario %d: %v", i, err)
+			return nil, nil, fmt.Errorf("scenario %d: %v", i, err)
 		}
-		// Resolve the topology once to reject unknown names up front; the
-		// sweep rebuilds it per run with the run's own seed.
-		if _, err := cli.BuildTopology(sc.Topo, tier, 0); err != nil {
-			return nil, fmt.Errorf("scenario %d: %v", i, err)
-		}
-		label := fmt.Sprintf("%s-%dtier/%s", sc.Topo, tier, proto.Name())
-		name := sc.Profile
+		name := spec.Profile
 		if name == "" {
-			// The default store name flattens the label's slash so the
-			// profile stays addressable under GET /v1/profiles/{name}
-			// ({name} matches one path segment).
-			name = fmt.Sprintf("%s-%dtier-%s", sc.Topo, tier, proto.Name())
+			name = sc.ProfileName()
 		}
 		if j, dup := seen[name]; dup {
-			return nil, fmt.Errorf("scenario %d: profile %q already produced by scenario %d", i, name, j)
+			return nil, nil, fmt.Errorf("scenario %d: profile %q already produced by scenario %d", i, name, j)
 		}
 		seen[name] = i
-		out[i] = trainScenario{profile: name, label: label, topo: sc.Topo, tier: tier, proto: proto}
+		scenarios[i], names[i] = sc, name
 	}
-	return out, nil
+	return scenarios, names, nil
 }
 
 // ScenarioProfiles resolves the effective profile name of each scenario —
@@ -100,28 +73,8 @@ func resolveScenarios(in []TrainScenarioJSON) ([]trainScenario, error) {
 // scenarios on owning replicas; sharing the resolver means gateway placement
 // and replica training can never disagree about a grid's profile names.
 func ScenarioProfiles(in []TrainScenarioJSON) ([]string, error) {
-	scs, err := resolveScenarios(in)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(scs))
-	for i, sc := range scs {
-		names[i] = sc.profile
-	}
-	return names, nil
-}
-
-// trainCell runs one clean route discovery for grid cell (scenario, run).
-// All three random streams — topology placement, source/destination pair,
-// simulation jitter — derive from the scenario label and run index alone.
-func trainCell(sc trainScenario, seed uint64, run int) ([]routing.Route, error) {
-	net, err := cli.BuildTopology(sc.topo, sc.tier, runner.DeriveSeed(seed, sc.label+"/topo", run))
-	if err != nil {
-		return nil, err
-	}
-	src, dst := net.PickPair(runner.StreamRNG(seed, sc.label+"/pair", run))
-	simNet := sim.NewNetwork(net.Topo, sim.Config{Seed: runner.DeriveSeed(seed, sc.label+"/sim", run)})
-	return sc.proto.Discover(simNet, src, dst).Routes, nil
+	_, names, err := resolveScenarios(in)
+	return names, err
 }
 
 func (s *Service) handleTrainBatch(w http.ResponseWriter, r *http.Request) {
@@ -129,7 +82,7 @@ func (s *Service) handleTrainBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	scenarios, err := resolveScenarios(req.Scenarios)
+	scenarios, names, err := resolveScenarios(req.Scenarios)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -182,42 +135,22 @@ func (s *Service) handleTrainBatch(w http.ResponseWriter, r *http.Request) {
 		pr = obs.NewProgress(flushWriter{w: w, rc: rc}, "train_batch", 0)
 	}
 
-	type cellOut struct {
-		routes []routing.Route
-		err    error
-	}
-	grid := runner.MapGridWorkerProgress(parallel, len(scenarios), runs, pr,
-		func() struct{} { return struct{}{} },
-		func(o, i int, _ struct{}) cellOut {
-			routes, err := trainCell(scenarios[o], seed, i)
-			return cellOut{routes: routes, err: err}
-		})
+	trainers := cli.Train(scenarios, seed, runs, parallel, pr)
 	pr.Finish()
 
 	results := make([]TrainBatchResult, len(scenarios))
 	for o, sc := range scenarios {
-		res := TrainBatchResult{Profile: sc.profile, Label: sc.label}
-		tr := sam.NewTrainer(sc.label, sam.DefaultPMFBins)
-		for _, cell := range grid[o] {
-			if cell.err != nil {
-				res.Error = cell.err.Error()
-				break
-			}
-			tr.ObserveRoutes(cell.routes)
-		}
-		if res.Error == "" {
-			var installed int
-			var trainErr error
-			s.store.withResident(sc.profile, func(e *entry) {
-				installed, trainErr = e.retrain(tr)
-			})
-			res.Runs = installed
-			res.Trained = installed > 0 && trainErr == nil
-			if trainErr != nil {
-				res.Error = trainErr.Error()
-			} else if res.Trained {
-				s.metrics.trainings.Inc()
-			}
+		var installed int
+		var trainErr error
+		s.store.withResident(names[o], func(e *entry) {
+			installed, trainErr = e.retrain(trainers[o])
+		})
+		res := TrainBatchResult{Profile: names[o], Label: sc.Label, Runs: installed}
+		res.Trained = installed > 0 && trainErr == nil
+		if trainErr != nil {
+			res.Error = trainErr.Error()
+		} else if res.Trained {
+			s.metrics.trainings.Inc()
 		}
 		results[o] = res
 	}

@@ -1,17 +1,11 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
 
-	"samnet/internal/attack"
-	"samnet/internal/cli"
 	"samnet/internal/obs"
 	"samnet/internal/routing"
-	"samnet/internal/routing/dsr"
-	"samnet/internal/routing/mr"
-	"samnet/internal/runner"
 	"samnet/internal/sam"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
@@ -25,9 +19,9 @@ import (
 // isolation list (step 3), visible via GET /v1/isolation and revocable via
 // DELETE /v1/isolation/{a}/{b}.
 //
-// Determinism: every random stream derives from (seed, scenario label) via
-// runner.DeriveSeed, exactly like batch training, so re-posting a request
-// reproduces the verdict bit for bit.
+// Determinism: the scenario is cell (seed, run 0) of the cli scenario grid
+// batch training sweeps, so re-posting a request reproduces the verdict bit
+// for bit.
 
 // Validation caps bounding one verification request.
 const (
@@ -35,22 +29,6 @@ const (
 	maxVerifyRetries   = 16
 	maxVerifyMaxProbes = 64
 )
-
-// parseBehavior maps the wire behaviour to the attack model. "forge" is
-// forward-but-fabricate: payload passes, probe answers are forged.
-func parseBehavior(s string) (attack.PayloadBehavior, bool, error) {
-	switch s {
-	case "", "blackhole":
-		return attack.Blackhole, false, nil
-	case "greyhole":
-		return attack.Greyhole, false, nil
-	case "forward":
-		return attack.Forward, false, nil
-	case "forge":
-		return attack.Forward, true, nil
-	}
-	return 0, false, fmt.Errorf("unknown behavior %q (want blackhole, greyhole, forward or forge)", s)
-}
 
 func evidenceJSON(evidence []verify.Evidence) []EvidenceJSON {
 	out := make([]EvidenceJSON, len(evidence))
@@ -75,13 +53,16 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	scenarios, err := resolveScenarios([]TrainScenarioJSON{req.Scenario})
+	scenarios, _, err := resolveScenarios([]TrainScenarioJSON{req.Scenario})
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sc := scenarios[0]
-	behavior, forge, err := parseBehavior(req.Behavior)
+	wormholes := 1
+	if req.Wormholes != nil {
+		wormholes = *req.Wormholes
+	}
+	sc, err := scenarios[0].Armed(wormholes, req.Behavior, req.Attack)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -91,55 +72,18 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 			float64(maxVerifyTimeout), maxVerifyRetries, maxVerifyMaxProbes)
 		return
 	}
+	if req.Wormholes != nil && req.Attack != "" && req.Attack != "classic" {
+		s.writeError(w, http.StatusBadRequest, "wormholes only parameterizes the classic attack variant")
+		return
+	}
 	seed := uint64(2005)
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
 
-	// Build and arm the scenario exactly as batch training builds its cells:
-	// all randomness derives from (seed, label).
-	net, err := cli.BuildTopology(sc.topo, sc.tier, runner.DeriveSeed(seed, sc.label+"/topo", 0))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	wormholes := 1
-	if req.Wormholes != nil {
-		wormholes = *req.Wormholes
-	}
-	if wormholes < 0 || wormholes > len(net.AttackerPairs) {
-		s.writeError(w, http.StatusBadRequest, "wormholes %d out of range [0,%d]", wormholes, len(net.AttackerPairs))
-		return
-	}
-	var atk *attack.Scenario
-	switch req.Attack {
-	case "", "classic":
-		atk = attack.NewScenario(net, wormholes, behavior)
-	default:
-		if req.Wormholes != nil {
-			s.writeError(w, http.StatusBadRequest, "wormholes only parameterizes the classic attack variant")
-			return
-		}
-		atk, err = attack.Named(req.Attack, net, behavior)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	if req.Attack == "forge" {
-		f := atk.ForgeFunc()
-		switch p := sc.proto.(type) {
-		case *mr.Protocol:
-			p.Forge = f
-		case *dsr.Protocol:
-			p.Forge = f
-		default:
-			s.writeError(w, http.StatusBadRequest, `attack "forge" requires the mr or dsr protocol`)
-			return
-		}
-	}
-	simNet := sim.NewNetwork(net.Topo, sim.Config{Seed: runner.DeriveSeed(seed, sc.label+"/sim", 0)})
-	atk.Arm(simNet)
+	// The scenario is run 0 of the grid batch training sweeps.
+	cell := sc.Cell(seed, 0)
+	net := cell.Net
 
 	// Route set: client-supplied (validated against the armed topology — the
 	// tunnels are topology links) or a server-side discovery.
@@ -165,8 +109,7 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	} else {
-		src, dst := net.PickPair(runner.StreamRNG(seed, sc.label+"/pair", 0))
-		routes = sc.proto.Discover(simNet, src, dst).Routes
+		routes = cell.Discover().Routes
 	}
 
 	// The accused pair: explicit, or SAM's localization over the route set.
@@ -188,22 +131,13 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 		pair = st.Suspect
 	}
 
-	var cfg verify.Config
-	if req.Timeout != 0 {
-		cfg.Timeout = sim.Time(req.Timeout)
-	}
-	if req.Retries != 0 {
-		cfg.Retries = req.Retries
-	}
-	if req.MaxProbes != 0 {
-		cfg.MaxProbes = req.MaxProbes
-	}
-	if forge {
-		cfg.Forgers = atk.MaliciousNodes()
+	cfg := verify.Config{Timeout: sim.Time(req.Timeout), Retries: req.Retries, MaxProbes: req.MaxProbes}
+	if sc.Forge && cell.Attack != nil {
+		cfg.Forgers = cell.Attack.MaliciousNodes()
 	}
 
 	refused := s.iso.Isolated(pair)
-	v := verify.Probe(simNet, pair, routes, cfg, s.iso)
+	v := verify.Probe(cell.Sim, pair, routes, cfg, s.iso)
 	isolated := refused
 	if req.Isolate && v.Condemned && !refused {
 		s.iso.Condemn(v)
@@ -230,7 +164,7 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.writeJSON(w, http.StatusOK, VerifyResponse{
-		Label:         sc.label,
+		Label:         sc.Label,
 		Suspect:       linkJSON(pair),
 		Likelihood:    v.Likelihood,
 		Condemned:     v.Condemned,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"samnet/internal/knob"
 	"samnet/internal/topology"
 )
 
@@ -34,7 +35,7 @@ type DropFunc func(n *Network, from, to topology.NodeID, pkt Packet) bool
 // ExplicitZero requests a genuinely zero HopDelay or Jitter, which a literal
 // zero cannot (zero means "use the default"). Any negative value is treated
 // as zero, mirroring sam.DetectorConfig's explicit-zero convention.
-const ExplicitZero = -1
+const ExplicitZero = knob.ExplicitZero
 
 // Config parameterizes a Network.
 type Config struct {
@@ -56,18 +57,8 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	switch {
-	case c.HopDelay == 0:
-		c.HopDelay = 1
-	case c.HopDelay < 0:
-		c.HopDelay = 0
-	}
-	switch {
-	case c.Jitter == 0:
-		c.Jitter = 0.1
-	case c.Jitter < 0:
-		c.Jitter = 0
-	}
+	c.HopDelay = knob.Resolve(c.HopDelay, 1)
+	c.Jitter = knob.Resolve(c.Jitter, 0.1)
 }
 
 // simStream is the fixed PCG stream selector for simulation randomness; the

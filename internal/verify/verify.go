@@ -18,6 +18,7 @@
 package verify
 
 import (
+	"samnet/internal/knob"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
 )
@@ -27,7 +28,7 @@ import (
 // meaningfully zero — Timeout: 0 expires probes immediately, Retries: 0
 // disables resends, MaxProbes: 0 sends no probes at all — take this (or any
 // negative value) instead, mirroring sam.DetectorConfig's convention.
-const ExplicitZero = -1
+const ExplicitZero = knob.ExplicitZero
 
 // DefaultKey is the probe HMAC key when Config.Key is empty. Any key works —
 // what matters is that the simulated attackers do not hold it, which is why
@@ -58,35 +59,13 @@ type Config struct {
 	Forgers map[topology.NodeID]bool
 }
 
-// resolveInt maps an int config field to its effective value: zero selects
-// the default, negative (ExplicitZero) a true zero.
-func resolveInt(v, def int) int {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
-}
-
 // WithDefaults returns c with zero-valued fields resolved to defaults and
 // ExplicitZero fields resolved to true zeros.
 func (c Config) WithDefaults() Config {
-	switch {
-	case c.Timeout == 0:
-		c.Timeout = 64
-	case c.Timeout < 0:
-		c.Timeout = 0
-	}
-	c.Retries = resolveInt(c.Retries, 1)
-	c.MaxProbes = resolveInt(c.MaxProbes, 3)
-	switch {
-	case c.CondemnThreshold == 0:
-		c.CondemnThreshold = 0.75
-	case c.CondemnThreshold < 0:
-		c.CondemnThreshold = 0
-	}
+	c.Timeout = knob.Resolve(c.Timeout, 64)
+	c.Retries = knob.Resolve(c.Retries, 1)
+	c.MaxProbes = knob.Resolve(c.MaxProbes, 3)
+	c.CondemnThreshold = knob.Resolve(c.CondemnThreshold, 0.75)
 	if len(c.Key) == 0 {
 		c.Key = DefaultKey
 	}
