@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	samrepro [-exp all|tables|figures|extensions|<id>]
+//	samrepro [-list] [-exp all|tables|figures|extensions|<id>]
 //	         [-runs N] [-seed S] [-parallel P] [-csv] [-o dir]
 //	         [-progress] [-log-format text|json]
 //	         [-cpuprofile file] [-memprofile file]
@@ -17,8 +17,7 @@
 // because each run's randomness derives from its grid coordinates and
 // results merge in grid order (see internal/runner).
 //
-// Experiment ids: table1, table2, fig5..fig15, detection, leash, protocols,
-// rushing, loss, mobility, blackhole, adaptive, roc (see -list).
+// -list prints every experiment id with its kind and title.
 //
 // Each experiment prints a markdown table by default, or CSV with -csv.
 package main
@@ -42,7 +41,6 @@ func main() {
 		runs      = flag.Int("runs", 10, "simulation runs per condition")
 		seed      = flag.Uint64("seed", 2005, "master seed")
 		parallel  = flag.Int("parallel", 0, "worker pool size (0 = all cores, 1 = serial)")
-		workers   = flag.Int("workers", 0, "deprecated alias of -parallel")
 		csv       = flag.Bool("csv", false, "emit CSV instead of markdown")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
 		outDir    = flag.String("o", "", "also write each experiment to <dir>/<id>.md (or .csv)")
@@ -73,11 +71,7 @@ func main() {
 	}
 	defer stopProfiles()
 
-	pool := *parallel
-	if pool == 0 {
-		pool = *workers
-	}
-	cfg := experiment.Config{Runs: *runs, Seed: *seed, Workers: pool}
+	cfg := experiment.Config{Runs: *runs, Seed: *seed, Workers: *parallel}
 	var defs []experiment.Definition
 	switch *exp {
 	case "all":
@@ -121,25 +115,14 @@ func main() {
 			pr.Finish()
 		}
 		logger.Info("experiment complete", "id", d.ID, "elapsed", time.Since(begin).Round(time.Millisecond).String())
-		var buf strings.Builder
-		for j, t := range art.Tables {
-			if j > 0 {
-				buf.WriteString("\n")
-			}
-			if *csv {
-				buf.WriteString(t.CSV())
-			} else {
-				buf.WriteString(t.Markdown())
-			}
+		text, ext := art.Render(), ".md"
+		if *csv {
+			text, ext = art.CSV(), ".csv"
 		}
-		fmt.Print(buf.String())
+		fmt.Print(text)
 		if *outDir != "" {
-			ext := ".md"
-			if *csv {
-				ext = ".csv"
-			}
 			path := filepath.Join(*outDir, d.ID+ext)
-			if err := os.WriteFile(path, []byte(buf.String()), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}

@@ -55,12 +55,11 @@ func main() {
 		prober := sam.ProberFunc(func(routes []routing.Route) []routing.ProbeResult {
 			return samnet.ProbeRoutes(net, sc, routes, seed)
 		})
-		pipeline := sam.NewPipeline(detector, prober, coordinator.ResponderFor(dstNode), sam.PipelineConfig{})
-		agent := sam.NewAgent(dstNode, pipeline)
+		agent := sam.NewPipeline(detector, prober, coordinator.ResponderFor(dstNode), sam.PipelineConfig{})
 
 		src := net.SrcPool[i*3%len(net.SrcPool)]
 		disc := samnet.DiscoverMRUnderAttack(net, sc, src, dstNode, seed)
-		out := agent.OnRouteDiscovery(disc.Routes)
+		out := agent.Process(disc.Routes)
 		fmt.Printf("agent@%d: %d routes, verdict=%v lambda=%.3f", dstNode,
 			len(disc.Routes), out.Verdict.Decision, out.Verdict.Lambda)
 		if out.Report != nil {

@@ -10,10 +10,8 @@ package attack
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
-	"samnet/internal/geom"
 	"samnet/internal/routing"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
@@ -71,7 +69,7 @@ func NewChainScenario(net *topology.Network, relays int, delay sim.Time, behavio
 	chain := []topology.NodeID{pair[0]}
 	for i := 1; i <= relays; i++ {
 		anchor := pa.Lerp(pb, float64(i)/float64(relays+1))
-		id := nearestNode(topo, anchor, claimed)
+		id := topology.NearestUnclaimed(topo, anchor, claimed)
 		claimed[id] = true
 		chain = append(chain, id)
 	}
@@ -81,8 +79,8 @@ func NewChainScenario(net *topology.Network, relays int, delay sim.Time, behavio
 	for i := 0; i+1 < len(chain); i++ {
 		s.Tunnels = append(s.Tunnels, Install(topo, chain[i], chain[i+1]))
 	}
-	net.SrcPool = poolWithout(net.SrcPool, claimed)
-	net.DstPool = poolWithout(net.DstPool, claimed)
+	net.SrcPool = topology.WithoutNodes(net.SrcPool, claimed)
+	net.DstPool = topology.WithoutNodes(net.DstPool, claimed)
 	return s
 }
 
@@ -219,35 +217,4 @@ func Named(name string, net *topology.Network, behavior PayloadBehavior) (*Scena
 	known := Variants()
 	sort.Strings(known)
 	return nil, fmt.Errorf("attack: unknown variant %q (known: %v)", name, known)
-}
-
-// nearestNode returns the placed node nearest p that is not yet claimed.
-func nearestNode(t *topology.Topology, p geom.Point, claimed map[topology.NodeID]bool) topology.NodeID {
-	best := topology.None
-	bestD := math.MaxFloat64
-	for i := 0; i < t.N(); i++ {
-		id := topology.NodeID(i)
-		if claimed[id] {
-			continue
-		}
-		if d := t.Pos(id).Dist2(p); d < bestD {
-			best, bestD = id, d
-		}
-	}
-	if best == topology.None {
-		panic("attack: no node available as chain relay")
-	}
-	return best
-}
-
-// poolWithout filters claimed nodes out of a source/destination pool in
-// place.
-func poolWithout(pool []topology.NodeID, drop map[topology.NodeID]bool) []topology.NodeID {
-	out := pool[:0]
-	for _, id := range pool {
-		if !drop[id] {
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -4,10 +4,10 @@ import (
 	"samnet/internal/attack"
 	"samnet/internal/geom"
 	"samnet/internal/mobility"
+	"samnet/internal/report"
 	"samnet/internal/sam"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
-	"samnet/internal/trace"
 )
 
 // Adaptive demonstrates the purpose of the paper's low-pass profile update
@@ -18,7 +18,7 @@ import (
 // wormhole finally activates, both must still raise the alert — the
 // lambda-weighting is what keeps attack observations from polluting the
 // adaptive profile.
-func Adaptive(cfg Config) *trace.Artifact {
+func Adaptive(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
 	const (
 		normalPhase  = 40 // drifting normal discoveries
@@ -111,23 +111,23 @@ func Adaptive(cfg Config) *trace.Artifact {
 	}
 	sc.Teardown()
 
-	t := &trace.Table{
+	t := &report.Table{
 		Title: "Extension — adaptive profile (eq. 8-9) vs frozen profile on a drifting network",
 		Headers: []string{
 			"Detector", "False alarms (drift phase)", "Detections (attack phase)",
 		},
 		Notes: []string{
-			trace.D(normalSeen) + " normal discoveries while the network drifts, then " +
-				trace.D(attackSeen) + " with the wormhole active; attackers pinned.",
+			report.D(normalSeen) + " normal discoveries while the network drifts, then " +
+				report.D(attackSeen) + " with the wormhole active; attackers pinned.",
 			"The adaptive detector refreshes its means with weight lambda*beta, so normal " +
 				"drift is absorbed but attacked observations (lambda near 0) never pollute it.",
 		},
 	}
 	t.AddRow("adaptive (beta=0.2)",
-		trace.D(adaptive.falseAlarms)+"/"+trace.D(normalSeen),
-		trace.D(adaptive.detections)+"/"+trace.D(attackSeen))
+		report.D(adaptive.falseAlarms)+"/"+report.D(normalSeen),
+		report.D(adaptive.detections)+"/"+report.D(attackSeen))
 	t.AddRow("frozen",
-		trace.D(frozen.falseAlarms)+"/"+trace.D(normalSeen),
-		trace.D(frozen.detections)+"/"+trace.D(attackSeen))
-	return &trace.Artifact{ID: "adaptive", Kind: "extension", Tables: []*trace.Table{t}}
+		report.D(frozen.falseAlarms)+"/"+report.D(normalSeen),
+		report.D(frozen.detections)+"/"+report.D(attackSeen))
+	return &report.Artifact{ID: "adaptive", Kind: "extension", Tables: []*report.Table{t}}
 }

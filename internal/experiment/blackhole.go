@@ -3,14 +3,13 @@ package experiment
 import (
 	"strconv"
 
+	"samnet/internal/report"
 	"samnet/internal/routing"
 	"samnet/internal/routing/cdsr"
 	"samnet/internal/routing/mr"
 	"samnet/internal/runner"
-	"samnet/internal/sam"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
-	"samnet/internal/trace"
 )
 
 // Blackhole reproduces the paper's Section IV discussion as an experiment:
@@ -19,9 +18,9 @@ import (
 // fabricated claim, while the paper's MR — whose intermediate nodes never
 // reply — is structurally immune, and SAM's probe step exposes the
 // fabricated route anyway.
-func Blackhole(cfg Config) *trace.Artifact {
+func Blackhole(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	t := &trace.Table{
+	t := &report.Table{
 		Title: "Extension — early-reply blackhole: cached DSR vs MR (6x6 uniform)",
 		Headers: []string{
 			"Run", "Cached-DSR first route fabricated", "Probe exposes it", "MR routes all genuine",
@@ -70,14 +69,12 @@ func Blackhole(cfg Config) *trace.Artifact {
 				allGenuine = false
 			}
 		}
-		_ = sam.Analyze(dMR.Routes) // statistics remain available to the IDS
-
 		return bhOut{fabricated: fabricated, probeExposed: probeExposed, allGenuine: allGenuine}
 	})
 	for run, r := range rows {
 		t.AddRow(strconv.Itoa(run+1), boolMark(r.fabricated), probeMark(r.fabricated, r.probeExposed), boolMark(r.allGenuine))
 	}
-	return &trace.Artifact{ID: "blackhole", Kind: "extension", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "blackhole", Kind: "extension", Tables: []*report.Table{t}}
 }
 
 func probeMark(fabricated, exposed bool) string {

@@ -5,12 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	"samnet/internal/trace"
+	"samnet/internal/report"
 )
 
 // serialize flattens an artifact into one comparable string: every table,
 // rendered, in order.
-func serialize(a *trace.Artifact) string {
+func serialize(a *report.Artifact) string {
 	var b strings.Builder
 	for _, t := range a.Tables {
 		b.WriteString(t.Markdown())

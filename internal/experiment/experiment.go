@@ -25,7 +25,6 @@ import (
 	"samnet/internal/sam"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
-	"samnet/internal/verify"
 )
 
 // Config controls an experiment invocation.
@@ -43,12 +42,6 @@ type Config struct {
 	// results: seeds derive from grid coordinates and results merge in grid
 	// order regardless of the hook.
 	Progress runner.Progress
-	// Verify configures the step-2 probe engine the closed-loop experiment
-	// (verifyloop) drives. The zero value takes verify.Config defaults;
-	// fields follow that package's ExplicitZero convention, so
-	// Verify.MaxProbes = verify.ExplicitZero disables probing (and with it
-	// condemnation) entirely.
-	Verify verify.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -221,42 +214,105 @@ func buildRandom() func(Config, int) *topology.Network {
 func mrProtocol() routing.Protocol  { return &mr.Protocol{SuppressReplies: false} }
 func dsrProtocol() routing.Protocol { return &dsr.Protocol{} }
 
-// Cond is a small helper assembling a Condition.
-func clusterCond(k, wormholes int, proto func() routing.Protocol, protoName string) Condition {
+// newCond assembles a Condition on a named topology. Its label,
+// "<topo>/<protocol>/normal" or ".../attack", seeds the runs, so renaming
+// either part reshuffles them.
+func newCond(topo string, build func(Config, int) *topology.Network, wormholes int, proto func() routing.Protocol, protoName string) Condition {
 	suffix := "normal"
 	if wormholes > 0 {
 		suffix = "attack"
 	}
 	return Condition{
-		Label:     "cluster-" + strconv.Itoa(k) + "tier/" + protoName + "/" + suffix,
-		Build:     buildCluster(k),
+		Label:     topo + "/" + protoName + "/" + suffix,
+		Build:     build,
 		Wormholes: wormholes,
 		Protocol:  proto,
 	}
+}
+
+func clusterCond(k, wormholes int, proto func() routing.Protocol, protoName string) Condition {
+	return newCond("cluster-"+strconv.Itoa(k)+"tier", buildCluster(k), wormholes, proto, protoName)
 }
 
 func uniformCond(cols, rows, k, wormholes int, proto func() routing.Protocol, protoName string) Condition {
-	suffix := "normal"
-	if wormholes > 0 {
-		suffix = "attack"
-	}
-	return Condition{
-		Label:     "uniform" + strconv.Itoa(cols) + "x" + strconv.Itoa(rows) + "-" + strconv.Itoa(k) + "tier/" + protoName + "/" + suffix,
-		Build:     buildUniform(cols, rows, k),
-		Wormholes: wormholes,
-		Protocol:  proto,
-	}
+	topo := "uniform" + strconv.Itoa(cols) + "x" + strconv.Itoa(rows) + "-" + strconv.Itoa(k) + "tier"
+	return newCond(topo, buildUniform(cols, rows, k), wormholes, proto, protoName)
 }
 
-func randomCond(wormholes int, proto func() routing.Protocol, protoName string) Condition {
-	suffix := "normal"
-	if wormholes > 0 {
-		suffix = "attack"
+// column is one plotted condition and its column header.
+type column struct {
+	name string
+	cond Condition
+}
+
+// runColumns runs every column's condition as one RunConditions grid and
+// returns the header row: "Run" and the column names.
+func runColumns(cfg Config, cols []column) ([][]RunResult, []string) {
+	conds := make([]Condition, len(cols))
+	headers := []string{"Run"}
+	for i, c := range cols {
+		conds[i] = c.cond
+		headers = append(headers, c.name)
 	}
-	return Condition{
-		Label:     "random/" + protoName + "/" + suffix,
-		Build:     buildRandom(),
-		Wormholes: wormholes,
-		Protocol:  proto,
+	return RunConditions(cfg, conds), headers
+}
+
+// Condition sets, each declared once for the pair of artifacts that plots it.
+var (
+	// tableCols: Tables I and II, one wormhole on the 1-tier cluster and
+	// 6x6 uniform grid under MR and DSR.
+	tableCols = []column{
+		{"Cluster MR", clusterCond(1, 1, mrProtocol, "MR")},
+		{"Cluster DSR", clusterCond(1, 1, dsrProtocol, "DSR")},
+		{"Uniform MR", uniformCond(6, 6, 1, 1, mrProtocol, "MR")},
+		{"Uniform DSR", uniformCond(6, 6, 1, 1, dsrProtocol, "DSR")},
 	}
+	// oneTierCols: Figs 6 and 7, 1-tier cluster and uniform grid under MR.
+	oneTierCols = []column{
+		{"Cluster normal", clusterCond(1, 0, mrProtocol, "MR")},
+		{"Cluster attack", clusterCond(1, 1, mrProtocol, "MR")},
+		{"Uniform normal", uniformCond(6, 6, 1, 0, mrProtocol, "MR")},
+		{"Uniform attack", uniformCond(6, 6, 1, 1, mrProtocol, "MR")},
+	}
+	// tierCols: Figs 11 and 12, cluster systems at 1- and 2-tier range.
+	tierCols = []column{
+		{"1-tier normal", clusterCond(1, 0, mrProtocol, "MR")},
+		{"1-tier attack", clusterCond(1, 1, mrProtocol, "MR")},
+		{"2-tier normal", clusterCond(2, 0, mrProtocol, "MR")},
+		{"2-tier attack", clusterCond(2, 1, mrProtocol, "MR")},
+	}
+	// protocolCols: Figs 13 and 14, the 1-tier cluster's MR vs DSR routes.
+	protocolCols = []column{
+		{"MR normal", clusterCond(1, 0, mrProtocol, "MR")},
+		{"MR attack", clusterCond(1, 1, mrProtocol, "MR")},
+		{"DSR normal", clusterCond(1, 0, dsrProtocol, "DSR")},
+		{"DSR attack", clusterCond(1, 1, dsrProtocol, "DSR")},
+	}
+)
+
+// trainRuns is how many normal-condition runs train a detector's profile.
+const trainRuns = 30
+
+// trainProfile folds trainRuns normal-condition runs into the profile a
+// detector scores against. The runs draw from the workload stream at
+// cfg.Seed+offset, disjoint from evaluation; stats gives one run's route
+// statistics under that training config.
+func trainProfile(cfg Config, label string, offset uint64, stats func(Config, int, *simCache) sam.Stats) *sam.Profile {
+	cfg.Runs, cfg.Seed = trainRuns, cfg.Seed+offset
+	trainer := sam.NewTrainer(label, 0)
+	for _, st := range runner.MapWorkerProgress(cfg.Workers, cfg.Runs, cfg.Progress, newSimCache, func(run int, cache *simCache) sam.Stats {
+		return stats(cfg, run, cache)
+	}) {
+		trainer.Observe(st)
+	}
+	profile, err := trainer.Profile()
+	if err != nil {
+		panic("experiment: " + label + " training failed: " + err.Error())
+	}
+	return profile
+}
+
+// stats is the condition's trainProfile run: runOne's route statistics.
+func (c Condition) stats(cfg Config, run int, cache *simCache) sam.Stats {
+	return runOne(cfg, c, run, cache).Stats
 }

@@ -5,22 +5,21 @@ import (
 
 	"samnet/internal/attack"
 	"samnet/internal/leash"
+	"samnet/internal/report"
 	"samnet/internal/routing"
 	"samnet/internal/runner"
 	"samnet/internal/sam"
 	"samnet/internal/sector"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
-	"samnet/internal/trace"
 )
 
 // Detection is the end-to-end SAM experiment the paper describes but does
 // not tabulate: train a profile on normal-condition discoveries, then run
 // the full three-step pipeline on fresh normal and attacked runs, reporting
 // detection rate, false positives and attacker localization accuracy.
-func Detection(cfg Config) *trace.Artifact {
+func Detection(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	const trainRuns = 30
 
 	setups := []struct {
 		name  string
@@ -31,7 +30,7 @@ func Detection(cfg Config) *trace.Artifact {
 		{"random", buildRandom()},
 	}
 
-	t := &trace.Table{
+	t := &report.Table{
 		Title: "Extension — End-to-end SAM detection (trained profile, three-step pipeline)",
 		Headers: []string{
 			"Topology", "Detection rate", "Localization", "False alarms", "Mean lambda (attack)", "Mean lambda (normal)",
@@ -45,25 +44,12 @@ func Detection(cfg Config) *trace.Artifact {
 	}
 
 	for _, s := range setups {
-		normalCond := Condition{Label: s.name + "/MR/normal", Build: s.build, Protocol: mrProtocol}
-		attackCond := Condition{
-			Label: s.name + "/MR/attack", Build: s.build, Wormholes: 1,
-			Protocol: mrProtocol, Behavior: attack.Blackhole,
-		}
+		normalCond := newCond(s.name, s.build, 0, mrProtocol, "MR")
+		attackCond := newCond(s.name, s.build, 1, mrProtocol, "MR")
+		attackCond.Behavior = attack.Blackhole
 
-		// Train on extra normal runs (offset run indices keep training and
-		// evaluation workloads disjoint).
-		trainer := sam.NewTrainer(s.name+"/MR", 0)
-		trainCfg := cfg
-		trainCfg.Runs = trainRuns
-		trainCfg.Seed = cfg.Seed + 1 // disjoint workload stream
-		for _, r := range RunCondition(trainCfg, normalCond) {
-			trainer.Observe(r.Stats)
-		}
-		profile, err := trainer.Profile()
-		if err != nil {
-			panic("experiment: training produced no profile: " + err.Error())
-		}
+		// Train on extra normal runs from a disjoint workload stream.
+		profile := trainProfile(cfg, s.name+"/MR", 1, normalCond.stats)
 
 		// Each run gets its own detector and pipeline over the shared
 		// read-only profile, so runs evaluate in parallel; the counters fold
@@ -113,14 +99,14 @@ func Detection(cfg Config) *trace.Artifact {
 			locRate = float64(loc) / float64(tp)
 		}
 		t.AddRow(s.name,
-			trace.Pct(float64(tp)/n),
-			trace.Pct(locRate),
-			trace.Pct(float64(fp)/n),
-			trace.F(lamA/n),
-			trace.F(lamN/n),
+			report.Pct(float64(tp)/n),
+			report.Pct(locRate),
+			report.Pct(float64(fp)/n),
+			report.F(lamA/n),
+			report.F(lamN/n),
 		)
 	}
-	return &trace.Artifact{ID: "detection", Kind: "extension", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "detection", Kind: "extension", Tables: []*report.Table{t}}
 }
 
 // proberFor builds a simulation-backed prober that replays the run's
@@ -147,11 +133,11 @@ func proberFor(cfg Config, cond Condition, r RunResult, cache *simCache) sam.Pro
 // related work describes — the geographic packet leash and SECTOR's MAD
 // distance bounding — on identical attacked runs: what each detects, and
 // what hardware each requires.
-func LeashCompare(cfg Config) *trace.Artifact {
+func LeashCompare(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
 	cond := clusterCond(1, 1, mrProtocol, "MR")
 
-	t := &trace.Table{
+	t := &report.Table{
 		Title: "Extension — SAM vs packet leash vs SECTOR (1-tier cluster, MR, one wormhole)",
 		Headers: []string{
 			"Run", "Leash flags tunnel", "SECTOR flags tunnel", "SAM pmax", "SAM suspect = tunnel",
@@ -194,11 +180,11 @@ func LeashCompare(cfg Config) *trace.Artifact {
 			strconv.Itoa(run+1),
 			boolMark(r.leashHit),
 			boolMark(r.sectorHit),
-			trace.F(r.pmax),
+			report.F(r.pmax),
 			boolMark(r.samHit),
 		)
 	}
-	return &trace.Artifact{ID: "leash", Kind: "extension", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "leash", Kind: "extension", Tables: []*report.Table{t}}
 }
 
 func boolMark(b bool) string {

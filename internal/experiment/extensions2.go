@@ -6,6 +6,7 @@ import (
 	"samnet/internal/attack"
 	"samnet/internal/geom"
 	"samnet/internal/mobility"
+	"samnet/internal/report"
 	"samnet/internal/routing"
 	"samnet/internal/routing/aomdv"
 	"samnet/internal/routing/mdsr"
@@ -13,13 +14,12 @@ import (
 	"samnet/internal/sam"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
-	"samnet/internal/trace"
 )
 
 // Protocols evaluates SAM's statistics over the route sets of the paper's
 // future-work protocols (AOMDV, MDSR) next to MR and DSR — the evaluation
 // the conclusion says is "underway".
-func Protocols(cfg Config) *trace.Artifact {
+func Protocols(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
 	protos := []struct {
 		name string
@@ -32,7 +32,7 @@ func Protocols(cfg Config) *trace.Artifact {
 		{"MDSR", func() routing.Protocol { return &mdsr.Protocol{} }},
 	}
 
-	t := &trace.Table{
+	t := &report.Table{
 		Title: "Extension — SAM statistics across multi-path protocols (1-tier cluster)",
 		Headers: []string{
 			"Protocol", "Routes (normal)", "Routes (attack)",
@@ -48,11 +48,8 @@ func Protocols(cfg Config) *trace.Artifact {
 	conds := make([]Condition, 0, 2*len(protos))
 	for _, p := range protos {
 		conds = append(conds,
-			Condition{Label: "protocols/" + p.name + "/normal", Build: buildCluster(1), Protocol: p.mk},
-			Condition{
-				Label: "protocols/" + p.name + "/attack", Build: buildCluster(1),
-				Wormholes: 1, Protocol: p.mk,
-			})
+			newCond("protocols", buildCluster(1), 0, p.mk, p.name),
+			newCond("protocols", buildCluster(1), 1, p.mk, p.name))
 	}
 	all := RunConditions(cfg, conds)
 	for pi, p := range protos {
@@ -70,9 +67,9 @@ func Protocols(cfg Config) *trace.Artifact {
 			}
 		}
 		n := float64(cfg.Runs)
-		t.AddRow(p.name, trace.F2(rn/n), trace.F2(ra/n), trace.F(pn/n), trace.F(pa/n), trace.Pct(loc/n))
+		t.AddRow(p.name, report.F2(rn/n), report.F2(ra/n), report.F(pn/n), report.F(pa/n), report.Pct(loc/n))
 	}
-	return &trace.Artifact{ID: "protocols", Kind: "extension", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "protocols", Kind: "extension", Tables: []*report.Table{t}}
 }
 
 // Rushing evaluates SAM against a rushing-only adversary (no tunnel): the
@@ -81,9 +78,9 @@ func Protocols(cfg Config) *trace.Artifact {
 // "any routing attacks as long as certain statistics of the obtained routes
 // change significantly" — this measures how much rushing actually moves
 // them.
-func Rushing(cfg Config) *trace.Artifact {
+func Rushing(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	t := &trace.Table{
+	t := &report.Table{
 		Title:   "Extension — route statistics under a rushing attack (1-tier cluster, MR)",
 		Headers: []string{"Run", "p_max normal", "p_max rushing", "Rushers on max-link"},
 		Notes: []string{
@@ -108,16 +105,16 @@ func Rushing(cfg Config) *trace.Artifact {
 		return rushOut{pmax: st.PMax, onMax: mal[st.MaxLink.A] || mal[st.MaxLink.B]}
 	})
 	for run, r := range rows {
-		t.AddRow(strconv.Itoa(run+1), trace.F(normal[run].Stats.PMax), trace.F(r.pmax), boolMark(r.onMax))
+		t.AddRow(strconv.Itoa(run+1), report.F(normal[run].Stats.PMax), report.F(r.pmax), boolMark(r.onMax))
 	}
-	return &trace.Artifact{ID: "rushing", Kind: "extension", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "rushing", Kind: "extension", Tables: []*report.Table{t}}
 }
 
 // Loss measures SAM's robustness to channel loss: detection statistics on
 // the attacked cluster as the per-reception loss rate grows.
-func Loss(cfg Config) *trace.Artifact {
+func Loss(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	t := &trace.Table{
+	t := &report.Table{
 		Title:   "Extension — wormhole statistics under channel loss (1-tier cluster, MR)",
 		Headers: []string{"Loss rate", "Mean routes", "Mean p_max attack", "Mean p_max normal", "Localized"},
 		Notes: []string{
@@ -170,17 +167,17 @@ func Loss(cfg Config) *trace.Artifact {
 			}
 		}
 		n := float64(cfg.Runs)
-		t.AddRow(trace.Pct(loss), trace.F2(routes/n), trace.F(pa/n), trace.F(pn/n), trace.Pct(loc/n))
+		t.AddRow(report.Pct(loss), report.F2(routes/n), report.F(pa/n), report.F(pn/n), report.Pct(loc/n))
 	}
-	return &trace.Artifact{ID: "loss", Kind: "extension", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "loss", Kind: "extension", Tables: []*report.Table{t}}
 }
 
 // Mobility evaluates SAM when legitimate nodes roam (random waypoint)
 // between route discoveries while the attackers stay pinned — the paper's
 // deferred mobility question.
-func Mobility(cfg Config) *trace.Artifact {
+func Mobility(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	t := &trace.Table{
+	t := &report.Table{
 		Title:   "Extension — SAM under random-waypoint mobility (random topology, MR)",
 		Headers: []string{"Drift time", "Connected runs", "Mean p_max attack", "Mean p_max normal", "Localized"},
 		Notes: []string{
@@ -238,11 +235,11 @@ func Mobility(cfg Config) *trace.Artifact {
 			}
 		}
 		if connected == 0 {
-			t.AddRow(trace.F2(drift), "0", "-", "-", "-")
+			t.AddRow(report.F2(drift), "0", "-", "-", "-")
 			continue
 		}
 		n := float64(connected)
-		t.AddRow(trace.F2(drift), strconv.Itoa(connected), trace.F(pa/n), trace.F(pn/n), trace.Pct(loc/n))
+		t.AddRow(report.F2(drift), strconv.Itoa(connected), report.F(pa/n), report.F(pn/n), report.Pct(loc/n))
 	}
-	return &trace.Artifact{ID: "mobility", Kind: "extension", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "mobility", Kind: "extension", Tables: []*report.Table{t}}
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strconv"
 
+	"samnet/internal/report"
 	"samnet/internal/topology"
-	"samnet/internal/trace"
 )
 
 // statFn extracts the plotted statistic from a run.
@@ -15,38 +15,33 @@ func pmaxOf(r RunResult) float64 { return r.Stats.PMax }
 func phiOf(r RunResult) float64  { return r.Stats.Phi }
 
 // seriesTable renders one figure panel: per-run values of one statistic for
-// several conditions, plus a mean row — the tabular equivalent of the
+// each column's condition, plus a mean row — the tabular equivalent of the
 // paper's scatter plots.
-func seriesTable(cfg Config, title, stat string, fn statFn, conds []Condition, names []string, notes ...string) *trace.Table {
-	t := &trace.Table{
-		Title:   title,
-		Headers: append([]string{"Run"}, names...),
-		Notes:   notes,
-	}
-	results := RunConditions(cfg, conds)
-	means := make([]float64, len(conds))
+func seriesTable(cfg Config, title string, fn statFn, cols []column, notes ...string) *report.Table {
+	results, headers := runColumns(cfg, cols)
+	t := &report.Table{Title: title, Headers: headers, Notes: notes}
+	means := make([]float64, len(cols))
 	for run := 0; run < cfg.Runs; run++ {
 		row := []string{strconv.Itoa(run + 1)}
-		for i := range conds {
+		for i := range cols {
 			v := fn(results[i][run])
 			means[i] += v
-			row = append(row, trace.F(v))
+			row = append(row, report.F(v))
 		}
 		t.AddRow(row...)
 	}
 	row := []string{"mean"}
 	for i := range means {
-		row = append(row, trace.F(means[i]/float64(cfg.Runs)))
+		row = append(row, report.F(means[i]/float64(cfg.Runs)))
 	}
 	t.AddRow(row...)
-	_ = stat
 	return t
 }
 
 // Fig5 reproduces Figure 5: the PMF of the per-link relative frequency n/N
 // for a single 1-tier cluster run, normal system versus system under
 // wormhole attack.
-func Fig5(cfg Config) *trace.Artifact {
+func Fig5(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
 	both := RunConditions(cfg, []Condition{
 		clusterCond(1, 0, mrProtocol, "MR"),
@@ -58,7 +53,7 @@ func Fig5(cfg Config) *trace.Artifact {
 	pN := normal.Stats.PMF(bins)
 	pA := attacked.Stats.PMF(bins)
 
-	t := &trace.Table{
+	t := &report.Table{
 		Title:   "Figure 5 — PMF of n/N (single run, 1-tier cluster, MR)",
 		Headers: []string{"Bin center", "Normal mass", "Attack mass"},
 		Notes: []string{
@@ -73,63 +68,48 @@ func Fig5(cfg Config) *trace.Artifact {
 		if pN.Counts[i] == 0 && pA.Counts[i] == 0 {
 			continue
 		}
-		t.AddRow(trace.F(pN.BinCenter(i)), trace.F(pN.Prob(i)), trace.F(pA.Prob(i)))
+		t.AddRow(report.F(pN.BinCenter(i)), report.F(pN.Prob(i)), report.F(pA.Prob(i)))
 	}
-	return &trace.Artifact{ID: "fig5", Kind: "figure", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "fig5", Kind: "figure", Tables: []*report.Table{t}}
 }
 
 // Fig6 reproduces Figure 6: p_max of 1-tier cluster and uniform networks
 // under MR, normal versus attacked, per run.
-func Fig6(cfg Config) *trace.Artifact {
+func Fig6(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	t := seriesTable(cfg, "Figure 6 — p_max of 1-tier networks (MR)", "pmax", pmaxOf,
-		[]Condition{
-			clusterCond(1, 0, mrProtocol, "MR"),
-			clusterCond(1, 1, mrProtocol, "MR"),
-			uniformCond(6, 6, 1, 0, mrProtocol, "MR"),
-			uniformCond(6, 6, 1, 1, mrProtocol, "MR"),
-		},
-		[]string{"Cluster normal", "Cluster attack", "Uniform normal", "Uniform attack"},
+	t := seriesTable(cfg, "Figure 6 — p_max of 1-tier networks (MR)", pmaxOf, oneTierCols,
 		"Paper shape: cluster attack clearly above cluster normal; the 6-hop uniform tunnel is too short to separate as cleanly.",
 	)
-	return &trace.Artifact{ID: "fig6", Kind: "figure", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "fig6", Kind: "figure", Tables: []*report.Table{t}}
 }
 
 // Fig7 reproduces Figure 7: phi for the same four conditions as Fig6.
-func Fig7(cfg Config) *trace.Artifact {
+func Fig7(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	t := seriesTable(cfg, "Figure 7 — phi of 1-tier networks (MR)", "phi", phiOf,
-		[]Condition{
-			clusterCond(1, 0, mrProtocol, "MR"),
-			clusterCond(1, 1, mrProtocol, "MR"),
-			uniformCond(6, 6, 1, 0, mrProtocol, "MR"),
-			uniformCond(6, 6, 1, 1, mrProtocol, "MR"),
-		},
-		[]string{"Cluster normal", "Cluster attack", "Uniform normal", "Uniform attack"},
+	t := seriesTable(cfg, "Figure 7 — phi of 1-tier networks (MR)", phiOf, oneTierCols,
 		"phi = 0 marks the paper's special case: two links tied at the maximum "+
 			"(attackers aligned with source or destination row/column).",
 	)
-	return &trace.Artifact{ID: "fig7", Kind: "figure", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "fig7", Kind: "figure", Tables: []*report.Table{t}}
 }
 
 // Fig8 reproduces Figure 8: p_max and phi on the 10x6 uniform grid whose
 // attack link spans 10 hops.
-func Fig8(cfg Config) *trace.Artifact {
+func Fig8(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	conds := []Condition{
-		uniformCond(10, 6, 1, 0, mrProtocol, "MR"),
-		uniformCond(10, 6, 1, 1, mrProtocol, "MR"),
+	cols := []column{
+		{"Normal", uniformCond(10, 6, 1, 0, mrProtocol, "MR")},
+		{"Attack", uniformCond(10, 6, 1, 1, mrProtocol, "MR")},
 	}
-	names := []string{"Normal", "Attack"}
-	tp := seriesTable(cfg, "Figure 8a — p_max, 10x6 uniform grid (10-hop tunnel, MR)", "pmax", pmaxOf, conds, names,
+	tp := seriesTable(cfg, "Figure 8a — p_max, 10x6 uniform grid (10-hop tunnel, MR)", pmaxOf, cols,
 		"Paper shape: with the longer tunnel both statistics separate on the uniform topology too.")
-	tphi := seriesTable(cfg, "Figure 8b — phi, 10x6 uniform grid (10-hop tunnel, MR)", "phi", phiOf, conds, names)
-	return &trace.Artifact{ID: "fig8", Kind: "figure", Tables: []*trace.Table{tp, tphi}}
+	tphi := seriesTable(cfg, "Figure 8b — phi, 10x6 uniform grid (10-hop tunnel, MR)", phiOf, cols)
+	return &report.Artifact{ID: "fig8", Kind: "figure", Tables: []*report.Table{tp, tphi}}
 }
 
 // Fig9 reproduces Figure 9: one drawn random topology — node coordinates and
 // roles.
-func Fig9(cfg Config) *trace.Artifact {
+func Fig9(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
 	net := topology.Random(topology.RandomConfig{Wormholes: 1}, topoRNG(cfg.Seed, 0))
 	attackers := net.Attackers()
@@ -141,7 +121,7 @@ func Fig9(cfg Config) *trace.Artifact {
 	for _, id := range net.DstPool {
 		dsts[id] = true
 	}
-	t := &trace.Table{
+	t := &report.Table{
 		Title:   "Figure 9 — A random topology (node placement)",
 		Headers: []string{"Node", "X", "Y", "Role", "Degree"},
 		Notes: []string{
@@ -161,111 +141,81 @@ func Fig9(cfg Config) *trace.Artifact {
 			role = "destination pool"
 		}
 		p := net.Topo.Pos(id)
-		t.AddRow(strconv.Itoa(i), trace.F2(p.X), trace.F2(p.Y), role, strconv.Itoa(net.Topo.Degree(id)))
+		t.AddRow(strconv.Itoa(i), report.F2(p.X), report.F2(p.Y), role, strconv.Itoa(net.Topo.Degree(id)))
 	}
-	return &trace.Artifact{ID: "fig9", Kind: "figure", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "fig9", Kind: "figure", Tables: []*report.Table{t}}
 }
 
 // Fig10 reproduces Figure 10: p_max on random topologies (fresh placement
 // per run), normal versus attacked.
-func Fig10(cfg Config) *trace.Artifact {
+func Fig10(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	t := seriesTable(cfg, "Figure 10 — p_max of networks with random topology (MR)", "pmax", pmaxOf,
-		[]Condition{
-			randomCond(0, mrProtocol, "MR"),
-			randomCond(1, mrProtocol, "MR"),
+	t := seriesTable(cfg, "Figure 10 — p_max of networks with random topology (MR)", pmaxOf,
+		[]column{
+			{"Normal", newCond("random", buildRandom(), 0, mrProtocol, "MR")},
+			{"Attack", newCond("random", buildRandom(), 1, mrProtocol, "MR")},
 		},
-		[]string{"Normal", "Attack"},
 		"Paper shape: p_max alone separates attack from normal on random topologies "+
 			"(the paper does not plot phi here, and phi is indeed uninformative).",
 	)
-	return &trace.Artifact{ID: "fig10", Kind: "figure", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "fig10", Kind: "figure", Tables: []*report.Table{t}}
 }
 
 // Fig11 reproduces Figure 11: p_max of cluster systems at 1-tier and 2-tier
 // transmission ranges.
-func Fig11(cfg Config) *trace.Artifact {
+func Fig11(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	t := seriesTable(cfg, "Figure 11 — p_max of cluster systems, 1-tier vs 2-tier (MR)", "pmax", pmaxOf,
-		[]Condition{
-			clusterCond(1, 0, mrProtocol, "MR"),
-			clusterCond(1, 1, mrProtocol, "MR"),
-			clusterCond(2, 0, mrProtocol, "MR"),
-			clusterCond(2, 1, mrProtocol, "MR"),
-		},
-		[]string{"1-tier normal", "1-tier attack", "2-tier normal", "2-tier attack"},
+	t := seriesTable(cfg, "Figure 11 — p_max of cluster systems, 1-tier vs 2-tier (MR)", pmaxOf, tierCols,
 		"Paper shape: attack above normal at both ranges; the attack stays effective "+
 			"as long as the tunnel is much longer than the transmission range.",
 	)
-	return &trace.Artifact{ID: "fig11", Kind: "figure", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "fig11", Kind: "figure", Tables: []*report.Table{t}}
 }
 
 // Fig12 reproduces Figure 12: phi for the same conditions as Fig11.
-func Fig12(cfg Config) *trace.Artifact {
+func Fig12(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	t := seriesTable(cfg, "Figure 12 — phi of cluster systems, 1-tier vs 2-tier (MR)", "phi", phiOf,
-		[]Condition{
-			clusterCond(1, 0, mrProtocol, "MR"),
-			clusterCond(1, 1, mrProtocol, "MR"),
-			clusterCond(2, 0, mrProtocol, "MR"),
-			clusterCond(2, 1, mrProtocol, "MR"),
-		},
-		[]string{"1-tier normal", "1-tier attack", "2-tier normal", "2-tier attack"},
+	t := seriesTable(cfg, "Figure 12 — phi of cluster systems, 1-tier vs 2-tier (MR)", phiOf, tierCols,
 		"Known deviation: in this reconstruction the 2-tier normal phi is elevated by "+
 			"grid-parity bottlenecks of ideal unit-disk ranges, so the paper's phi ordering "+
 			"holds at 1-tier but not 2-tier; p_max (Fig 11) separates at both.",
 	)
-	return &trace.Artifact{ID: "fig12", Kind: "figure", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "fig12", Kind: "figure", Tables: []*report.Table{t}}
 }
 
 // Fig13 reproduces Figure 13: p_max computed from MR routes versus DSR
 // routes on the 1-tier cluster.
-func Fig13(cfg Config) *trace.Artifact {
+func Fig13(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	t := seriesTable(cfg, "Figure 13 — p_max of 1-tier cluster, MR vs DSR routes", "pmax", pmaxOf,
-		[]Condition{
-			clusterCond(1, 0, mrProtocol, "MR"),
-			clusterCond(1, 1, mrProtocol, "MR"),
-			clusterCond(1, 0, dsrProtocol, "DSR"),
-			clusterCond(1, 1, dsrProtocol, "DSR"),
-		},
-		[]string{"MR normal", "MR attack", "DSR normal", "DSR attack"},
+	t := seriesTable(cfg, "Figure 13 — p_max of 1-tier cluster, MR vs DSR routes", pmaxOf, protocolCols,
 		"Paper shape: p_max separates for both protocols — statistical detection also "+
 			"works on routes from protocols other than MR.",
 	)
-	return &trace.Artifact{ID: "fig13", Kind: "figure", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "fig13", Kind: "figure", Tables: []*report.Table{t}}
 }
 
 // Fig14 reproduces Figure 14: phi for the same conditions as Fig13.
-func Fig14(cfg Config) *trace.Artifact {
+func Fig14(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	t := seriesTable(cfg, "Figure 14 — phi of 1-tier cluster, MR vs DSR routes", "phi", phiOf,
-		[]Condition{
-			clusterCond(1, 0, mrProtocol, "MR"),
-			clusterCond(1, 1, mrProtocol, "MR"),
-			clusterCond(1, 0, dsrProtocol, "DSR"),
-			clusterCond(1, 1, dsrProtocol, "DSR"),
-		},
-		[]string{"MR normal", "MR attack", "DSR normal", "DSR attack"},
+	t := seriesTable(cfg, "Figure 14 — phi of 1-tier cluster, MR vs DSR routes", phiOf, protocolCols,
 		"Paper shape: phi keeps its character for MR but not for DSR — DSR's few routes "+
 			"make the gap statistic unreliable.",
 	)
-	return &trace.Artifact{ID: "fig14", Kind: "figure", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "fig14", Kind: "figure", Tables: []*report.Table{t}}
 }
 
 // Fig15 reproduces Figure 15: p_max under zero, one and two simultaneous
 // wormhole attacks on the 1-tier cluster.
-func Fig15(cfg Config) *trace.Artifact {
+func Fig15(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	t := seriesTable(cfg, "Figure 15 — p_max under no/one/two wormhole attacks (1-tier cluster, MR)", "pmax", pmaxOf,
-		[]Condition{
-			clusterCond(1, 0, mrProtocol, "MR"),
-			clusterCond(1, 1, mrProtocol, "MR"),
-			clusterCond(1, 2, mrProtocol, "MR"),
+	t := seriesTable(cfg, "Figure 15 — p_max under no/one/two wormhole attacks (1-tier cluster, MR)", pmaxOf,
+		[]column{
+			{"No wormhole", clusterCond(1, 0, mrProtocol, "MR")},
+			{"One wormhole", clusterCond(1, 1, mrProtocol, "MR")},
+			{"Two wormholes", clusterCond(1, 2, mrProtocol, "MR")},
 		},
-		[]string{"No wormhole", "One wormhole", "Two wormholes"},
 		"Paper shape: p_max much higher in both attacked systems than normal; variance "+
 			"grows with the number of wormholes (tunnels compete for routes).",
 	)
-	return &trace.Artifact{ID: "fig15", Kind: "figure", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "fig15", Kind: "figure", Tables: []*report.Table{t}}
 }

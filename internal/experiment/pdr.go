@@ -2,12 +2,12 @@ package experiment
 
 import (
 	"samnet/internal/attack"
+	"samnet/internal/report"
 	"samnet/internal/routing"
 	"samnet/internal/runner"
 	"samnet/internal/sam"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
-	"samnet/internal/trace"
 )
 
 // PDR measures what the wormhole actually costs and what SAM's response
@@ -23,15 +23,14 @@ import (
 // The paper motivates SAM with exactly this damage model ("the attack nodes
 // may perform various attacks, such as the black hole attacks") but never
 // quantifies delivery; this closes that loop.
-func PDR(cfg Config) *trace.Artifact {
+func PDR(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	const packetsPerRun = 5
 
-	t := &trace.Table{
+	t := &report.Table{
 		Title:   "Extension — packet delivery ratio under a blackhole wormhole (1-tier cluster, MR)",
 		Headers: []string{"Regime", "Delivered", "PDR"},
 		Notes: []string{
-			"Each run sends " + trace.D(packetsPerRun) + " data packets over the (up to 2) routes " +
+			"Each run sends " + report.D(packetsPerRun) + " data packets over the (up to 2) routes " +
 				"the source would select; attackers drop all payloads.",
 			"'detected' uses SAM's selected routes after the pipeline's verdict; in the cluster " +
 				"every collected route crosses the tunnel, so recovery requires the isolation step.",
@@ -39,23 +38,10 @@ func PDR(cfg Config) *trace.Artifact {
 	}
 
 	// Train the detector on normal-condition discoveries.
-	trainCfg := cfg
-	trainCfg.Runs = 30
-	trainCfg.Seed = cfg.Seed + 11
-	trainer := sam.NewTrainer("pdr", 0)
-	for _, r := range RunCondition(trainCfg, clusterCond(1, 0, mrProtocol, "MR")) {
-		trainer.Observe(r.Stats)
-	}
-	profile, err := trainer.Profile()
-	if err != nil {
-		panic("experiment: pdr training failed: " + err.Error())
-	}
+	profile := trainProfile(cfg, "pdr", 11, clusterCond(1, 0, mrProtocol, "MR").stats)
 
-	type pdrOut struct {
-		sent, delivered [3]int
-	}
-	outs := runner.MapWorkerProgress(cfg.Workers, cfg.Runs, cfg.Progress, newSimCache, func(run int, cache *simCache) pdrOut {
-		var tally pdrOut
+	outs := runner.MapWorkerProgress(cfg.Workers, cfg.Runs, cfg.Progress, newSimCache, func(run int, cache *simCache) delivery {
+		var tally delivery
 		net := topology.Cluster(1, 2)
 		sc := attack.NewScenario(net, 1, attack.Blackhole)
 		src, dst := net.PickPair(pairRNG(cfg.Seed, run))
@@ -65,12 +51,9 @@ func PDR(cfg Config) *trace.Artifact {
 		sc.Arm(discNet)
 		disc := mrProtocol().Discover(discNet, src, dst)
 
-		send := func(regime int, routes []routing.Route, excluded map[topology.NodeID]bool) {
-			routes = routing.SelectDisjoint(routes, 2)
-			if len(routes) == 0 {
-				tally.sent[regime] += packetsPerRun // nothing usable: all lost
-				return
-			}
+		// sendNet prepares the delivery network: the attack armed, and the
+		// excluded nodes' links cut when isolation applies.
+		sendNet := func(excluded map[topology.NodeID]bool) *sim.Network {
 			pNet := cache.network(net.Topo, sim.Config{Seed: deriveSeed(cfg.Seed, "pdr/send", run)})
 			policy := sc.Arm(pNet)
 			if excluded != nil {
@@ -79,20 +62,11 @@ func PDR(cfg Config) *trace.Artifact {
 					return excluded[from] || excluded[to] || inner(n, from, to, pkt)
 				})
 			}
-			var batch []routing.Route
-			for i := 0; i < packetsPerRun; i++ {
-				batch = append(batch, routes[i%len(routes)])
-			}
-			for _, res := range routing.ProbeRoutes(pNet, batch) {
-				tally.sent[regime]++
-				if res.Acked {
-					tally.delivered[regime]++
-				}
-			}
+			return pNet
 		}
 
 		// Regime 0 — oblivious: use the attacked discovery's routes as-is.
-		send(0, disc.Routes, nil)
+		tally.send(0, sendNet(nil), disc.Routes)
 
 		// Regime 1 — detected: run the pipeline, use its selected routes.
 		det := sam.NewDetector(profile, sam.DetectorConfig{})
@@ -101,7 +75,7 @@ func PDR(cfg Config) *trace.Artifact {
 			Protocol: mrProtocol, Behavior: attack.Blackhole,
 		}, RunResult{Run: run}, cache), nil, sam.PipelineConfig{})
 		out := pipe.Process(disc.Routes)
-		send(1, out.SelectedRoutes, nil)
+		tally.send(1, sendNet(nil), out.SelectedRoutes)
 
 		// Regime 2 — isolated: cut the accused pair out and rediscover.
 		excluded := map[topology.NodeID]bool{}
@@ -114,26 +88,67 @@ func PDR(cfg Config) *trace.Artifact {
 			return excluded[from] || excluded[to]
 		})
 		clean := mrProtocol().Discover(redisc, src, dst)
-		send(2, clean.Routes, excluded)
+		tally.send(2, sendNet(excluded), clean.Routes)
 
 		sc.Teardown()
 		return tally
 	})
-	var sent, delivered [3]int
+	var total delivery
 	for _, o := range outs {
-		for i := 0; i < 3; i++ {
-			sent[i] += o.sent[i]
-			delivered[i] += o.delivered[i]
-		}
+		total.add(o)
 	}
 
 	names := []string{"oblivious (no detection)", "detected (avoid accused link)", "isolated (step 3) + rediscovery"}
 	for i, name := range names {
-		ratio := 0.0
-		if sent[i] > 0 {
-			ratio = float64(delivered[i]) / float64(sent[i])
-		}
-		t.AddRow(name, trace.D(delivered[i])+"/"+trace.D(sent[i]), trace.Pct(ratio))
+		t.AddRow(name, report.D(total.delivered[i])+"/"+report.D(total.sent[i]), report.Pct(total.ratio(i)))
 	}
-	return &trace.Artifact{ID: "pdr", Kind: "extension", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "pdr", Kind: "extension", Tables: []*report.Table{t}}
+}
+
+// packetsPerRun is how many data packets pdr and verifyloop send in each
+// delivery regime of a run.
+const packetsPerRun = 5
+
+// delivery tallies the data packets sent and delivered in each of three
+// delivery regimes.
+type delivery struct {
+	sent, delivered [3]int
+}
+
+// send delivers packetsPerRun data packets round-robin over the (up to 2)
+// maximally disjoint routes a source would select, on a network the caller
+// prepared (attack armed, isolation applied), and tallies them under regime.
+// With no usable route every packet counts as lost.
+func (d *delivery) send(regime int, net *sim.Network, routes []routing.Route) {
+	routes = routing.SelectDisjoint(routes, 2)
+	if len(routes) == 0 {
+		d.sent[regime] += packetsPerRun
+		return
+	}
+	batch := make([]routing.Route, packetsPerRun)
+	for i := range batch {
+		batch[i] = routes[i%len(routes)]
+	}
+	for _, res := range routing.ProbeRoutes(net, batch) {
+		d.sent[regime]++
+		if res.Acked {
+			d.delivered[regime]++
+		}
+	}
+}
+
+// add folds another run's tally into d.
+func (d *delivery) add(o delivery) {
+	for i := range d.sent {
+		d.sent[i] += o.sent[i]
+		d.delivered[i] += o.delivered[i]
+	}
+}
+
+// ratio is the regime's packet delivery ratio, 0 when nothing was sent.
+func (d delivery) ratio(regime int) float64 {
+	if d.sent[regime] == 0 {
+		return 0
+	}
+	return float64(d.delivered[regime]) / float64(d.sent[regime])
 }

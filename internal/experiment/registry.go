@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"samnet/internal/trace"
+	"samnet/internal/report"
 )
 
 // Definition names one reproducible experiment.
@@ -12,7 +12,7 @@ type Definition struct {
 	ID    string
 	Kind  string // "table", "figure" or "extension"
 	Title string
-	Run   func(Config) *trace.Artifact
+	Run   func(Config) *report.Artifact
 }
 
 // Registry lists every experiment in presentation order: the paper's two

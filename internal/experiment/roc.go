@@ -1,15 +1,15 @@
 package experiment
 
 import (
+	"samnet/internal/report"
 	"samnet/internal/sam"
-	"samnet/internal/trace"
 )
 
 // ROC sweeps the detector's sensitivity (the z-score ramp) and reports the
 // detection/false-alarm trade-off on the cluster workload — the operating
 // curve a deployment would use to pick thresholds. The paper fixes one
 // operating point implicitly; this makes the whole curve visible.
-func ROC(cfg Config) *trace.Artifact {
+func ROC(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
 
 	// More evaluation runs than the default 10 make the rates legible.
@@ -22,19 +22,9 @@ func ROC(cfg Config) *trace.Artifact {
 	attacked := RunCondition(evalCfg, clusterCond(1, 1, mrProtocol, "MR"))
 
 	// Train on a disjoint workload stream.
-	trainCfg := cfg
-	trainCfg.Runs = 30
-	trainCfg.Seed = cfg.Seed + 7
-	trainer := sam.NewTrainer("roc", 0)
-	for _, r := range RunCondition(trainCfg, clusterCond(1, 0, mrProtocol, "MR")) {
-		trainer.Observe(r.Stats)
-	}
-	profile, err := trainer.Profile()
-	if err != nil {
-		panic("experiment: roc training failed: " + err.Error())
-	}
+	profile := trainProfile(cfg, "roc", 7, clusterCond(1, 0, mrProtocol, "MR").stats)
 
-	t := &trace.Table{
+	t := &report.Table{
 		Title:   "Extension — detector operating curve (1-tier cluster, MR)",
 		Headers: []string{"Sensitivity (z-ramp)", "Detection rate", "False-alarm rate", "Mean lambda gap"},
 		Notes: []string{
@@ -72,10 +62,10 @@ func ROC(cfg Config) *trace.Artifact {
 		}
 		n := float64(evalCfg.Runs)
 		t.AddRow(sw.name,
-			trace.Pct(float64(tp)/n),
-			trace.Pct(float64(fp)/n),
-			trace.F((lamN-lamA)/n),
+			report.Pct(float64(tp)/n),
+			report.Pct(float64(fp)/n),
+			report.F((lamN-lamA)/n),
 		)
 	}
-	return &trace.Artifact{ID: "roc", Kind: "extension", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "roc", Kind: "extension", Tables: []*report.Table{t}}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"samnet/internal/attack"
+	"samnet/internal/report"
 	"samnet/internal/routing"
 	"samnet/internal/routing/dsr"
 	"samnet/internal/routing/mr"
@@ -9,7 +10,6 @@ import (
 	"samnet/internal/sam"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
-	"samnet/internal/trace"
 )
 
 // ROCMatrix sweeps the detector family against the adversary family — the
@@ -22,11 +22,11 @@ import (
 // split it, adaptive throttling starves it, forgery diversifies it) and the
 // hybrid's side channels recover the detection — without raising the normal
 // rows' false-alarm rate.
-func ROCMatrix(cfg Config) *trace.Artifact {
+func ROCMatrix(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
 	rows := rocMatrixRows(cfg)
 
-	matrix := &trace.Table{
+	matrix := &report.Table{
 		Title:   "Extension — ROC matrix: detector family vs. adversary family (1-tier cluster)",
 		Headers: []string{"Scenario", "Routes", "p_max", "SAM", "PMF", "Hybrid"},
 		Notes: []string{
@@ -39,7 +39,7 @@ func ROCMatrix(cfg Config) *trace.Artifact {
 				"source receives (forged replies never reach the destination's collection).",
 		},
 	}
-	channels := &trace.Table{
+	channels := &report.Table{
 		Title:   "Hybrid evidence channels (fraction of runs each channel fired)",
 		Headers: []string{"Scenario", "BySAM", "ByPMF", "ByZ", "ByNeighbor", "ByDelay"},
 		Notes: []string{
@@ -50,13 +50,13 @@ func ROCMatrix(cfg Config) *trace.Artifact {
 	}
 	for _, r := range rows {
 		matrix.AddRow(r.Scenario,
-			trace.F2(r.MeanRoutes), trace.F(r.MeanPMax),
-			trace.Pct(r.SAM), trace.Pct(r.PMF), trace.Pct(r.Hybrid))
+			report.F2(r.MeanRoutes), report.F(r.MeanPMax),
+			report.Pct(r.SAM), report.Pct(r.PMF), report.Pct(r.Hybrid))
 		channels.AddRow(r.Scenario,
-			trace.Pct(r.Channels[0]), trace.Pct(r.Channels[1]), trace.Pct(r.Channels[2]),
-			trace.Pct(r.Channels[3]), trace.Pct(r.Channels[4]))
+			report.Pct(r.Channels[0]), report.Pct(r.Channels[1]), report.Pct(r.Channels[2]),
+			report.Pct(r.Channels[3]), report.Pct(r.Channels[4]))
 	}
-	return &trace.Artifact{ID: "rocmatrix", Kind: "extension", Tables: []*trace.Table{matrix, channels}}
+	return &report.Artifact{ID: "rocmatrix", Kind: "extension", Tables: []*report.Table{matrix, channels}}
 }
 
 // rocMatrixRow is one scenario's aggregate outcome, exposed separately from
@@ -156,22 +156,10 @@ func rocMatrixRun(cfg Config, label, proto, variant string, run int, cache *simC
 // seed stream disjoint from evaluation.
 func rocMatrixProfile(cfg Config, proto string) *sam.Profile {
 	label := "rocmatrix/train/" + proto
-	trainCfg := cfg
-	trainCfg.Runs = 30
-	trainCfg.Seed = cfg.Seed + 13
-	statsOut := runner.MapWorkerProgress(trainCfg.Workers, trainCfg.Runs, trainCfg.Progress, newSimCache, func(run int, cache *simCache) sam.Stats {
-		routes, _, _ := rocMatrixRun(trainCfg, label, proto, "", run, cache)
+	return trainProfile(cfg, label, 13, func(cfg Config, run int, cache *simCache) sam.Stats {
+		routes, _, _ := rocMatrixRun(cfg, label, proto, "", run, cache)
 		return sam.Analyze(routes)
 	})
-	trainer := sam.NewTrainer(label, 0)
-	for _, s := range statsOut {
-		trainer.Observe(s)
-	}
-	profile, err := trainer.Profile()
-	if err != nil {
-		panic("experiment: rocmatrix training failed: " + err.Error())
-	}
-	return profile
 }
 
 func rocMatrixRows(cfg Config) []rocMatrixRow {

@@ -3,106 +3,80 @@ package experiment
 import (
 	"strconv"
 
-	"samnet/internal/trace"
+	"samnet/internal/report"
 )
 
 // Table1 reproduces Table I: the percentage of obtained routes affected by
 // the wormhole, per run, for MR and DSR on the cluster and uniform
 // topologies (one active wormhole, 1-tier).
-func Table1(cfg Config) *trace.Artifact {
+func Table1(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	cols := []struct {
-		name string
-		cond Condition
-	}{
-		{"Cluster MR", clusterCond(1, 1, mrProtocol, "MR")},
-		{"Cluster DSR", clusterCond(1, 1, dsrProtocol, "DSR")},
-		{"Uniform MR", uniformCond(6, 6, 1, 1, mrProtocol, "MR")},
-		{"Uniform DSR", uniformCond(6, 6, 1, 1, dsrProtocol, "DSR")},
-	}
-	conds := make([]Condition, len(cols))
-	for i, c := range cols {
-		conds[i] = c.cond
-	}
-	results := RunConditions(cfg, conds)
+	results, headers := runColumns(cfg, tableCols)
 
-	t := &trace.Table{
+	t := &report.Table{
 		Title:   "Table I — Percentage of routes affected by wormhole attack",
-		Headers: []string{"Run", "Cluster MR", "Cluster DSR", "Uniform MR", "Uniform DSR"},
+		Headers: headers,
 		Notes: []string{
 			"Paper shape: all cluster-topology routes affected (100%) for both protocols; " +
 				"uniform topology lower, with MR no worse than DSR.",
 		},
 	}
-	avg := make([]float64, len(cols))
+	avg := make([]float64, len(tableCols))
 	for run := 0; run < cfg.Runs; run++ {
 		row := []string{strconv.Itoa(run + 1)}
-		for i := range cols {
+		for i := range tableCols {
 			a := results[i][run].Affected
 			avg[i] += a
-			row = append(row, trace.Pct(a))
+			row = append(row, report.Pct(a))
 		}
 		t.AddRow(row...)
 	}
 	row := []string{"avg"}
-	for i := range cols {
-		row = append(row, trace.Pct(avg[i]/float64(cfg.Runs)))
+	for i := range tableCols {
+		row = append(row, report.Pct(avg[i]/float64(cfg.Runs)))
 	}
 	t.AddRow(row...)
-	return &trace.Artifact{ID: "table1", Kind: "table", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "table1", Kind: "table", Tables: []*report.Table{t}}
 }
 
 // Table2 reproduces Table II: route-discovery overhead (total transmissions
 // plus receptions at all nodes) per run for MR and DSR, same setups as
 // Table I.
-func Table2(cfg Config) *trace.Artifact {
+func Table2(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	cols := []struct {
-		name string
-		cond Condition
-	}{
-		{"Cluster MR", clusterCond(1, 1, mrProtocol, "MR")},
-		{"Cluster DSR", clusterCond(1, 1, dsrProtocol, "DSR")},
-		{"Uniform MR", uniformCond(6, 6, 1, 1, mrProtocol, "MR")},
-		{"Uniform DSR", uniformCond(6, 6, 1, 1, dsrProtocol, "DSR")},
-	}
-	conds := make([]Condition, len(cols))
-	for i, c := range cols {
-		conds[i] = c.cond
-	}
-	results := RunConditions(cfg, conds)
+	results, headers := runColumns(cfg, tableCols)
 
-	t := &trace.Table{
+	t := &report.Table{
 		Title:   "Table II — Overhead of route discovery (tx+rx at all nodes)",
-		Headers: []string{"Run", "Cluster MR", "Cluster DSR", "Uniform MR", "Uniform DSR"},
+		Headers: headers,
 		Notes: []string{
 			"Paper shape: MR overhead is more than twice DSR's on average, justified by " +
 				"needing a new discovery only when all paths break.",
 		},
 	}
-	sums := make([]int64, len(cols))
+	sums := make([]int64, len(tableCols))
 	for run := 0; run < cfg.Runs; run++ {
 		row := []string{strconv.Itoa(run + 1)}
-		for i := range cols {
+		for i := range tableCols {
 			ov := results[i][run].Overhead
 			sums[i] += ov
-			row = append(row, trace.D(ov))
+			row = append(row, report.D(ov))
 		}
 		t.AddRow(row...)
 	}
 	row := []string{"avg"}
-	for i := range cols {
-		row = append(row, trace.D(sums[i]/int64(cfg.Runs)))
+	for i := range tableCols {
+		row = append(row, report.D(sums[i]/int64(cfg.Runs)))
 	}
 	t.AddRow(row...)
 
-	ratio := &trace.Table{
+	ratio := &report.Table{
 		Title:   "Table II (companion) — MR/DSR overhead ratio",
 		Headers: []string{"Topology", "MR avg", "DSR avg", "Ratio"},
 	}
 	clusterRatio := float64(sums[0]) / float64(sums[1])
 	uniformRatio := float64(sums[2]) / float64(sums[3])
-	ratio.AddRow("Cluster", trace.D(sums[0]/int64(cfg.Runs)), trace.D(sums[1]/int64(cfg.Runs)), trace.F2(clusterRatio))
-	ratio.AddRow("Uniform", trace.D(sums[2]/int64(cfg.Runs)), trace.D(sums[3]/int64(cfg.Runs)), trace.F2(uniformRatio))
-	return &trace.Artifact{ID: "table2", Kind: "table", Tables: []*trace.Table{t, ratio}}
+	ratio.AddRow("Cluster", report.D(sums[0]/int64(cfg.Runs)), report.D(sums[1]/int64(cfg.Runs)), report.F2(clusterRatio))
+	ratio.AddRow("Uniform", report.D(sums[2]/int64(cfg.Runs)), report.D(sums[3]/int64(cfg.Runs)), report.F2(uniformRatio))
+	return &report.Artifact{ID: "table2", Kind: "table", Tables: []*report.Table{t, ratio}}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"samnet/internal/attack"
+	"samnet/internal/report"
 	"samnet/internal/routing"
 	"samnet/internal/routing/dsr"
 	"samnet/internal/routing/mr"
@@ -9,7 +10,6 @@ import (
 	"samnet/internal/sam"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
-	"samnet/internal/trace"
 	"samnet/internal/verify"
 )
 
@@ -28,15 +28,15 @@ import (
 // post-isolation (attack still armed, routes rediscovered around the
 // isolated pair). The paper describes the probing and isolation steps but
 // never quantifies recovery; this closes that loop.
-func VerifyLoop(cfg Config) *trace.Artifact {
+func VerifyLoop(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
 	rows := verifyLoopRows(cfg)
 
-	t := &trace.Table{
+	t := &report.Table{
 		Title:   "Extension — closed-loop IDS: detect, probe, isolate, re-route",
 		Headers: []string{"Scenario", "PDR pre-attack", "PDR under attack", "PDR post-isolation", "Condemned"},
 		Notes: []string{
-			"Each run sends " + trace.D(verifyLoopPackets) + " data packets over the (up to 2) routes " +
+			"Each run sends " + report.D(packetsPerRun) + " data packets over the (up to 2) routes " +
 				"the source would select; attackers blackhole every payload, probes included.",
 			"'post-isolation' rediscovers with the condemned pair's nodes excluded from flooding " +
 				"(the attack stays armed), so recovery is earned by isolation, not by disarming.",
@@ -44,13 +44,11 @@ func VerifyLoop(cfg Config) *trace.Artifact {
 	}
 	for _, r := range rows {
 		t.AddRow(r.Scenario,
-			trace.Pct(r.PDR[0]), trace.Pct(r.PDR[1]), trace.Pct(r.PDR[2]),
-			trace.D(r.Condemned)+"/"+trace.D(cfg.Runs))
+			report.Pct(r.PDR[0]), report.Pct(r.PDR[1]), report.Pct(r.PDR[2]),
+			report.D(r.Condemned)+"/"+report.D(cfg.Runs))
 	}
-	return &trace.Artifact{ID: "verifyloop", Kind: "extension", Tables: []*trace.Table{t}}
+	return &report.Artifact{ID: "verifyloop", Kind: "extension", Tables: []*report.Table{t}}
 }
-
-const verifyLoopPackets = 5
 
 // verifyLoopRow is one scenario's aggregate outcome, exposed separately from
 // the rendered table so the golden test can pin numeric bands.
@@ -100,25 +98,15 @@ func runVerifyLoopScenario(cfg Config, sc verifyLoopScenario) verifyLoopRow {
 
 	// Train the detector on normal-condition discoveries of the same
 	// scenario, off the main seed stream (as the pdr extension does).
-	trainCfg := cfg
-	trainCfg.Runs = 30
-	trainCfg.Seed = cfg.Seed + 11
-	trainer := sam.NewTrainer(label, 0)
-	for _, r := range RunCondition(trainCfg, Condition{
+	profile := trainProfile(cfg, label, 11, Condition{
 		Label:    label + "/train",
 		Build:    sc.build,
 		Protocol: func() routing.Protocol { return sc.proto(nil) },
-	}) {
-		trainer.Observe(r.Stats)
-	}
-	profile, err := trainer.Profile()
-	if err != nil {
-		panic("experiment: verifyloop training failed: " + err.Error())
-	}
+	}.stats)
 
 	type loopOut struct {
-		sent, delivered [3]int
-		condemned       int
+		delivery
+		condemned int
 	}
 	outs := runner.MapWorkerProgress(cfg.Workers, cfg.Runs, cfg.Progress, newSimCache, func(run int, cache *simCache) loopOut {
 		var tally loopOut
@@ -126,28 +114,10 @@ func runVerifyLoopScenario(cfg Config, sc verifyLoopScenario) verifyLoopRow {
 		atk := attack.NewScenario(net, 1, attack.Blackhole)
 		src, dst := net.PickPair(pairRNG(cfg.Seed, run))
 
-		send := func(regime int, simNet *sim.Network, routes []routing.Route) {
-			routes = routing.SelectDisjoint(routes, 2)
-			if len(routes) == 0 {
-				tally.sent[regime] += verifyLoopPackets // nothing usable: all lost
-				return
-			}
-			var batch []routing.Route
-			for i := 0; i < verifyLoopPackets; i++ {
-				batch = append(batch, routes[i%len(routes)])
-			}
-			for _, res := range routing.ProbeRoutes(simNet, batch) {
-				tally.sent[regime]++
-				if res.Acked {
-					tally.delivered[regime]++
-				}
-			}
-		}
-
 		// Regime 0 — pre-attack: clean discovery and delivery, no attack.
 		preNet := cache.network(net.Topo, sim.Config{Seed: deriveSeed(cfg.Seed, label+"/pre", run)})
 		pre := sc.proto(nil).Discover(preNet, src, dst)
-		send(0, preNet, pre.Routes)
+		tally.send(0, preNet, pre.Routes)
 
 		// Regime 1 — under attack: the oblivious source discovers and sends
 		// through the armed blackhole.
@@ -156,7 +126,7 @@ func runVerifyLoopScenario(cfg Config, sc verifyLoopScenario) verifyLoopRow {
 		disc := sc.proto(nil).Discover(atkNet, src, dst)
 		sendNet := cache.network(net.Topo, sim.Config{Seed: deriveSeed(cfg.Seed, label+"/send", run)})
 		atk.Arm(sendNet)
-		send(1, sendNet, disc.Routes)
+		tally.send(1, sendNet, disc.Routes)
 
 		// Steps 1–3: detect, probe the accused pair, isolate on condemnation.
 		iso := verify.NewIsolationSet()
@@ -164,7 +134,7 @@ func runVerifyLoopScenario(cfg Config, sc verifyLoopScenario) verifyLoopRow {
 		if v.Decision != sam.Normal {
 			probeNet := cache.network(net.Topo, sim.Config{Seed: deriveSeed(cfg.Seed, label+"/probe", run)})
 			atk.Arm(probeNet)
-			verdict := verify.Probe(probeNet, v.SuspectLink, disc.Routes, cfg.Verify, iso)
+			verdict := verify.Probe(probeNet, v.SuspectLink, disc.Routes, verify.Config{}, iso)
 			if verdict.Condemned {
 				iso.Condemn(verdict)
 				tally.condemned = 1
@@ -178,25 +148,20 @@ func runVerifyLoopScenario(cfg Config, sc verifyLoopScenario) verifyLoopRow {
 		clean := sc.proto(iso.Avoid).Discover(redisc, src, dst)
 		postNet := cache.network(net.Topo, sim.Config{Seed: deriveSeed(cfg.Seed, label+"/post", run)})
 		atk.Arm(postNet)
-		send(2, postNet, clean.Routes)
+		tally.send(2, postNet, clean.Routes)
 
 		atk.Teardown()
 		return tally
 	})
 
 	row := verifyLoopRow{Scenario: sc.name}
-	var sent, delivered [3]int
+	var total delivery
 	for _, o := range outs {
 		row.Condemned += o.condemned
-		for i := 0; i < 3; i++ {
-			sent[i] += o.sent[i]
-			delivered[i] += o.delivered[i]
-		}
+		total.add(o.delivery)
 	}
-	for i := 0; i < 3; i++ {
-		if sent[i] > 0 {
-			row.PDR[i] = float64(delivered[i]) / float64(sent[i])
-		}
+	for i := range row.PDR {
+		row.PDR[i] = total.ratio(i)
 	}
 	return row
 }

@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"testing"
-
-	"samnet/internal/verify"
-)
+import "testing"
 
 // TestGoldenVerifyLoop pins the closed-loop claim at the default
 // configuration: the blackhole destroys delivery, the probe protocol
@@ -76,21 +72,6 @@ func TestVerifyLoopDeterminism(t *testing.T) {
 		if got != want {
 			t.Errorf("workers=%d produced different output than workers=1:\n%s\n--- vs ---\n%s",
 				w, got, want)
-		}
-	}
-}
-
-// TestVerifyLoopExplicitZero pins the Config.Verify hook's ExplicitZero
-// semantics: MaxProbes = verify.ExplicitZero means zero probes, so no run
-// can gather evidence and nothing is ever condemned — step 3 never fires.
-func TestVerifyLoopExplicitZero(t *testing.T) {
-	rows := verifyLoopRows(Config{
-		Runs:   4,
-		Verify: verify.Config{MaxProbes: verify.ExplicitZero},
-	})
-	for _, r := range rows {
-		if r.Condemned != 0 {
-			t.Errorf("%s: condemned %d runs with probing disabled, want 0", r.Scenario, r.Condemned)
 		}
 	}
 }

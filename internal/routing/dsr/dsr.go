@@ -14,9 +14,6 @@ import (
 
 // Protocol is DSR route discovery. The zero value is ready to use.
 type Protocol struct {
-	// WaitWindow truncates the destination's collection window after the
-	// first arrival (0 = collect everything).
-	WaitWindow sim.Time
 	// HopSlack matches mr.Protocol.HopSlack: how many hops beyond the
 	// first-arriving route the destination admits. Zero selects
 	// routing.DefaultHopSlack; routing.HopSlackStrict and
@@ -41,7 +38,6 @@ func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing
 		Name:            p.Name(),
 		Rule:            rule,
 		ReplyAll:        true,
-		WaitWindow:      p.WaitWindow,
 		HopSlack:        routing.ProtocolHopSlack(p.HopSlack),
 		SuppressReplies: p.SuppressReplies,
 		Avoid:           p.Avoid,

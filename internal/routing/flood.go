@@ -10,18 +10,12 @@ import (
 
 // NodeState is the per-node, per-request bookkeeping the paper's forwarding
 // rules consult: the hop count and incoming link of the first copy received,
-// and how many copies the node has forwarded in total and per incoming link.
+// and how many copies the node has forwarded.
 type NodeState struct {
 	Seen      bool
 	FirstHops int
 	FirstFrom topology.NodeID
 	Forwarded int
-
-	// Per-incoming-link forward counts, as parallel slices: a node has a
-	// handful of neighbors, so a linear scan beats a map and the slices
-	// recycle across pooled discoveries.
-	fromIDs    []topology.NodeID
-	fromCounts []int
 
 	// gen tags which discovery last touched this entry; state is stored in
 	// a dense generation-tagged slice, so starting a discovery is O(1)
@@ -29,41 +23,9 @@ type NodeState struct {
 	gen uint64
 }
 
-// ForwardsFrom returns how many copies arriving via neighbor from this node
-// has already forwarded.
-func (st *NodeState) ForwardsFrom(from topology.NodeID) int {
-	for i, id := range st.fromIDs {
-		if id == from {
-			return st.fromCounts[i]
-		}
-	}
-	return 0
-}
-
-// AddForward records one forwarded copy that arrived via from. The flood
-// framework calls it on every forward; tests build states with it.
-func (st *NodeState) AddForward(from topology.NodeID) {
-	st.Forwarded++
-	for i, id := range st.fromIDs {
-		if id == from {
-			st.fromCounts[i]++
-			return
-		}
-	}
-	st.fromIDs = append(st.fromIDs, from)
-	st.fromCounts = append(st.fromCounts, 1)
-}
-
-// reset clears the state in place for a new discovery, keeping slice
-// capacity.
+// reset clears the state in place for a new discovery.
 func (st *NodeState) reset(gen uint64) {
-	st.Seen = false
-	st.FirstHops = 0
-	st.FirstFrom = 0
-	st.Forwarded = 0
-	st.fromIDs = st.fromIDs[:0]
-	st.fromCounts = st.fromCounts[:0]
-	st.gen = gen
+	*st = NodeState{gen: gen}
 }
 
 // ForwardRule decides whether node self forwards an RREQ copy that arrived
@@ -128,10 +90,6 @@ type FloodConfig struct {
 	ReplyAll bool
 	// MaxReplies bounds replies when ReplyAll is false (default 2).
 	MaxReplies int
-	// WaitWindow truncates the collected route set to copies arriving
-	// within WaitWindow of the first arrival. Zero means no truncation:
-	// the destination collects until the flood dies out.
-	WaitWindow sim.Time
 	// HopSlack applies the paper's hop-count rule at the destination too:
 	// collected routes may exceed the first-arriving route's hop count by
 	// at most HopSlack (negative disables the filter). The paper's
@@ -350,16 +308,12 @@ func RunDiscovery(net *sim.Network, src, dst topology.NodeID, cfg FloodConfig) *
 	return d
 }
 
-// collectRoutes dedups arrivals and applies the wait window and hop slack,
+// collectRoutes dedups arrivals and applies the hop slack,
 // preserving arrival order, then materializes the survivors out of the
 // arena into one backing slice, with each survivor's arrival time alongside.
 func (f *floodRun) collectRoutes() ([]Route, []sim.Time) {
 	if len(f.arrivals) == 0 {
 		return nil, nil
-	}
-	cutoff := sim.Forever
-	if f.cfg.WaitWindow > 0 {
-		cutoff = f.arrivals[0].at + f.cfg.WaitWindow
 	}
 	maxHops := int32(^uint32(0) >> 1)
 	if f.cfg.HopSlack >= 0 {
@@ -369,7 +323,7 @@ func (f *floodRun) collectRoutes() ([]Route, []sim.Time) {
 	f.keptAt = f.keptAt[:0]
 	total := 0
 	for _, a := range f.arrivals {
-		if a.at > cutoff || f.arena.hops[a.ref] > maxHops {
+		if f.arena.hops[a.ref] > maxHops {
 			continue
 		}
 		dup := false
@@ -479,7 +433,7 @@ func (f *floodRun) recvRREQ(net *sim.Network, self, from topology.NodeID, q *RRE
 		st.FirstFrom = from
 	}
 	if forward {
-		st.AddForward(from)
+		st.Forwarded++
 		fwd := f.rreqs.get()
 		*fwd = RREQ{ReqID: q.ReqID, Src: q.Src, Dst: q.Dst, arena: &f.arena, ref: f.arena.push(f.refFor(q), self)}
 		net.Broadcast(self, fwd)

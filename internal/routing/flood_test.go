@@ -227,47 +227,6 @@ func TestDiscoveryOverheadGrowsWithBudget(t *testing.T) {
 	}
 }
 
-func TestWaitWindowTruncatesCollection(t *testing.T) {
-	topo := gridTopo(5, 4)
-	src, dst := nodeAt(topo, 0, 0), nodeAt(topo, 4, 3)
-	full := RunDiscovery(sim.NewNetwork(topo, sim.Config{Seed: 6}), src, dst,
-		FloodConfig{Name: "t", Rule: forwardAll, MaxForwards: 6, HopSlack: -1, SuppressReplies: true})
-	// A near-zero window keeps only copies arriving (essentially) with the
-	// first one.
-	tiny := RunDiscovery(sim.NewNetwork(topo, sim.Config{Seed: 6}), src, dst,
-		FloodConfig{Name: "t", Rule: forwardAll, MaxForwards: 6, HopSlack: -1,
-			WaitWindow: 0.001, SuppressReplies: true})
-	if len(tiny.Routes) >= len(full.Routes) {
-		t.Errorf("tiny window kept %d routes, full kept %d", len(tiny.Routes), len(full.Routes))
-	}
-	if len(tiny.Routes) == 0 {
-		t.Error("the first arrival itself must always be kept")
-	}
-	// The window is relative to the first arrival, so FirstArrival match.
-	if tiny.FirstArrival != full.FirstArrival {
-		t.Errorf("first arrivals differ: %v vs %v", tiny.FirstArrival, full.FirstArrival)
-	}
-}
-
-func TestWaitWindowLargeKeepsEverything(t *testing.T) {
-	topo := gridTopo(5, 4)
-	src, dst := nodeAt(topo, 0, 0), nodeAt(topo, 4, 3)
-	run := func(window sim.Time) *Discovery {
-		return RunDiscovery(sim.NewNetwork(topo, sim.Config{Seed: 6}), src, dst,
-			FloodConfig{Name: "t", Rule: forwardAll, MaxForwards: 6, HopSlack: -1,
-				WaitWindow: window, SuppressReplies: true})
-	}
-	full, wide := run(0), run(1e6)
-	if len(full.Routes) != len(wide.Routes) {
-		t.Fatalf("wide window kept %d routes, no window kept %d", len(wide.Routes), len(full.Routes))
-	}
-	for i := range full.Routes {
-		if !full.Routes[i].Equal(wide.Routes[i]) {
-			t.Errorf("route %d differs: %v vs %v", i, wide.Routes[i], full.Routes[i])
-		}
-	}
-}
-
 // TestHopSlackSpectrum pins the three HopSlack regimes: zero keeps only
 // routes as short as the first arrival, positive admits bounded detours,
 // negative disables the filter entirely.

@@ -18,14 +18,9 @@ import (
 )
 
 // Protocol is the multi-path routing protocol. The zero value is the
-// paper's MR with a reply budget of 2 maximally disjoint routes.
+// paper's MR; the destination replies to the 2 maximally disjoint routes
+// (routing.FloodConfig.MaxReplies' default).
 type Protocol struct {
-	// MaxReplies is the number of maximally disjoint routes returned to the
-	// source (design parameter; default 2).
-	MaxReplies int
-	// WaitWindow truncates the destination's collection window after the
-	// first RREQ arrival (design parameter; 0 = collect everything).
-	WaitWindow sim.Time
 	// MaxForwards caps the total RREQ copies each intermediate node
 	// forwards per request, modeling the MAC-level contention that keeps
 	// the paper's observed overhead at "more than twice" DSR's rather than
@@ -33,12 +28,6 @@ type Protocol struct {
 	// DefaultMaxForwards; negative means unlimited (the literal unbounded
 	// reading of the paper's rule, kept for the ablation benchmark).
 	MaxForwards int
-	// PerLink caps duplicate forwards per incoming link (the first copy's
-	// link gets one extra duplicate slot). Zero or negative disables the
-	// per-link cap, the default: a per-link cap throttles route diversity
-	// at a wormhole exit, where every tunneled copy arrives over one link.
-	// Positive values are an ablation variant.
-	PerLink int
 	// IncomingLinkRule enables strict SMR: a duplicate is forwarded only if
 	// it arrived over a different link than the first copy.
 	IncomingLinkRule bool
@@ -84,8 +73,6 @@ func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing
 		Name:            p.Name(),
 		Rule:            p.rule,
 		MaxForwards:     knob.Resolve(p.MaxForwards, DefaultMaxForwards), // 0 = unlimited
-		MaxReplies:      p.MaxReplies,
-		WaitWindow:      p.WaitWindow,
 		HopSlack:        routing.ProtocolHopSlack(p.HopSlack),
 		SuppressReplies: p.SuppressReplies,
 		Avoid:           p.Avoid,
@@ -100,17 +87,6 @@ func (p *Protocol) rule(self, from topology.NodeID, q *routing.RREQ, st *routing
 	if q.Hops() > st.FirstHops {
 		return false // longer than the first copy: drop
 	}
-	if p.IncomingLinkRule && from == st.FirstFrom {
-		return false // strict SMR: must arrive over a different link
-	}
-	if perLink := p.PerLink; perLink > 0 {
-		cap := perLink
-		if !p.IncomingLinkRule && from == st.FirstFrom {
-			cap++ // the first copy already used one slot on its link
-		}
-		if st.ForwardsFrom(from) >= cap {
-			return false
-		}
-	}
-	return true
+	// Strict SMR: a duplicate must arrive over a different link.
+	return !p.IncomingLinkRule || from != st.FirstFrom
 }

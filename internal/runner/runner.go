@@ -10,7 +10,7 @@
 //     axis label, run index) — a pure function of the cell's position in the
 //     grid. Which worker executes a cell, and in what order cells complete,
 //     cannot influence a single random draw.
-//  2. Results are merged in grid order. Map writes each result into the
+//  2. Results are merged in grid order. The pool writes each result into the
 //     slot its index owns; no result ever passes through a channel whose
 //     receive order depends on scheduling.
 //  3. Cross-run state folds serially. Anything order-sensitive (trainer
@@ -42,30 +42,20 @@ type Progress interface {
 	RunDone()
 }
 
-// Map executes fn(0..n-1) on min(parallel, n) workers and returns the
-// results in index order. parallel <= 0 selects GOMAXPROCS; parallel == 1
+// MapProgress executes fn(0..n-1) on min(parallel, n) workers and returns
+// the results in index order. parallel <= 0 selects GOMAXPROCS; parallel == 1
 // runs inline with no goroutines at all. A panic in any fn is re-raised on
-// the caller's goroutine after the remaining workers drain.
-func Map[T any](parallel, n int, fn func(i int) T) []T {
-	return MapWorker(parallel, n, noScratch, func(i int, _ struct{}) T { return fn(i) })
-}
-
-// MapProgress is Map with a progress hook.
+// the caller's goroutine after the remaining workers drain. pr, when non-nil,
+// observes the pool (see Progress).
 func MapProgress[T any](parallel, n int, pr Progress, fn func(i int) T) []T {
 	return MapWorkerProgress(parallel, n, pr, noScratch, func(i int, _ struct{}) T { return fn(i) })
 }
 
-// ForEach is Map without collected results: fn(0..n-1) over the pool, same
-// determinism contract (fn must write only to state its index owns).
-func ForEach(parallel, n int, fn func(i int)) {
-	ForEachWorker(parallel, n, noScratch, func(i int, _ struct{}) { fn(i) })
-}
-
 func noScratch() struct{} { return struct{}{} }
 
-// MapWorker is Map with per-worker scratch: newScratch runs once per worker
-// goroutine (once in total when the pool is inline) and its value is passed
-// to every fn call that worker executes. Scratch must be semantically inert
+// MapWorker is MapProgress without a hook and with per-worker scratch:
+// newScratch runs once per worker goroutine (once in total when the pool is
+// inline) and its value is passed to every fn call that worker executes. Scratch must be semantically inert
 // — reusable buffers, pooled networks — because which cells share a scratch
 // depends on scheduling; results must be bitwise-independent of it. The
 // determinism contract is otherwise unchanged.
@@ -79,20 +69,16 @@ func MapWorkerProgress[T, S any](parallel, n int, pr Progress, newScratch func()
 		return nil
 	}
 	out := make([]T, n)
-	ForEachWorkerProgress(parallel, n, pr, newScratch, func(i int, s S) { out[i] = fn(i, s) })
+	forEachWorkerProgress(parallel, n, pr, newScratch, func(i int, s S) { out[i] = fn(i, s) })
 	return out
 }
 
-// ForEachWorker is ForEach with per-worker scratch (see MapWorker).
-func ForEachWorker[S any](parallel, n int, newScratch func() S, fn func(i int, scratch S)) {
-	ForEachWorkerProgress(parallel, n, nil, newScratch, fn)
-}
-
-// ForEachWorkerProgress is ForEachWorker with a progress hook: pr.Start(n)
-// fires before the first run, pr.RunDone after each completed run, on
-// whichever worker finished it. The determinism contract is unchanged — the
-// hook observes scheduling, so it must never feed back into results.
-func ForEachWorkerProgress[S any](parallel, n int, pr Progress, newScratch func() S, fn func(i int, scratch S)) {
+// forEachWorkerProgress runs fn(0..n-1) over the pool with per-worker
+// scratch; fn must write only to state its index owns. pr.Start(n) fires
+// before the first run, pr.RunDone after each completed run, on whichever
+// worker finished it. The determinism contract is unchanged — the hook
+// observes scheduling, so it must never feed back into results.
+func forEachWorkerProgress[S any](parallel, n int, pr Progress, newScratch func() S, fn func(i int, scratch S)) {
 	if n <= 0 {
 		return
 	}
@@ -154,23 +140,11 @@ func ForEachWorkerProgress[S any](parallel, n int, pr Progress, newScratch func(
 	}
 }
 
-// MapGrid executes fn over an outer x inner grid, flattened row-major into
-// one work list so parallelism spans the whole grid (a slow outer row never
-// serializes behind the others), and returns results as [outer][inner]T in
-// grid order.
-func MapGrid[T any](parallel, outer, inner int, fn func(o, i int) T) [][]T {
-	return MapGridWorker(parallel, outer, inner, noScratch, func(o, i int, _ struct{}) T {
-		return fn(o, i)
-	})
-}
-
-// MapGridWorker is MapGrid with per-worker scratch (see MapWorker).
-func MapGridWorker[T, S any](parallel, outer, inner int, newScratch func() S, fn func(o, i int, scratch S) T) [][]T {
-	return MapGridWorkerProgress[T, S](parallel, outer, inner, nil, newScratch, fn)
-}
-
-// MapGridWorkerProgress is MapGridWorker with a progress hook (see
-// Progress); Start receives the flattened cell count outer*inner.
+// MapGridWorkerProgress executes fn over an outer x inner grid, flattened
+// row-major into one work list so parallelism spans the whole grid (a slow
+// outer row never serializes behind the others), and returns results as
+// [outer][inner]T in grid order. Scratch is per worker (see MapWorker); the
+// hook's Start receives the flattened cell count outer*inner.
 func MapGridWorkerProgress[T, S any](parallel, outer, inner int, pr Progress, newScratch func() S, fn func(o, i int, scratch S) T) [][]T {
 	if outer <= 0 || inner <= 0 {
 		return nil

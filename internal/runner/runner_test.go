@@ -15,7 +15,7 @@ func TestMapOrder(t *testing.T) {
 	const n = 203
 	for _, parallel := range []int{1, 2, 4, 7, runtime.GOMAXPROCS(0), n + 5} {
 		var calls atomic.Int64
-		got := Map(parallel, n, func(i int) int {
+		got := MapProgress(parallel, n, nil, func(i int) int {
 			calls.Add(1)
 			return i * i
 		})
@@ -38,7 +38,7 @@ func TestMapOrder(t *testing.T) {
 func TestMapDeterministicRNG(t *testing.T) {
 	const n = 64
 	sample := func(parallel int) []float64 {
-		return Map(parallel, n, func(i int) float64 {
+		return MapProgress(parallel, n, nil, func(i int) float64 {
 			rng := StreamRNG(2005, "determinism", i)
 			s := 0.0
 			for j := 0; j < 100; j++ {
@@ -58,7 +58,9 @@ func TestMapDeterministicRNG(t *testing.T) {
 // TestMapGrid: row-major flattening reassembles into the right [outer][inner]
 // shape with grid-order contents.
 func TestMapGrid(t *testing.T) {
-	got := MapGrid(3, 4, 5, func(o, i int) string { return fmt.Sprintf("%d:%d", o, i) })
+	got := MapGridWorkerProgress(3, 4, 5, nil, noScratch, func(o, i int, _ struct{}) string {
+		return fmt.Sprintf("%d:%d", o, i)
+	})
 	if len(got) != 4 {
 		t.Fatalf("outer = %d, want 4", len(got))
 	}
@@ -86,7 +88,7 @@ func TestForEachPanic(t *testing.T) {
 			t.Fatalf("panic %q does not name the failing run", msg)
 		}
 	}()
-	ForEach(4, 64, func(i int) {
+	forEachWorkerProgress(4, 64, nil, noScratch, func(i int, _ struct{}) {
 		if i == 13 {
 			panic("boom")
 		}
@@ -125,7 +127,7 @@ func (p *countingProgress) RunDone()    { p.done.Add(1) }
 // about the results — at every parallelism level, including inline.
 func TestProgressHookCounts(t *testing.T) {
 	const n = 57
-	want := Map(1, n, func(i int) int { return i * 3 })
+	want := MapWorker(1, n, noScratch, func(i int, _ struct{}) int { return i * 3 })
 	for _, parallel := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		pr := &countingProgress{}
 		got := MapProgress(parallel, n, pr, func(i int) int { return i * 3 })
@@ -160,10 +162,10 @@ func TestProgressNilSafe(t *testing.T) {
 
 // TestMapEmpty: degenerate grids are no-ops, not crashes.
 func TestMapEmpty(t *testing.T) {
-	if got := Map(4, 0, func(i int) int { return i }); got != nil {
-		t.Errorf("Map over empty grid = %v, want nil", got)
+	if got := MapProgress(4, 0, nil, func(i int) int { return i }); got != nil {
+		t.Errorf("MapProgress over empty grid = %v, want nil", got)
 	}
-	if got := MapGrid(4, 0, 3, func(o, i int) int { return 0 }); got != nil {
-		t.Errorf("MapGrid with zero outer = %v, want nil", got)
+	if got := MapGridWorkerProgress(4, 0, 3, nil, noScratch, func(o, i int, _ struct{}) int { return 0 }); got != nil {
+		t.Errorf("MapGridWorkerProgress with zero outer = %v, want nil", got)
 	}
 }

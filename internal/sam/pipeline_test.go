@@ -188,23 +188,6 @@ func TestPipelineProbeBudget(t *testing.T) {
 	_ = tunnel
 }
 
-func TestAgentHistoryAndAlerts(t *testing.T) {
-	tunnel := topology.MkLink(100, 101)
-	a := NewAgent(19, newPipeline(t, &stubProber{badLink: tunnel}, nil))
-	a.OnRouteDiscovery(normalRoutes(70))
-	a.OnRouteDiscovery(attackRoutes())
-	if len(a.History()) != 2 {
-		t.Fatalf("history = %d", len(a.History()))
-	}
-	alerts := a.Alerts()
-	if len(alerts) != 1 {
-		t.Fatalf("alerts = %d, want 1", len(alerts))
-	}
-	if alerts[0].SuspectLink != tunnel {
-		t.Errorf("alert link = %v", alerts[0].SuspectLink)
-	}
-}
-
 func TestCoordinatorQuorum(t *testing.T) {
 	c := NewCoordinator(2)
 	rep := AttackReport{

@@ -275,17 +275,19 @@ func claimAttackerPairs(net *Network, wormholes int, anchors [][2]geom.Point) {
 	}
 	claimed := make(map[NodeID]bool)
 	for i := 0; i < wormholes; i++ {
-		a := nearestUnclaimed(net.Topo, anchors[i][0], claimed)
+		a := NearestUnclaimed(net.Topo, anchors[i][0], claimed)
 		claimed[a] = true
-		b := nearestUnclaimed(net.Topo, anchors[i][1], claimed)
+		b := NearestUnclaimed(net.Topo, anchors[i][1], claimed)
 		claimed[b] = true
 		net.AttackerPairs = append(net.AttackerPairs, [2]NodeID{a, b})
 	}
-	net.SrcPool = withoutNodes(net.SrcPool, claimed)
-	net.DstPool = withoutNodes(net.DstPool, claimed)
+	net.SrcPool = WithoutNodes(net.SrcPool, claimed)
+	net.DstPool = WithoutNodes(net.DstPool, claimed)
 }
 
-func nearestUnclaimed(t *Topology, p geom.Point, claimed map[NodeID]bool) NodeID {
+// NearestUnclaimed returns the placed node nearest p that is not in
+// claimed (ties go to the lower ID). It panics when every node is claimed.
+func NearestUnclaimed(t *Topology, p geom.Point, claimed map[NodeID]bool) NodeID {
 	best := None
 	bestD := math.MaxFloat64
 	for i := 0; i < t.N(); i++ {
@@ -298,12 +300,14 @@ func nearestUnclaimed(t *Topology, p geom.Point, claimed map[NodeID]bool) NodeID
 		}
 	}
 	if best == None {
-		panic("topology: no node available to claim as attacker")
+		panic("topology: every node is already claimed")
 	}
 	return best
 }
 
-func withoutNodes(pool []NodeID, drop map[NodeID]bool) []NodeID {
+// WithoutNodes filters the nodes in drop out of a source/destination pool in
+// place.
+func WithoutNodes(pool []NodeID, drop map[NodeID]bool) []NodeID {
 	out := pool[:0]
 	for _, id := range pool {
 		if !drop[id] {
