@@ -12,7 +12,9 @@ import (
 	"samnet/internal/attack"
 	"samnet/internal/experiment"
 	"samnet/internal/routing"
+	"samnet/internal/routing/aomdv"
 	"samnet/internal/routing/dsr"
+	"samnet/internal/routing/mdsr"
 	"samnet/internal/routing/mr"
 	"samnet/internal/sam"
 	"samnet/internal/sim"
@@ -115,6 +117,41 @@ func BenchmarkDiscoveryMR(b *testing.B) { benchDiscovery(b, &mr.Protocol{}) }
 
 // BenchmarkDiscoveryDSR measures one DSR route discovery.
 func BenchmarkDiscoveryDSR(b *testing.B) { benchDiscovery(b, &dsr.Protocol{}) }
+
+// BenchmarkDiscoveryAOMDV measures one AOMDV route discovery, reply phase
+// over the reverse-route tables included.
+func BenchmarkDiscoveryAOMDV(b *testing.B) { benchDiscovery(b, &aomdv.Protocol{}) }
+
+// BenchmarkDiscoveryMDSR measures one MDSR route discovery.
+func BenchmarkDiscoveryMDSR(b *testing.B) { benchDiscovery(b, &mdsr.Protocol{}) }
+
+// TestDiscoveryAllocs pins the allocations of a warm-network MR and DSR
+// discovery in benchDiscovery's shape at a fixed seed. The flood's pooled
+// scratch makes the flood itself allocation-free, so the counts are the
+// Discovery record, its materialized routes and replies, and arming.
+func TestDiscoveryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	net := topology.Cluster(1, 2)
+	sc := attack.NewScenario(net, 1, attack.Forward)
+	defer sc.Teardown()
+	src, dst := net.SrcPool[0], net.DstPool[len(net.DstPool)-1]
+	s := sim.NewNetwork(net.Topo, sim.Config{Seed: 1})
+	for _, c := range []struct {
+		p   routing.Protocol
+		max float64
+	}{{&mr.Protocol{}, 18}, {&dsr.Protocol{}, 14}} {
+		got := testing.AllocsPerRun(100, func() {
+			s.Reset(1)
+			sc.Arm(s)
+			c.p.Discover(s, src, dst)
+		})
+		if got > c.max {
+			t.Errorf("%s discovery allocates %.1f times, want at most %.0f", c.p.Name(), got, c.max)
+		}
+	}
+}
 
 // BenchmarkAnalyze measures SAM's statistical analysis of one route set.
 func BenchmarkAnalyze(b *testing.B) {

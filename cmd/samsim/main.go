@@ -6,8 +6,9 @@
 //
 //	samsim [-topo cluster|uniform6x6|uniform10x6|random] [-tier K]
 //	       [-wormholes 0|1|2] [-behavior forward|blackhole|greyhole]
-//	       [-protocol mr|smr|dsr] [-seed S] [-profile file.json] [-v]
-//	       [-runs N] [-parallel P] [-progress] [-log-format text|json]
+//	       [-protocol mr|smr|dsr|aomdv|aodv|mdsr] [-seed S]
+//	       [-profile file.json] [-v] [-runs N] [-parallel P] [-progress]
+//	       [-log-format text|json]
 //	       [-cpuprofile file] [-memprofile file]
 //
 // Every run is a cell of the scenario grid batch training sweeps
@@ -26,6 +27,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"strings"
 
 	"samnet/internal/cli"
 	"samnet/internal/obs"
@@ -45,7 +47,7 @@ func main() {
 		tier      = flag.Int("tier", 1, "transmission range in grid spacings (grid topologies)")
 		wormholes = flag.Int("wormholes", 1, "active wormhole pairs (0-2)")
 		behavior  = flag.String("behavior", "forward", "attacker payload behaviour: forward, blackhole, greyhole")
-		protoName = flag.String("protocol", "mr", "routing protocol: mr, smr, dsr, aomdv, mdsr")
+		protoName = flag.String("protocol", "mr", "routing protocol: "+strings.Join(cli.ProtocolNames, ", "))
 		seed      = flag.Uint64("seed", 1, "master seed of the scenario grid")
 		profile   = flag.String("profile", "", "trained profile JSON (from samtrain) to evaluate a verdict")
 		verbose   = flag.Bool("v", false, "print every route (single-run mode)")

@@ -5,8 +5,8 @@
 // Usage:
 //
 //	samtrain [-topo cluster|uniform6x6|uniform10x6|random] [-tier K]
-//	         [-protocol mr|smr|dsr] [-runs N] [-parallel P] [-seed S]
-//	         [-o profile.json] [-snapshot] [-name NAME]
+//	         [-protocol mr|smr|dsr|aomdv|aodv|mdsr] [-runs N] [-parallel P]
+//	         [-seed S] [-o profile.json] [-snapshot] [-name NAME]
 //	         [-progress] [-log-format text|json]
 //
 // -snapshot switches the output to samserve's snapshot format (header line
@@ -28,6 +28,7 @@ import (
 	"flag"
 	"log/slog"
 	"os"
+	"strings"
 
 	"samnet/internal/cli"
 	"samnet/internal/obs"
@@ -41,7 +42,7 @@ func main() {
 	var (
 		topoName  = flag.String("topo", "cluster", "topology: cluster, uniform6x6, uniform10x6, random")
 		tier      = flag.Int("tier", 1, "transmission range in grid spacings")
-		protoName = flag.String("protocol", "mr", "routing protocol: mr, smr, dsr, aomdv, mdsr")
+		protoName = flag.String("protocol", "mr", "routing protocol: "+strings.Join(cli.ProtocolNames, ", "))
 		runs      = flag.Int("runs", 30, "training route discoveries")
 		parallel  = flag.Int("parallel", 0, "worker pool size (0 = all cores, 1 = serial)")
 		seed      = flag.Uint64("seed", 2005, "master seed")

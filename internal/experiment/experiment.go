@@ -211,7 +211,7 @@ func buildRandom() func(Config, int) *topology.Network {
 	}
 }
 
-func mrProtocol() routing.Protocol  { return &mr.Protocol{SuppressReplies: false} }
+func mrProtocol() routing.Protocol  { return &mr.Protocol{} }
 func dsrProtocol() routing.Protocol { return &dsr.Protocol{} }
 
 // newCond assembles a Condition on a named topology. Its label,

@@ -13,14 +13,14 @@
 // copies that arrived with distinct (first hop, last hop) pairs, a
 // link-disjointness heuristic.
 //
-// RREQs carry the traversed path for measurement only (SAM analyzes route
-// link sets); the protocol's forwarding decisions use just (hop count,
-// incoming neighbor), as real AOMDV does.
+// The request flood runs on routing.RunDiscovery: the forwarding rule
+// records reverse paths and forwards only the first copy. RREQs carry the
+// traversed path for measurement only (SAM analyzes route link sets); the
+// protocol's forwarding decisions use just (hop count, incoming neighbor),
+// as real AOMDV does.
 package aomdv
 
 import (
-	"slices"
-
 	"samnet/internal/routing"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
@@ -82,18 +82,14 @@ func (t *Table) Best() (ReverseEntry, bool) {
 
 // Protocol is the AOMDV discovery protocol.
 type Protocol struct {
-	// MaxRoutes caps the destination's link-disjoint replies (default 3).
-	MaxRoutes int
 	// SinglePath degrades the protocol to plain AODV — one reverse entry
 	// per node, one route at the destination — the single-path counterpart
 	// the paper names next to DSR. Used by the protocols experiment.
 	SinglePath bool
-	// SuppressReplies skips the RREP phase.
-	SuppressReplies bool
-	// InspectTables, if set, receives the per-node reverse-route tables at
-	// the end of each discovery — the hook the loop-freedom tests use.
-	InspectTables func(map[topology.NodeID]*Table)
 }
+
+// maxRoutes caps the destination's link-disjoint replies.
+const maxRoutes = 3
 
 // Name implements routing.Protocol.
 func (p *Protocol) Name() string {
@@ -105,146 +101,84 @@ func (p *Protocol) Name() string {
 
 // Discover implements routing.Protocol.
 func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing.Discovery {
-	maxRoutes := p.MaxRoutes
-	if maxRoutes == 0 {
-		maxRoutes = 3
-	}
-	if p.SinglePath {
-		maxRoutes = 1
-	}
-	run := &aomdvRun{
-		proto:     p,
-		src:       src,
-		dst:       dst,
-		maxRoutes: maxRoutes,
-		tables:    make(map[topology.NodeID]*Table),
-		seenPair:  make(map[[2]topology.NodeID]bool),
-	}
-	net.SetAllHandlers(run)
-	net.Schedule(0, func() {
-		net.Broadcast(src, &routing.RREQ{ReqID: 1, Src: src, Dst: dst, Path: routing.Route{src}})
-	})
-	net.Run()
-	if p.InspectTables != nil {
-		p.InspectTables(run.tables)
-	}
-
-	d := &routing.Discovery{Protocol: p.Name(), Src: src, Dst: dst, Routes: run.routes}
-	if len(run.arrivalTimes) > 0 {
-		d.FirstArrival = run.arrivalTimes[0]
-		d.LastArrival = run.arrivalTimes[len(run.arrivalTimes)-1]
-	}
-	if !p.SuppressReplies {
-		for _, r := range run.routes {
-			r := r
-			net.Schedule(0, func() { run.sendRREP(net, r) })
-		}
-		net.Run()
-		d.Replies = run.replies
-	}
-	d.TxTotal, d.RxTotal = net.TotalTraffic()
+	d, _ := p.discover(net, src, dst)
 	return d
 }
 
-type aomdvRun struct {
-	proto     *Protocol
-	src, dst  topology.NodeID
-	maxRoutes int
+// discover runs one discovery and also returns the reverse-route tables it
+// built, indexed by node.
+func (p *Protocol) discover(net *sim.Network, src, dst topology.NodeID) (*routing.Discovery, []Table) {
+	tables := make([]Table, net.Topology().N())
+	d := routing.RunDiscovery(net, src, dst, routing.FloodConfig{
+		Name: p.Name(),
+		Rule: func(self, from topology.NodeID, q *routing.RREQ, st *routing.NodeState) bool {
+			// Record the reverse path whether or not we forward: alternates
+			// build the multipath table (plain AODV keeps only the first).
+			if !st.Seen || !p.SinglePath {
+				tables[self].Accept(from, q.Hops()+1)
+			}
+			return !st.Seen // AOMDV forwards only the first copy, like AODV
+		},
+		HopSlack:        -1,
+		SuppressReplies: true,
+	})
+	n := maxRoutes
+	if p.SinglePath {
+		n = 1
+	}
+	keepDistinctPairs(d, n)
 
-	tables       map[topology.NodeID]*Table
-	routes       []routing.Route
-	arrivalTimes []sim.Time
-	seenPair     map[[2]topology.NodeID]bool
-	replies      []routing.Route
+	// Reply phase: each RREP travels toward the source hop by hop along
+	// reverse entries (distance-vector forwarding, not source routing). The
+	// RREP carries the discovered route only to identify itself; each relay
+	// picks its own reverse next hop.
+	net.SetAllHandlers(sim.HandlerFunc(func(net *sim.Network, self, from topology.NodeID, pkt sim.Packet) {
+		rrep, ok := pkt.(*routing.RREP)
+		if !ok {
+			return
+		}
+		if self == src {
+			d.Replies = append(d.Replies, rrep.Route)
+			return
+		}
+		// No reverse state: the reply dies (counts as route failure).
+		if best, ok := tables[self].Best(); ok {
+			net.Unicast(self, best.NextHop, rrep)
+		}
+	}))
+	for _, r := range d.Routes {
+		net.Unicast(dst, r[len(r)-2], &routing.RREP{Route: r.Clone(), Pos: -1})
+	}
+	net.Run()
+	net.SetAllHandlers(nil)
+	d.TxTotal, d.RxTotal = net.TotalTraffic()
+	return d, tables
 }
 
-// Recv implements sim.Handler.
-func (a *aomdvRun) Recv(net *sim.Network, self, from topology.NodeID, pkt sim.Packet) {
-	switch p := pkt.(type) {
-	case *routing.RREQ:
-		a.recvRREQ(net, self, from, p)
-	case *routing.RREP:
-		a.recvRREP(net, self, p)
-	case *routing.Data:
-		routing.RelayData(net, self, p)
-	case *routing.ACK:
-		routing.RelayACK(net, self, p)
+// keepDistinctPairs applies AOMDV's destination rule to the flood's
+// collection: in arrival order, it keeps routes whose (first hop, last hop)
+// pair is new — a link-disjointness heuristic — up to max of them, along
+// with their arrival times.
+func keepDistinctPairs(d *routing.Discovery, max int) {
+	n := 0
+	for i, r := range d.Routes {
+		if n == max {
+			break
+		}
+		dup := false
+		for _, k := range d.Routes[:n] {
+			if k[1] == r[1] && k[len(k)-2] == r[len(r)-2] {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			d.Routes[n], d.Times[n] = r, d.Times[i]
+			n++
+		}
 	}
-}
-
-func (a *aomdvRun) recvRREQ(net *sim.Network, self, from topology.NodeID, q *routing.RREQ) {
-	if self == a.src || q.Path.Contains(self) {
-		return
+	d.Routes, d.Times = d.Routes[:n], d.Times[:n]
+	if n > 0 {
+		d.FirstArrival, d.LastArrival = d.Times[0], d.Times[n-1]
 	}
-	if self == a.dst {
-		a.acceptAtDst(net, q)
-		return
-	}
-	t := a.tables[self]
-	if t == nil {
-		t = &Table{}
-		a.tables[self] = t
-	}
-	first := len(t.Entries) == 0
-	// Record the reverse path whether or not we forward: alternates build
-	// the multipath table (plain AODV keeps only the first).
-	if first || !a.proto.SinglePath {
-		t.Accept(from, q.Hops()+1)
-	}
-	if !first {
-		return // AOMDV forwards only the first copy, like AODV
-	}
-	fwd := &routing.RREQ{ReqID: q.ReqID, Src: q.Src, Dst: q.Dst, Path: append(q.Path.Clone(), self)}
-	net.Broadcast(self, fwd)
-}
-
-func (a *aomdvRun) acceptAtDst(net *sim.Network, q *routing.RREQ) {
-	route := append(q.Path.Clone(), a.dst)
-	if len(route) < 2 || len(a.routes) >= a.maxRoutes {
-		return
-	}
-	firstHop := route[1]
-	lastHop := route[len(route)-2]
-	key := [2]topology.NodeID{firstHop, lastHop}
-	if a.seenPair[key] {
-		return // not link-disjoint enough: same entry and exit
-	}
-	a.seenPair[key] = true
-	a.routes = append(a.routes, route)
-	a.arrivalTimes = append(a.arrivalTimes, net.Now())
-}
-
-// sendRREP routes a reply toward the source hop-by-hop along reverse
-// entries (distance-vector forwarding, not source routing). The RREP reuses
-// the discovered route only to identify itself; each relay picks its own
-// reverse next hop.
-func (a *aomdvRun) sendRREP(net *sim.Network, route routing.Route) {
-	last := route[len(route)-2]
-	net.Unicast(a.dst, last, &routing.RREP{ReqID: 1, Route: route.Clone(), Pos: -1})
-}
-
-func (a *aomdvRun) recvRREP(net *sim.Network, self topology.NodeID, p *routing.RREP) {
-	if self == a.src {
-		a.replies = append(a.replies, p.Route)
-		return
-	}
-	t := a.tables[self]
-	if t == nil {
-		return // no reverse state: reply dies (counts as route failure)
-	}
-	best, ok := t.Best()
-	if !ok {
-		return
-	}
-	net.Unicast(self, best.NextHop, &routing.RREP{ReqID: p.ReqID, Route: p.Route, Pos: -1})
-}
-
-// SortedNodes returns table keys in ascending order (test helper).
-func SortedNodes(tables map[topology.NodeID]*Table) []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(tables))
-	for id := range tables {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -70,11 +70,16 @@ func TestDiscoverFindsMultipleDisjointishRoutes(t *testing.T) {
 
 func TestMaxRoutesCap(t *testing.T) {
 	net := topology.Uniform(6, 6, 1, 0)
-	s := sim.NewNetwork(net.Topo, sim.Config{Seed: 2})
-	src, dst := net.SrcPool[1], net.DstPool[len(net.DstPool)-2]
-	d := (&Protocol{MaxRoutes: 2}).Discover(s, src, dst)
-	if len(d.Routes) > 2 {
-		t.Errorf("routes = %d, cap 2", len(d.Routes))
+	for seed := uint64(1); seed <= 10; seed++ {
+		s := sim.NewNetwork(net.Topo, sim.Config{Seed: seed})
+		src, dst := net.SrcPool[1], net.DstPool[len(net.DstPool)-2]
+		if d := (&Protocol{}).Discover(s, src, dst); len(d.Routes) > maxRoutes || len(d.Times) != len(d.Routes) {
+			t.Errorf("seed %d: %d routes, %d times, cap %d", seed, len(d.Routes), len(d.Times), maxRoutes)
+		}
+		s.Reset(seed)
+		if d := (&Protocol{SinglePath: true}).Discover(s, src, dst); len(d.Routes) != 1 {
+			t.Errorf("seed %d: AODV kept %d routes, want 1", seed, len(d.Routes))
+		}
 	}
 }
 
@@ -83,16 +88,14 @@ func TestReverseTablesLoopFree(t *testing.T) {
 	// to a node whose own best distance to the source is strictly smaller,
 	// so next-hop chains terminate at the source.
 	net := topology.Uniform(10, 6, 1, 0)
-	var tables map[topology.NodeID]*Table
-	p := &Protocol{InspectTables: func(tb map[topology.NodeID]*Table) { tables = tb }}
 	s := sim.NewNetwork(net.Topo, sim.Config{Seed: 3})
 	src, dst := net.SrcPool[0], net.DstPool[len(net.DstPool)-1]
-	p.Discover(s, src, dst)
-	if len(tables) == 0 {
-		t.Fatal("no reverse tables built")
-	}
-	for _, id := range SortedNodes(tables) {
-		tab := tables[id]
+	_, tables := (&Protocol{}).discover(s, src, dst)
+	built := 0
+	for id, tab := range tables {
+		if len(tab.Entries) > 0 {
+			built++
+		}
 		for _, e := range tab.Entries {
 			if e.Hops > tab.Advertised {
 				t.Fatalf("node %d stores entry longer than advertised: %+v vs %d", id, e, tab.Advertised)
@@ -100,18 +103,17 @@ func TestReverseTablesLoopFree(t *testing.T) {
 			if e.NextHop == src {
 				continue // one hop from the source: chain ends
 			}
-			nt := tables[e.NextHop]
-			if nt == nil {
-				t.Fatalf("node %d next hop %d has no table", id, e.NextHop)
-			}
-			nb, ok := nt.Best()
+			nb, ok := tables[e.NextHop].Best()
 			if !ok {
-				t.Fatalf("node %d next hop %d has empty table", id, e.NextHop)
+				t.Fatalf("node %d next hop %d has no table", id, e.NextHop)
 			}
 			if nb.Hops >= e.Hops {
 				t.Fatalf("loop risk: node %d entry %+v but next hop's best is %d hops", id, e, nb.Hops)
 			}
 		}
+	}
+	if built == 0 {
+		t.Fatal("no reverse tables built")
 	}
 }
 

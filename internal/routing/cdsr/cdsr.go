@@ -1,15 +1,18 @@
-// Package cdsr implements DSR with route caching and intermediate-node
-// replies — the protocol feature the paper's Section IV singles out as a
-// blackhole vector: "attackers do not follow the protocol and reply early
-// without cache lookup". An intermediate node holding a cached path to the
-// destination answers the RREQ itself instead of forwarding; a blackhole
-// attacker simply answers every RREQ instantly with a fabricated one-hop
-// claim to the destination, capturing the source's route before honest
-// replies arrive.
+// Package cdsr implements cached DSR's intermediate-node replies — the
+// protocol feature the paper's Section IV singles out as a blackhole vector:
+// "attackers do not follow the protocol and reply early without cache
+// lookup". Honest nodes start with empty caches, so only the destination
+// answers honestly; a blackhole attacker answers every RREQ instantly with a
+// fabricated one-hop claim to the destination, capturing the source's route
+// before honest replies arrive.
 //
 // The paper's MR forbids intermediate replies entirely, which is why it
 // "provides certain level of resistance to blackhole attack as well"; the
 // blackhole extension experiment quantifies exactly that contrast.
+//
+// cDSR floods with its own handler rather than routing.RunDiscovery: its
+// destination and its attackers answer every request copy mid-flood, while
+// the shared engine collects copies and replies once the flood has died out.
 package cdsr
 
 import (
@@ -18,13 +21,10 @@ import (
 	"samnet/internal/topology"
 )
 
-// Protocol is cache-enabled DSR. Unlike the flooding protocols, its
+// Protocol is DSR with early replies. Unlike the flooding protocols, its
 // Discovery.Routes holds the routes the SOURCE received (reply arrival
 // order) — the set it would actually send data on.
 type Protocol struct {
-	// Caches are the pre-warmed per-node route caches (nil entries mean an
-	// empty cache). Use WarmCaches to populate them from a prior discovery.
-	Caches map[topology.NodeID]*routing.Cache
 	// Malicious nodes reply to every RREQ instantly with a fabricated
 	// route claiming the destination is their neighbor.
 	Malicious map[topology.NodeID]bool
@@ -35,116 +35,62 @@ func (p *Protocol) Name() string { return "DSR+cache" }
 
 // Discover implements routing.Protocol.
 func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing.Discovery {
-	run := &cdsrRun{proto: p, src: src, dst: dst, seen: make(map[topology.NodeID]bool)}
+	run := &cdsrRun{proto: p, src: src, dst: dst, seen: make([]bool, net.Topology().N())}
 	net.SetAllHandlers(run)
-	net.Schedule(0, func() {
-		net.Broadcast(src, &routing.RREQ{ReqID: 1, Src: src, Dst: dst, Path: routing.Route{src}})
-	})
+	net.Schedule(0, func() { net.Broadcast(src, &request{path: routing.Route{src}}) })
 	net.Run()
 	d := &routing.Discovery{Protocol: p.Name(), Src: src, Dst: dst, Routes: run.received}
 	d.TxTotal, d.RxTotal = net.TotalTraffic()
 	return d
 }
 
-// WarmCaches runs one clean MR-style warm-up discovery and feeds every
-// discovered route to the caches of the nodes on it, mimicking the steady
-// state of a network that has been routing for a while.
-func WarmCaches(routes []routing.Route, capacity int) map[topology.NodeID]*routing.Cache {
-	caches := make(map[topology.NodeID]*routing.Cache)
-	for _, r := range routes {
-		for _, id := range r {
-			c := caches[id]
-			if c == nil {
-				c = routing.NewCache(id, capacity)
-				caches[id] = c
-			}
-			c.Add(r)
-		}
-	}
-	return caches
+// request is cDSR's route request. Each copy carries its own path, which
+// the destination or an attacker turns into a reply on the spot.
+type request struct {
+	path routing.Route
 }
 
 type cdsrRun struct {
 	proto    *Protocol
 	src, dst topology.NodeID
-	seen     map[topology.NodeID]bool
+	seen     []bool          // intermediate nodes that have forwarded
 	received []routing.Route // at the source, reply order
 }
 
 // Recv implements sim.Handler.
 func (c *cdsrRun) Recv(net *sim.Network, self, from topology.NodeID, pkt sim.Packet) {
 	switch p := pkt.(type) {
-	case *routing.RREQ:
-		c.recvRREQ(net, self, from, p)
+	case *request:
+		c.recvRequest(net, self, p)
 	case *routing.RREP:
-		c.recvRREP(net, self, p)
-	case *routing.Data:
-		routing.RelayData(net, self, p)
-	case *routing.ACK:
-		routing.RelayACK(net, self, p)
+		if routing.RelayRREP(net, self, p) {
+			c.received = append(c.received, p.Route)
+		}
 	}
 }
 
-func (c *cdsrRun) recvRREQ(net *sim.Network, self, from topology.NodeID, q *routing.RREQ) {
-	if self == c.src || q.Path.Contains(self) {
+func (c *cdsrRun) recvRequest(net *sim.Network, self topology.NodeID, q *request) {
+	if self == c.src || q.path.Contains(self) {
 		return
 	}
 	switch {
 	case self == c.dst:
-		route := append(q.Path.Clone(), self)
-		sendReply(net, route, len(route)-1)
-		return
-
+		reply(net, append(q.path.Clone(), self), len(q.path))
 	case c.proto.Malicious[self]:
 		// The paper's early-reply blackhole: claim the destination is one
 		// hop away, no lookup, no forwarding. The fabricated link
 		// (self,dst) does not exist; data sent on this route dies here.
-		fake := append(append(q.Path.Clone(), self), c.dst)
-		sendReply(net, fake, len(fake)-2)
-		return
+		reply(net, append(q.path.Clone(), self, c.dst), len(q.path))
+	case !c.seen[self]:
+		c.seen[self] = true
+		net.Broadcast(self, &request{path: append(q.path.Clone(), self)})
 	}
-
-	if cache := c.proto.Caches[self]; cache != nil {
-		if suffix, ok := cache.Lookup(c.dst); ok {
-			// Honest cached reply: splice the request path with the cached
-			// suffix (suffix[0] == self).
-			route := append(q.Path.Clone(), suffix...)
-			if route.Simple() {
-				sendReply(net, route, q.Path.Hops()+1)
-				return
-			}
-		}
-	}
-
-	if c.seen[self] {
-		return
-	}
-	c.seen[self] = true
-	net.Broadcast(self, &routing.RREQ{ReqID: q.ReqID, Src: q.Src, Dst: q.Dst, Path: append(q.Path.Clone(), self)})
 }
 
-// sendReply starts an RREP from route[replier] back toward the source.
-// replier is the index of the node answering the request: the destination
-// for real replies, the caching node for cached replies, the attacker for
-// fabricated ones. The hops below replier were traversed by the request, so
-// the reverse unicasts are all adjacent; hops above replier are claims the
-// replier makes (possibly fabricated) that the reply never touches.
-func sendReply(net *sim.Network, route routing.Route, replier int) {
-	if replier <= 0 || replier >= len(route) {
-		return
-	}
-	net.Unicast(route[replier], route[replier-1],
-		&routing.RREP{ReqID: 1, Route: route.Clone(), Pos: replier - 1})
-}
-
-func (c *cdsrRun) recvRREP(net *sim.Network, self topology.NodeID, p *routing.RREP) {
-	if p.Route[p.Pos] != self {
-		return
-	}
-	if p.Pos == 0 {
-		// The source: this is a usable (or fabricated) route.
-		c.received = append(c.received, p.Route)
-		return
-	}
-	net.Unicast(self, p.Route[p.Pos-1], &routing.RREP{ReqID: p.ReqID, Route: p.Route, Pos: p.Pos - 1})
+// reply starts an RREP from route[replier] back toward the source. The hops
+// below replier were traversed by the request, so the reverse unicasts are
+// all adjacent; hops above replier are claims the replier makes (possibly
+// fabricated) that the reply never touches.
+func reply(net *sim.Network, route routing.Route, replier int) {
+	net.Unicast(route[replier], route[replier-1], &routing.RREP{Route: route, Pos: replier - 1})
 }

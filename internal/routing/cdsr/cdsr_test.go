@@ -4,16 +4,9 @@ import (
 	"testing"
 
 	"samnet/internal/routing"
-	"samnet/internal/routing/mr"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
 )
-
-func cleanRoutes(t *testing.T, net *topology.Network, src, dst topology.NodeID) []routing.Route {
-	t.Helper()
-	s := sim.NewNetwork(net.Topo, sim.Config{Seed: 100})
-	return (&mr.Protocol{SuppressReplies: true}).Discover(s, src, dst).Routes
-}
 
 func TestPlainDiscoveryReachesSource(t *testing.T) {
 	net := topology.Uniform(6, 6, 1, 0)
@@ -29,33 +22,6 @@ func TestPlainDiscoveryReachesSource(t *testing.T) {
 		}
 		if !r.Valid(net.Topo) {
 			t.Errorf("honest discovery produced an invalid route: %v", r)
-		}
-	}
-}
-
-func TestCachedReplyShortCircuits(t *testing.T) {
-	net := topology.Uniform(6, 6, 1, 0)
-	src, dst := net.SrcPool[0], net.DstPool[len(net.DstPool)-1]
-	caches := WarmCaches(cleanRoutes(t, net, src, dst), 0)
-	if len(caches) == 0 {
-		t.Fatal("warming produced no caches")
-	}
-
-	plain := sim.NewNetwork(net.Topo, sim.Config{Seed: 2})
-	dPlain := (&Protocol{}).Discover(plain, src, dst)
-	cached := sim.NewNetwork(net.Topo, sim.Config{Seed: 2})
-	dCached := (&Protocol{Caches: caches}).Discover(cached, src, dst)
-
-	if dCached.Overhead() >= dPlain.Overhead() {
-		t.Errorf("cached overhead %d should undercut plain %d (replies cut the flood short)",
-			dCached.Overhead(), dPlain.Overhead())
-	}
-	if len(dCached.Routes) == 0 {
-		t.Fatal("cached discovery returned nothing")
-	}
-	for _, r := range dCached.Routes {
-		if !r.Valid(net.Topo) {
-			t.Errorf("cached reply produced an invalid route: %v", r)
 		}
 	}
 }
@@ -115,16 +81,6 @@ func TestBlackholeProbeFailsOnFabricatedRoute(t *testing.T) {
 	res := routing.ProbeRoutes(probeNet, []routing.Route{fake})
 	if res[0].Acked {
 		t.Error("probe over a fabricated blackhole route must not be acked")
-	}
-}
-
-func TestWarmCachesContainsOnRouteNodesOnly(t *testing.T) {
-	caches := WarmCaches([]routing.Route{{0, 1, 2}}, 0)
-	if len(caches) != 3 {
-		t.Fatalf("caches for %d nodes, want 3", len(caches))
-	}
-	if _, ok := caches[1].Lookup(2); !ok {
-		t.Error("on-route node should know the suffix")
 	}
 }
 

@@ -19,8 +19,6 @@ type Protocol struct {
 	// routing.DefaultHopSlack; routing.HopSlackStrict and
 	// routing.HopSlackNone apply here too.
 	HopSlack int
-	// SuppressReplies skips the RREP phase (analysis-only runs).
-	SuppressReplies bool
 	// Avoid excludes nodes from discovery (routing.FloodConfig.Avoid) —
 	// the IDS's isolation list plugs in here.
 	Avoid func(topology.NodeID) bool
@@ -35,13 +33,12 @@ func (p *Protocol) Name() string { return "DSR" }
 // Discover implements routing.Protocol.
 func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing.Discovery {
 	return routing.RunDiscovery(net, src, dst, routing.FloodConfig{
-		Name:            p.Name(),
-		Rule:            rule,
-		ReplyAll:        true,
-		HopSlack:        routing.ProtocolHopSlack(p.HopSlack),
-		SuppressReplies: p.SuppressReplies,
-		Avoid:           p.Avoid,
-		Forge:           p.Forge,
+		Name:     p.Name(),
+		Rule:     rule,
+		ReplyAll: true,
+		HopSlack: routing.ProtocolHopSlack(p.HopSlack),
+		Avoid:    p.Avoid,
+		Forge:    p.Forge,
 	})
 }
 

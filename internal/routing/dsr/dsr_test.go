@@ -20,7 +20,7 @@ func TestDSREachNodeForwardsOnce(t *testing.T) {
 	net := topology.Uniform(6, 6, 1, 0)
 	s := sim.NewNetwork(net.Topo, sim.Config{Seed: 1})
 	src, dst := net.SrcPool[0], net.DstPool[len(net.DstPool)-1]
-	(&Protocol{SuppressReplies: true}).Discover(s, src, dst)
+	routing.RunDiscovery(s, src, dst, routing.FloodConfig{Name: "DSR", Rule: rule, SuppressReplies: true})
 	for i := 0; i < net.Topo.N(); i++ {
 		id := topology.NodeID(i)
 		if id == src {

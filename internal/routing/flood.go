@@ -31,7 +31,9 @@ func (st *NodeState) reset(gen uint64) {
 // ForwardRule decides whether node self forwards an RREQ copy that arrived
 // from neighbor from. st is this node's state for the request; st.Seen is
 // false exactly on the first arrival (the framework sets Seen/FirstHops/
-// FirstFrom after the call). Rules must not mutate q.
+// FirstFrom after the call). The rule sees every loop-free copy at every
+// intermediate node, so it may also record per-copy state, as aomdv's
+// reverse-route tables do. Rules must not mutate q.
 type ForwardRule func(self, from topology.NodeID, q *RREQ, st *NodeState) bool
 
 // ForgeFunc is the Byzantine route-reply hook: when installed, it is
@@ -71,8 +73,10 @@ func ProtocolHopSlack(v int) int {
 	return DefaultHopSlack
 }
 
-// FloodConfig parameterizes the shared flooding framework that DSR and MR
-// are built from.
+// FloodConfig parameterizes RunDiscovery, the one flood engine behind MR,
+// SMR, DSR, MDSR, AOMDV and AODV. A protocol is a forwarding rule, a
+// destination collection policy (HopSlack) and a reply policy (ReplyAll, or
+// SuppressReplies plus its own reply phase).
 type FloodConfig struct {
 	// Name labels the protocol in Discovery records.
 	Name string
@@ -81,15 +85,13 @@ type FloodConfig struct {
 	// MaxForwards caps how many RREQ copies one intermediate node forwards
 	// per request (0 = unlimited). The paper's MR overhead (about twice
 	// DSR's, Table II) implies the first copy plus roughly one duplicate
-	// per node, so mr.Protocol defaults this to 2; the unlimited variant is
-	// kept for the ablation benchmark.
+	// per node, so mr.Protocol bounds it (mr.DefaultMaxForwards); the
+	// unlimited variant is kept for the ablation benchmark.
 	MaxForwards int
 	// ReplyAll makes the destination reply to every collected route (DSR
-	// behaviour); otherwise it replies to up to MaxReplies maximally
-	// disjoint routes (SMR behaviour).
+	// behaviour); otherwise it replies to the two maximally disjoint routes
+	// (SMR behaviour).
 	ReplyAll bool
-	// MaxReplies bounds replies when ReplyAll is false (default 2).
-	MaxReplies int
 	// HopSlack applies the paper's hop-count rule at the destination too:
 	// collected routes may exceed the first-arriving route's hop count by
 	// at most HopSlack (negative disables the filter). The paper's
@@ -99,8 +101,9 @@ type FloodConfig struct {
 	// short as the first one. Protocols resolve their own HopSlack field to
 	// this one with ProtocolHopSlack.
 	HopSlack int
-	// SuppressReplies skips the RREP phase entirely (used by analyses that
-	// only need the route set).
+	// SuppressReplies skips the RREP phase, for protocols that filter the
+	// collected routes and answer them with their own reply phase (mdsr,
+	// aomdv).
 	SuppressReplies bool
 	// Avoid excludes nodes from the flood: an avoided node neither forwards
 	// nor accepts request copies, so no discovered route traverses it. The
@@ -112,6 +115,10 @@ type FloodConfig struct {
 	// value honest workloads use — costs nothing.
 	Forge ForgeFunc
 }
+
+// disjointReplies is how many maximally disjoint routes the destination
+// answers when FloodConfig.ReplyAll is false.
+const disjointReplies = 2
 
 // pathArena stores every RREQ path of one discovery as a parent-linked
 // forest: entry i appends one node to the path ending at its parent entry,
@@ -256,9 +263,6 @@ func (f *floodRun) begin(net *sim.Network, src, dst topology.NodeID, cfg FloodCo
 // for the duration and clears them before returning; callers wanting a
 // pristine network should pass a fresh (or Reset) one.
 func RunDiscovery(net *sim.Network, src, dst topology.NodeID, cfg FloodConfig) *Discovery {
-	if cfg.MaxReplies == 0 {
-		cfg.MaxReplies = 2
-	}
 	if src == dst {
 		panic("routing: src == dst")
 	}
@@ -285,7 +289,7 @@ func RunDiscovery(net *sim.Network, src, dst topology.NodeID, cfg FloodConfig) *
 		if cfg.ReplyAll {
 			toReply = routes
 		} else {
-			toReply = SelectDisjoint(routes, cfg.MaxReplies)
+			toReply = SelectDisjoint(routes, disjointReplies)
 		}
 		for _, r := range toReply {
 			sendRREP(net, run.reqID, r)
@@ -369,25 +373,11 @@ func (f *floodRun) Recv(net *sim.Network, self, from topology.NodeID, pkt sim.Pa
 	case *RREQ:
 		f.recvRREQ(net, self, from, p)
 	case *RREP:
-		f.recvRREP(net, self, p)
-	case *Data:
-		RelayData(net, self, p)
-	case *ACK:
-		RelayACK(net, self, p)
+		if p.ReqID == f.reqID && RelayRREP(net, self, p) {
+			f.replies = append(f.replies, p.Route)
+			f.replyTimes = append(f.replyTimes, net.Now())
+		}
 	}
-}
-
-// refFor returns q's path as an entry of f's arena, importing an explicit
-// Path if the request came from outside the framework.
-func (f *floodRun) refFor(q *RREQ) int32 {
-	if q.arena == &f.arena {
-		return q.ref
-	}
-	ref := int32(-1)
-	for _, id := range q.Path {
-		ref = f.arena.push(ref, id)
-	}
-	return ref
 }
 
 func (f *floodRun) recvRREQ(net *sim.Network, self, from topology.NodeID, q *RREQ) {
@@ -400,7 +390,7 @@ func (f *floodRun) recvRREQ(net *sim.Network, self, from topology.NodeID, q *RRE
 		return
 	}
 	if self == f.dst {
-		ref := f.arena.push(f.refFor(q), self)
+		ref := f.arena.push(q.ref, self)
 		f.arrivals = append(f.arrivals, arrival{ref: ref, at: net.Now()})
 		return
 	}
@@ -416,7 +406,7 @@ func (f *floodRun) recvRREQ(net *sim.Network, self, from topology.NodeID, q *RRE
 		// copy it sees with a fabricated route, racing the destination's
 		// honest replies. The real prefix is materialized for the hook (and
 		// walked backwards by the RREP), so only the suffix can lie.
-		prefix := f.arena.appendPath(nil, f.arena.push(f.refFor(q), self))
+		prefix := f.arena.appendPath(nil, f.arena.push(q.ref, self))
 		if forged := f.cfg.Forge(self, from, q, prefix); forged != nil {
 			if len(prefix) >= 2 {
 				net.Unicast(self, prefix[len(prefix)-2], &RREP{ReqID: f.reqID, Route: forged, Pos: len(prefix) - 2})
@@ -435,25 +425,25 @@ func (f *floodRun) recvRREQ(net *sim.Network, self, from topology.NodeID, q *RRE
 	if forward {
 		st.Forwarded++
 		fwd := f.rreqs.get()
-		*fwd = RREQ{ReqID: q.ReqID, Src: q.Src, Dst: q.Dst, arena: &f.arena, ref: f.arena.push(f.refFor(q), self)}
+		*fwd = RREQ{ReqID: q.ReqID, Src: q.Src, Dst: q.Dst, arena: &f.arena, ref: f.arena.push(q.ref, self)}
 		net.Broadcast(self, fwd)
 	}
 }
 
-func (f *floodRun) recvRREP(net *sim.Network, self topology.NodeID, p *RREP) {
-	if p.ReqID != f.reqID || p.Route[p.Pos] != self {
-		return
+// RelayRREP walks a source-routed RREP one hop toward the source and
+// reports whether self is the source, where the reply has arrived. Like
+// RelayData it relays in place: an RREP has exactly one holder at a time,
+// so advancing Pos on the same packet saves an allocation per hop.
+func RelayRREP(net *sim.Network, self topology.NodeID, p *RREP) bool {
+	if p.Route[p.Pos] != self {
+		return false
 	}
 	if p.Pos == 0 {
-		// Reached the source: the route is usable.
-		f.replies = append(f.replies, p.Route)
-		f.replyTimes = append(f.replyTimes, net.Now())
-		return
+		return true
 	}
-	// Relay in place: the RREP has exactly one holder at a time, so
-	// advancing Pos on the same packet saves an allocation per hop.
 	p.Pos--
 	net.Unicast(self, p.Route[p.Pos], p)
+	return false
 }
 
 // RelayData forwards a source-routed Data packet one hop, or emits the ACK
@@ -525,9 +515,4 @@ func ProbeRoutes(net *sim.Network, routes []Route) []ProbeResult {
 		out[i] = ProbeResult{Route: r, Acked: acked[uint64(i+1)]}
 	}
 	return out
-}
-
-// SortRoutesByHops orders routes by increasing hop count, stable.
-func SortRoutesByHops(routes []Route) {
-	slices.SortStableFunc(routes, func(a, b Route) int { return a.Hops() - b.Hops() })
 }

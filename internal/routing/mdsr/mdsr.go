@@ -15,13 +15,10 @@ import (
 )
 
 // Protocol is MDSR route discovery. The zero value is ready to use.
-type Protocol struct {
-	// MaxAlternates caps the disjoint alternate routes kept besides the
-	// primary (default 2).
-	MaxAlternates int
-	// SuppressReplies skips the RREP phase.
-	SuppressReplies bool
-}
+type Protocol struct{}
+
+// maxAlternates caps the disjoint alternate routes kept besides the primary.
+const maxAlternates = 2
 
 // Name implements routing.Protocol.
 func (p *Protocol) Name() string { return "MDSR" }
@@ -30,10 +27,6 @@ func (p *Protocol) Name() string { return "MDSR" }
 // framework with DSR's forward-once rule, then prunes the destination's
 // collection to the primary route plus link-disjoint alternates.
 func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing.Discovery {
-	maxAlt := p.MaxAlternates
-	if maxAlt == 0 {
-		maxAlt = 2
-	}
 	d := routing.RunDiscovery(net, src, dst, routing.FloodConfig{
 		Name:            p.Name(),
 		Rule:            func(self, from topology.NodeID, q *routing.RREQ, st *routing.NodeState) bool { return !st.Seen },
@@ -41,14 +34,12 @@ func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing
 		HopSlack:        -1, // MDSR's destination sees every surviving copy
 		SuppressReplies: true,
 	})
-	d.Protocol = p.Name()
-	d.Routes = pruneDisjoint(d.Routes, maxAlt)
+	d.Routes = pruneDisjoint(d.Routes, maxAlternates)
 
-	if !p.SuppressReplies && len(d.Routes) > 0 {
+	if len(d.Routes) > 0 {
 		// Reply along each retained route (source-routed RREPs, as DSR).
 		// Rebuilding the reply phase here keeps the pruning decision local.
-		replies := replyPhase(net, d.Routes)
-		d.Replies = replies
+		d.Replies = replyPhase(net, d.Routes)
 		d.TxTotal, d.RxTotal = net.TotalTraffic()
 	}
 	return d
@@ -81,30 +72,17 @@ func pruneDisjoint(routes []routing.Route, maxAlt int) []routing.Route {
 }
 
 // replyPhase sends one source-routed RREP per route and reports which made
-// it back (re-using the shared relay handlers installed by RunDiscovery).
+// it back.
 func replyPhase(net *sim.Network, routes []routing.Route) []routing.Route {
 	delivered := make([]routing.Route, 0, len(routes))
-	h := sim.HandlerFunc(func(n *sim.Network, self, from topology.NodeID, pkt sim.Packet) {
-		p, ok := pkt.(*routing.RREP)
-		if !ok || p.Route[p.Pos] != self {
-			return
-		}
-		if p.Pos == 0 {
+	net.SetAllHandlers(sim.HandlerFunc(func(n *sim.Network, self, from topology.NodeID, pkt sim.Packet) {
+		if p, ok := pkt.(*routing.RREP); ok && routing.RelayRREP(n, self, p) {
 			delivered = append(delivered, p.Route)
-			return
 		}
-		n.Unicast(self, p.Route[p.Pos-1], &routing.RREP{ReqID: p.ReqID, Route: p.Route, Pos: p.Pos - 1})
-	})
-	net.SetAllHandlers(h)
+	}))
 	for _, r := range routes {
-		r := r
-		if len(r) < 2 {
-			continue
-		}
-		net.Schedule(0, func() {
-			last := len(r) - 1
-			net.Unicast(r[last], r[last-1], &routing.RREP{ReqID: 1, Route: r.Clone(), Pos: last - 1})
-		})
+		last := len(r) - 1
+		net.Unicast(r[last], r[last-1], &routing.RREP{Route: r.Clone(), Pos: last - 1})
 	}
 	net.Run()
 	return delivered

@@ -18,8 +18,7 @@ import (
 )
 
 // Protocol is the multi-path routing protocol. The zero value is the
-// paper's MR; the destination replies to the 2 maximally disjoint routes
-// (routing.FloodConfig.MaxReplies' default).
+// paper's MR; the destination replies to the 2 maximally disjoint routes.
 type Protocol struct {
 	// MaxForwards caps the total RREQ copies each intermediate node
 	// forwards per request, modeling the MAC-level contention that keeps
@@ -37,8 +36,6 @@ type Protocol struct {
 	// value selects DefaultHopSlack; use HopSlackStrict for shortest-only
 	// collection and HopSlackNone to disable the filter.
 	HopSlack int
-	// SuppressReplies skips the RREP phase (analysis-only runs).
-	SuppressReplies bool
 	// Avoid excludes nodes from discovery (routing.FloodConfig.Avoid) —
 	// the IDS's isolation list plugs in here.
 	Avoid func(topology.NodeID) bool
@@ -70,13 +67,12 @@ func (p *Protocol) Name() string {
 // Discover implements routing.Protocol.
 func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing.Discovery {
 	return routing.RunDiscovery(net, src, dst, routing.FloodConfig{
-		Name:            p.Name(),
-		Rule:            p.rule,
-		MaxForwards:     knob.Resolve(p.MaxForwards, DefaultMaxForwards), // 0 = unlimited
-		HopSlack:        routing.ProtocolHopSlack(p.HopSlack),
-		SuppressReplies: p.SuppressReplies,
-		Avoid:           p.Avoid,
-		Forge:           p.Forge,
+		Name:        p.Name(),
+		Rule:        p.rule,
+		MaxForwards: knob.Resolve(p.MaxForwards, DefaultMaxForwards), // 0 = unlimited
+		HopSlack:    routing.ProtocolHopSlack(p.HopSlack),
+		Avoid:       p.Avoid,
+		Forge:       p.Forge,
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"samnet/internal/attack"
+	"samnet/internal/geom"
 	"samnet/internal/routing"
 	"samnet/internal/routing/dsr"
 	"samnet/internal/sim"
@@ -82,27 +83,44 @@ func TestMRNameVariants(t *testing.T) {
 	}
 }
 
+// ruleVerdicts asks p's rule about live request copies under a fixed node
+// state, as seen by a node with neighbor from. A 7-node line flooded with
+// DSR's rule offers copies of 0 to 4 hops; the verdicts are keyed by hops.
+func ruleVerdicts(p *Protocol, from topology.NodeID, st routing.NodeState) map[int]bool {
+	topo := topology.New("line", 1.001)
+	for x := 0; x < 7; x++ {
+		topo.AddNode(geom.Pt(float64(x), 0))
+	}
+	got := map[int]bool{}
+	routing.RunDiscovery(sim.NewNetwork(topo, sim.Config{Seed: 1}), 0, 6, routing.FloodConfig{
+		Name: "t",
+		Rule: func(_, _ topology.NodeID, q *routing.RREQ, own *routing.NodeState) bool {
+			fixed := st
+			got[q.Hops()] = p.rule(9, from, q, &fixed)
+			return !own.Seen
+		},
+		SuppressReplies: true,
+	})
+	return got
+}
+
 func TestMRDuplicateHopRule(t *testing.T) {
-	p := &Protocol{}
-	st := &routing.NodeState{Seen: true, FirstHops: 3, FirstFrom: 7}
-	longer := &routing.RREQ{Path: routing.Route{0, 1, 2, 3, 4}} // 4 hops
-	if p.rule(9, 8, longer, st) {
+	got := ruleVerdicts(&Protocol{}, 8, routing.NodeState{Seen: true, FirstHops: 3, FirstFrom: 7})
+	if got[4] {
 		t.Error("duplicate longer than first must be dropped")
 	}
-	equal := &routing.RREQ{Path: routing.Route{0, 1, 2, 3}} // 3 hops
-	if !p.rule(9, 8, equal, st) {
+	if !got[3] {
 		t.Error("duplicate with equal hop count must be forwarded")
 	}
 }
 
 func TestSMRRequiresDifferentIncomingLink(t *testing.T) {
 	p := &Protocol{IncomingLinkRule: true}
-	st := &routing.NodeState{Seen: true, FirstHops: 3, FirstFrom: 7}
-	dup := &routing.RREQ{Path: routing.Route{0, 1, 2}}
-	if p.rule(9, 7, dup, st) {
+	st := routing.NodeState{Seen: true, FirstHops: 3, FirstFrom: 7}
+	if ruleVerdicts(p, 7, st)[2] {
 		t.Error("SMR must drop duplicates from the first link")
 	}
-	if !p.rule(9, 8, dup, st) {
+	if !ruleVerdicts(p, 8, st)[2] {
 		t.Error("SMR must forward duplicates from other links")
 	}
 }

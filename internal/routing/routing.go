@@ -1,8 +1,10 @@
 // Package routing defines the protocol-independent vocabulary of on-demand
 // route discovery: routes, RREQ/RREP packets, and the Discovery record that
-// a protocol run produces. The dsr and mr subpackages implement the two
+// a protocol run produces, plus the one flood engine (RunDiscovery) that the
+// protocols are built on. The dsr and mr subpackages implement the two
 // protocols the paper compares; aomdv and mdsr implement the future-work
-// protocols from its conclusion.
+// protocols from its conclusion, and cdsr the cached-DSR blackhole target of
+// its Section IV.
 package routing
 
 import (
@@ -121,45 +123,31 @@ func (r Route) String() string {
 	return strings.Join(parts, ">")
 }
 
-// RREQ is a route request flooded from Src toward Dst. Path accumulates the
-// nodes traversed so far, Src first; its length minus one is the hop count
-// the paper's forwarding rules compare.
-//
-// Requests issued by the flood framework (RunDiscovery) do not carry an
-// explicit Path: they reference a per-discovery path arena that shares
-// prefixes between copies, and Path stays nil. Use Hops and PathContains —
-// which understand both representations — rather than reading Path directly
-// when a request may originate from the framework. Protocols that flood
-// their own requests (cdsr, aomdv) still populate Path explicitly.
+// RREQ is a route request flooded from Src toward Dst by RunDiscovery. Its
+// path so far lives in the discovery's path arena, which shares prefixes
+// between copies, so the request itself is a fixed-size reference; read the
+// path through Hops and PathContains, which are valid only on requests
+// RunDiscovery issued.
 type RREQ struct {
 	ReqID uint64
 	Src   topology.NodeID
 	Dst   topology.NodeID
-	Path  Route
 
 	arena *pathArena
 	ref   int32
 }
 
-// Hops returns the hop count of the request so far.
-func (q *RREQ) Hops() int {
-	if q.arena != nil {
-		return int(q.arena.hops[q.ref])
-	}
-	return q.Path.Hops()
-}
+// Hops returns the hop count of the request so far — the number the
+// paper's forwarding rules compare.
+func (q *RREQ) Hops() int { return int(q.arena.hops[q.ref]) }
 
 // PathContains reports whether the request's path so far traverses id.
-func (q *RREQ) PathContains(id topology.NodeID) bool {
-	if q.arena != nil {
-		return q.arena.contains(q.ref, id)
-	}
-	return q.Path.Contains(id)
-}
+func (q *RREQ) PathContains(id topology.NodeID) bool { return q.arena.contains(q.ref, id) }
 
 // RREP carries a discovered route back toward the source. Pos is the index
 // (into Route) of the node currently holding the reply; it decreases as the
-// reply travels src-ward.
+// reply travels src-ward (RelayRREP). aomdv's distance-vector replies do not
+// follow Route and leave Pos at -1.
 type RREP struct {
 	ReqID uint64
 	Route Route
@@ -298,19 +286,4 @@ func SelectDisjoint(candidates []Route, max int) []Route {
 		picked = append(picked, candidates[best])
 	}
 	return picked
-}
-
-// DedupRoutes returns routes with exact duplicates removed, preserving first
-// occurrence order.
-func DedupRoutes(routes []Route) []Route {
-	seen := make(map[string]bool, len(routes))
-	var out []Route
-	for _, r := range routes {
-		k := r.String()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
-		}
-	}
-	return out
 }

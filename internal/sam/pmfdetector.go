@@ -74,10 +74,3 @@ func (d *PMFDetector) Evaluate(s Stats) PMFVerdict {
 	v.Attacked = v.ByTV || v.ByTail
 	return v
 }
-
-// HighUsageProbability returns the trained probability that a link's
-// relative frequency reaches at least p — the theoretical-analysis handle
-// the paper highlights.
-func (d *PMFDetector) HighUsageProbability(p float64) float64 {
-	return d.profile.PMF.TailMass(p)
-}

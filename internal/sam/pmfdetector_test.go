@@ -46,21 +46,6 @@ func TestPMFDetectorEmpty(t *testing.T) {
 	}
 }
 
-func TestHighUsageProbabilityMonotone(t *testing.T) {
-	d := trainedPMFDetector(t)
-	prev := 1.1
-	for _, p := range []float64{0, 0.05, 0.1, 0.2, 0.5} {
-		got := d.HighUsageProbability(p)
-		if got > prev {
-			t.Errorf("tail mass rose from %v to %v at p=%v", prev, got, p)
-		}
-		prev = got
-	}
-	if d.HighUsageProbability(0) != 1 {
-		t.Error("tail mass at 0 must be 1")
-	}
-}
-
 func TestPMFDetectorNilProfilePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit SAM needs: running
-// moments (Welford), summaries, binned PMFs over [0,1], and distribution
-// distances (total variation, Kolmogorov–Smirnov) for comparing an observed
-// link-frequency distribution against a trained normal profile.
+// moments (Welford), summaries, binned PMFs over [0,1], and the total
+// variation distance for comparing an observed link-frequency distribution
+// against a trained normal profile.
 package stats
 
 import (
@@ -229,39 +229,4 @@ func TVDistance(a, b *PMF) float64 {
 		d += math.Abs(a.Prob(i) - b.Prob(i))
 	}
 	return d / 2
-}
-
-// KSStatistic returns the two-sample Kolmogorov–Smirnov statistic between
-// the empirical samples xs and ys: the maximum absolute difference of their
-// empirical CDFs. It returns 0 when either sample is empty.
-func KSStatistic(xs, ys []float64) float64 {
-	if len(xs) == 0 || len(ys) == 0 {
-		return 0
-	}
-	x := append([]float64(nil), xs...)
-	y := append([]float64(nil), ys...)
-	sort.Float64s(x)
-	sort.Float64s(y)
-	var i, j int
-	var d float64
-	for i < len(x) && j < len(y) {
-		var v float64
-		if x[i] <= y[j] {
-			v = x[i]
-		} else {
-			v = y[j]
-		}
-		for i < len(x) && x[i] <= v {
-			i++
-		}
-		for j < len(y) && y[j] <= v {
-			j++
-		}
-		fx := float64(i) / float64(len(x))
-		fy := float64(j) / float64(len(y))
-		if diff := math.Abs(fx - fy); diff > d {
-			d = diff
-		}
-	}
-	return d
 }

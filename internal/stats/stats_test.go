@@ -235,41 +235,6 @@ func TestTVDistanceMismatchedBinsPanics(t *testing.T) {
 	TVDistance(NewPMF(5), NewPMF(10))
 }
 
-func TestKSStatistic(t *testing.T) {
-	same := []float64{1, 2, 3, 4}
-	if got := KSStatistic(same, same); got != 0 {
-		t.Errorf("KS identical = %v", got)
-	}
-	lo := []float64{1, 2, 3}
-	hi := []float64{10, 11, 12}
-	if got := KSStatistic(lo, hi); got != 1 {
-		t.Errorf("KS disjoint = %v", got)
-	}
-	if got := KSStatistic(nil, hi); got != 0 {
-		t.Errorf("KS empty = %v", got)
-	}
-}
-
-func TestKSStatisticSymmetricProperty(t *testing.T) {
-	f := func(xs, ys []float64) bool {
-		clean := func(in []float64) []float64 {
-			out := make([]float64, 0, len(in))
-			for _, v := range in {
-				if !math.IsNaN(v) {
-					out = append(out, math.Mod(v, 100))
-				}
-			}
-			return out
-		}
-		a, b := clean(xs), clean(ys)
-		d1, d2 := KSStatistic(a, b), KSStatistic(b, a)
-		return math.Abs(d1-d2) < 1e-12 && d1 >= 0 && d1 <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMeanStd(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil)")
@@ -301,19 +266,5 @@ func BenchmarkTVDistance(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		TVDistance(x, y)
-	}
-}
-
-func BenchmarkKSStatistic(b *testing.B) {
-	xs := make([]float64, 200)
-	ys := make([]float64, 200)
-	for i := range xs {
-		xs[i] = float64(i%13) / 13
-		ys[i] = float64(i%17) / 17
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		KSStatistic(xs, ys)
 	}
 }
