@@ -192,10 +192,13 @@ func writeSeries(w io.Writer, f *family, s *series) {
 	case counterKind:
 		fmt.Fprintf(w, "%s%s %d\n", f.name, s.labels, s.c.Value())
 	case gaugeKind:
+		// A GaugeFunc series exists before its sampler is stored (getOrCreate
+		// and the store take the lock separately); a scrape in between
+		// renders it as 0.
 		v := 0.0
 		if s.gf != nil {
 			v = s.gf()
-		} else {
+		} else if s.g != nil {
 			v = s.g.Value()
 		}
 		fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatFloat(v))

@@ -238,7 +238,20 @@ func refMDSRDiscover(net *sim.Network, src, dst topology.NodeID) *routing.Discov
 		SuppressReplies: true,
 	})
 	d.Protocol = "MDSR"
-	d.Routes = refPruneDisjoint(d.Routes, 2)
+	all := d.Routes
+	d.Routes = refPruneDisjoint(all, 2)
+	// The former engine left Times as the flood collected them. MDSR now
+	// keeps Times parallel to Routes, so the diff expects the flood's times
+	// at the kept routes' positions (routes are distinct, kept in order).
+	var times []sim.Time
+	j := 0
+	for _, r := range d.Routes {
+		for !all[j].Equal(r) {
+			j++
+		}
+		times = append(times, d.Times[j])
+	}
+	d.Times = times
 	if len(d.Routes) > 0 {
 		d.Replies = refMDSRReplyPhase(net, d.Routes)
 		d.TxTotal, d.RxTotal = net.TotalTraffic()

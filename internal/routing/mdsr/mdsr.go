@@ -34,7 +34,13 @@ func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing
 		HopSlack:        -1, // MDSR's destination sees every surviving copy
 		SuppressReplies: true,
 	})
-	d.Routes = pruneDisjoint(d.Routes, maxAlternates)
+	// Times stays parallel to Routes; FirstArrival and LastArrival keep
+	// describing every copy that reached the destination.
+	kept := pruneDisjoint(d.Routes, maxAlternates)
+	for n, k := range kept {
+		d.Routes[n], d.Times[n] = d.Routes[k], d.Times[k]
+	}
+	d.Routes, d.Times = d.Routes[:len(kept)], d.Times[:len(kept)]
 
 	if len(d.Routes) > 0 {
 		// Reply along each retained route (source-routed RREPs, as DSR).
@@ -45,27 +51,24 @@ func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing
 	return d
 }
 
-// pruneDisjoint keeps routes[0] (the primary) and up to maxAlt further
-// routes that share no link with any retained route — MDSR's destination
-// policy.
-func pruneDisjoint(routes []routing.Route, maxAlt int) []routing.Route {
+// pruneDisjoint returns the indices, in increasing order, of the routes
+// MDSR's destination policy keeps: 0 (the primary) and up to maxAlt further
+// routes that share no link with any kept route.
+func pruneDisjoint(routes []routing.Route, maxAlt int) []int {
 	if len(routes) == 0 {
 		return nil
 	}
-	kept := []routing.Route{routes[0]}
-	for _, c := range routes[1:] {
-		if len(kept)-1 == maxAlt {
-			break
-		}
+	kept := []int{0}
+	for i := 1; i < len(routes) && len(kept)-1 < maxAlt; i++ {
 		disjoint := true
 		for _, k := range kept {
-			if c.SharedLinks(k) > 0 {
+			if routes[i].SharedLinks(routes[k]) > 0 {
 				disjoint = false
 				break
 			}
 		}
 		if disjoint {
-			kept = append(kept, c)
+			kept = append(kept, i)
 		}
 	}
 	return kept

@@ -50,13 +50,17 @@ func (k key) less(o key) bool {
 // protocol timers — are concrete fields dispatched by the engine itself
 // (fn == nil), so delivering a packet or firing a timeout allocates nothing.
 // Schedule'd callbacks ride the same queue with fn set.
+//
+// A delivery with tid == 0 goes to one receiver, to. A delivery with
+// tid > 0 is a broadcast's fan-out entry: tid receivers wait in the slot's
+// row of Engine.fan, and to is the cursor of the next one.
 type payload struct {
 	fn   func() // slow path: scheduled callback; nil for deliveries/timers
 	pkt  Packet
 	th   TimerHandler // timer events: receiver of tid; nil for deliveries
-	tid  uint64
+	tid  uint64       // timer id; a fan-out entry's receiver count
 	from topology.NodeID
-	to   topology.NodeID
+	to   topology.NodeID // receiver; a fan-out entry's cursor
 }
 
 // Engine is the event loop. The zero value is ready to use.
@@ -68,13 +72,30 @@ type payload struct {
 // Heap order is (at, seq); since every event's (at, seq) key is unique, pop
 // order — and therefore every simulation output — is independent of arity
 // and of slot assignment.
+//
+// A broadcast is one key for all of its same-delay receivers (see
+// Network.Broadcast). Its receivers share one at and hold consecutive seqs,
+// so once the key reaches the root no other event can fire between them:
+// the key stays at the root while a cursor walks the receivers and is popped
+// after the last one.
 type Engine struct {
-	pq        []key
-	slab      []payload
+	pq   []key
+	slab []payload
+	// fan holds each slab slot's fan-out receivers. A row keeps its
+	// capacity when its slot is freed, so a warm broadcast allocates
+	// nothing; len(fan) >= len(slab) always.
+	fan [][]topology.NodeID
+	// spare is the unused tail of the block the last grown fan-out row was
+	// carved from, so warming a queue up costs one allocation per block
+	// rather than one per slot.
+	spare     []topology.NodeID
 	free      []int32 // slab slots not holding a pending event
 	now       Time
 	seq       uint64
 	processed uint64
+	// waiting counts the receivers inside fan-out entries behind the one
+	// each entry delivers next, so Pending counts deliveries, not keys.
+	waiting int
 
 	// net is set when the engine is embedded in a Network; fn == nil events
 	// are deliveries dispatched to it.
@@ -84,11 +105,14 @@ type Engine struct {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Processed returns the number of events executed so far.
+// Processed returns the number of events executed so far. Each receiver of
+// a broadcast is one event.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of scheduled-but-unexecuted events.
-func (e *Engine) Pending() int { return len(e.pq) }
+// Pending returns the number of scheduled-but-unexecuted events. Each
+// receiver still waiting for a broadcast counts as one, although all of a
+// broadcast's same-delay receivers share one heap key.
+func (e *Engine) Pending() int { return len(e.pq) + e.waiting }
 
 // Schedule runs fn after delay d. A negative delay panics: the simulator
 // does not travel backwards.
@@ -119,31 +143,47 @@ func (e *Engine) ScheduleTimer(d Time, h TimerHandler, id uint64) {
 }
 
 // reset rewinds the engine to its zero state, keeping the capacity of the
-// heap, the slab and the free list.
+// heap, the slab, the fan-out rows and the free list.
 func (e *Engine) reset() {
-	// pop zeroes a slot as it frees it, so only unfired events still hold
-	// fn/pkt/th references.
+	// pop zeroes a slot as it frees it, so only unfired events — fan-out
+	// entries mid-walk included — still hold fn/pkt/th references.
 	for _, k := range e.pq {
 		e.slab[k.slot] = payload{}
 	}
 	e.pq, e.slab, e.free = e.pq[:0], e.slab[:0], e.free[:0]
-	e.now, e.seq, e.processed = 0, 0, 0
+	e.now, e.seq, e.processed, e.waiting = 0, 0, 0, 0
 }
 
-// push stores p in a free slab slot and sifts its key up from the end of
-// the heap, moving the hole rather than swapping.
-func (e *Engine) push(d Time, p payload) {
-	var slot int32
+// alloc stores p in a free slab slot and returns the slot.
+func (e *Engine) alloc(p payload) int32 {
 	if n := len(e.free); n > 0 {
-		slot = e.free[n-1]
+		slot := e.free[n-1]
 		e.free = e.free[:n-1]
 		e.slab[slot] = p
-	} else {
-		slot = int32(len(e.slab))
-		e.slab = append(e.slab, p)
+		return slot
 	}
+	e.slab = append(e.slab, p)
+	if len(e.fan) < len(e.slab) {
+		e.fan = append(e.fan, nil)
+	}
+	return int32(len(e.slab) - 1)
+}
+
+// release frees a slot that holds no pending event.
+func (e *Engine) release(slot int32) {
+	e.slab[slot] = payload{} // release fn/pkt/th references
+	e.free = append(e.free, slot)
+}
+
+// push schedules p after delay d under the next seq.
+func (e *Engine) push(d Time, p payload) {
 	e.seq++
-	k := key{at: e.now + d, seq: e.seq, slot: slot}
+	e.insert(key{at: e.now + d, seq: e.seq, slot: e.alloc(p)})
+}
+
+// insert sifts k up from the end of the heap, moving the hole rather than
+// swapping.
+func (e *Engine) insert(k key) {
 	e.pq = append(e.pq, k)
 	i := len(e.pq) - 1
 	for i > 0 {
@@ -157,9 +197,41 @@ func (e *Engine) push(d Time, p payload) {
 	e.pq[i] = k
 }
 
-// pop removes the earliest event, frees its slab slot and returns its time
-// and payload. The last key sifts down from the root through the hole.
-func (e *Engine) pop() (Time, payload) {
+// fanout opens a fan-out entry for a broadcast of pkt from "from": it
+// claims a slab slot and returns it with its receiver row, emptied and
+// with room for n receivers.
+func (e *Engine) fanout(from topology.NodeID, pkt Packet, n int) (int32, []topology.NodeID) {
+	slot := e.alloc(payload{pkt: pkt, from: from})
+	row := e.fan[slot][:0]
+	if cap(row) < n {
+		if len(e.spare) < n {
+			e.spare = make([]topology.NodeID, max(n, fanBlock))
+		}
+		row, e.spare = e.spare[:0:n], e.spare[n:]
+	}
+	return slot, row
+}
+
+// fanBlock is the size of the blocks fan-out rows are carved from: room for
+// the rows of a few dozen broadcasts at the paper's node degrees.
+const fanBlock = 512
+
+// scheduleFanout enqueues an open fan-out entry after delay d under the
+// seq of its first receiver, or frees its slot if no receiver is left.
+func (e *Engine) scheduleFanout(d Time, slot int32, rcv []topology.NodeID, first uint64) {
+	if len(rcv) == 0 {
+		e.release(slot)
+		return
+	}
+	e.fan[slot] = rcv
+	e.slab[slot].tid = uint64(len(rcv))
+	e.waiting += len(rcv) - 1
+	e.insert(key{at: e.now + d, seq: first, slot: slot})
+}
+
+// pop removes the root key and frees its slab slot. The last key sifts
+// down from the root through the hole.
+func (e *Engine) pop() {
 	top := e.pq[0]
 	n := len(e.pq) - 1
 	last := e.pq[n]
@@ -189,25 +261,40 @@ func (e *Engine) pop() (Time, payload) {
 		}
 		e.pq[i] = last
 	}
-	p := e.slab[top.slot]
-	e.slab[top.slot] = payload{} // release fn/pkt/th references
-	e.free = append(e.free, top.slot)
-	return top.at, p
+	e.release(top.slot)
 }
 
-// fire executes one popped event at its timestamp.
-func (e *Engine) fire(at Time, p *payload) {
-	e.now = at
+// next executes the earliest event: the root key's event, or the next
+// receiver of the fan-out entry at the root. What the event needs is read
+// out before it runs, since the handler may schedule into the freed slot.
+func (e *Engine) next() {
+	top := e.pq[0]
+	e.now = top.at
 	e.processed++
-	if p.fn != nil {
-		p.fn()
-		return
+	p := &e.slab[top.slot]
+	switch {
+	case p.fn != nil:
+		fn := p.fn
+		e.pop()
+		fn()
+	case p.th != nil:
+		th, id := p.th, p.tid
+		e.pop()
+		th.Timer(id)
+	case p.tid == 0:
+		from, to, pkt := p.from, p.to, p.pkt
+		e.pop()
+		e.net.dispatch(from, to, pkt)
+	default:
+		from, pkt := p.from, p.pkt
+		to := e.fan[top.slot][p.to]
+		if p.to++; uint64(p.to) == p.tid {
+			e.pop()
+		} else {
+			e.waiting--
+		}
+		e.net.dispatch(from, to, pkt)
 	}
-	if p.th != nil {
-		p.th.Timer(p.tid)
-		return
-	}
-	e.net.dispatch(p.from, p.to, p.pkt)
 }
 
 // Run executes events until the queue drains and returns the final time.
@@ -218,8 +305,7 @@ func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 // the current time.
 func (e *Engine) RunUntil(deadline Time) Time {
 	for len(e.pq) > 0 && e.pq[0].at <= deadline {
-		at, p := e.pop()
-		e.fire(at, &p)
+		e.next()
 	}
 	if deadline != Forever && deadline > e.now {
 		e.now = deadline
@@ -228,12 +314,11 @@ func (e *Engine) RunUntil(deadline Time) Time {
 }
 
 // Step executes exactly one event if any is pending and reports whether it
-// did.
+// did. Of a broadcast, it delivers one receiver.
 func (e *Engine) Step() bool {
 	if len(e.pq) == 0 {
 		return false
 	}
-	at, p := e.pop()
-	e.fire(at, &p)
+	e.next()
 	return true
 }

@@ -267,13 +267,37 @@ func (n *Network) ResetCounters() {
 
 // Broadcast transmits pkt from node "from" to every current neighbor. The
 // single on-air transmission is counted once; each neighbor that is not
-// dropped receives after HopDelay plus one shared jitter draw.
+// lost or dropped receives after HopDelay plus one shared jitter draw.
+//
+// The receivers are fixed at transmit time: a link added or removed before
+// the deliveries does not change who hears this broadcast. Loss is drawn
+// then too, one draw per neighbor in neighbor order. All receivers without
+// a per-link delay share one heap key, a fan-out entry that takes the seq
+// of its first receiver; each receiver still spends one seq, so every other
+// event is ordered as if each reception were its own event. A receiver
+// behind a link delay (a latent tunnel) arrives later and keeps a key of
+// its own.
 func (n *Network) Broadcast(from topology.NodeID, pkt Packet) {
 	n.tx[from]++
 	delay := n.txDelay(from)
-	for _, to := range n.topo.Neighbors(from) {
-		n.deliver(from, to, pkt, delay)
+	nbrs := n.topo.Neighbors(from)
+	slot, rcv := n.fanout(from, pkt, len(nbrs))
+	var first uint64
+	for _, to := range nbrs {
+		if n.lose() {
+			continue
+		}
+		if extra := n.extraDelay(from, to); extra > 0 {
+			n.scheduleDelivery(delay+extra, from, to, pkt)
+			continue
+		}
+		n.seq++
+		if len(rcv) == 0 {
+			first = n.seq
+		}
+		rcv = append(rcv, to)
 	}
+	n.scheduleFanout(delay, slot, rcv, first)
 }
 
 func (n *Network) txDelay(from topology.NodeID) Time {
@@ -292,24 +316,34 @@ func (n *Network) Unicast(from, to topology.NodeID, pkt Packet) {
 		panic(fmt.Sprintf("sim: unicast between non-adjacent nodes %d and %d", from, to))
 	}
 	n.tx[from]++
-	n.deliver(from, to, pkt, n.txDelay(from))
+	delay := n.txDelay(from)
+	if !n.lose() {
+		n.scheduleDelivery(delay+n.extraDelay(from, to), from, to, pkt)
+	}
 }
 
-func (n *Network) deliver(from, to topology.NodeID, pkt Packet, delay Time) {
-	// Channel loss is drawn at transmission time so the loss pattern is
-	// independent of handler scheduling.
+// lose draws channel loss for one reception and counts it if lost. The draw
+// happens at transmission time so the loss pattern is independent of
+// handler scheduling.
+func (n *Network) lose() bool {
 	if n.cfg.LossRate > 0 && n.rng.Float64() < n.cfg.LossRate {
 		n.lost++
-		return
+		return true
 	}
-	if n.linkDelay != nil {
-		delay += n.linkDelay[topology.MkLink(from, to)]
-	}
-	n.scheduleDelivery(delay, from, to, pkt)
+	return false
 }
 
-// dispatch is the engine's callback for delivery events: the receive-side
-// half of deliver, at arrival time.
+// extraDelay returns the from-to link's extra propagation delay, zero for
+// links without one.
+func (n *Network) extraDelay(from, to topology.NodeID) Time {
+	if n.linkDelay == nil {
+		return 0
+	}
+	return n.linkDelay[topology.MkLink(from, to)]
+}
+
+// dispatch is the engine's callback for delivery events: the receive side
+// of a transmission, at arrival time.
 func (n *Network) dispatch(from, to topology.NodeID, pkt Packet) {
 	if n.drop != nil && n.drop(n, from, to, pkt) {
 		n.dropped++

@@ -287,15 +287,18 @@ func BenchmarkFloodLargeGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkBroadcastDelivery isolates the per-delivery cost.
+// BenchmarkBroadcastDelivery isolates the per-delivery cost: one broadcast
+// to two neighbours and both deliveries, with no scheduled closure around
+// them.
 func BenchmarkBroadcastDelivery(b *testing.B) {
 	topo := lineTopo(3)
 	net := NewNetwork(topo, Config{Seed: 1})
-	net.SetAllHandlers(HandlerFunc(func(n *Network, self, from topology.NodeID, pkt Packet) {}))
+	net.SetAllHandlers(HandlerFunc(nopHandler))
+	var pkt Packet = "x"
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Schedule(0, func() { net.Broadcast(1, "x") })
+		net.Broadcast(1, pkt)
 		net.Run()
 	}
 }
@@ -338,5 +341,74 @@ func TestSetLinkDelaySlowsOnlyThatLink(t *testing.T) {
 	net.Run()
 	if radioAt != 1 {
 		t.Errorf("link delays survived Reset: arrival at %v, want 1", radioAt)
+	}
+}
+
+// TestBroadcastReceiversFixedAtTransmit checks that a broadcast's receivers
+// are its sender's neighbours at transmit time: a tunnel added or removed
+// between the broadcast and its deliveries does not change who hears it.
+func TestBroadcastReceiversFixedAtTransmit(t *testing.T) {
+	heard := func(topo *topology.Topology, change func()) []topology.NodeID {
+		net := NewNetwork(topo, Config{Seed: 1})
+		var got []topology.NodeID
+		net.SetAllHandlers(HandlerFunc(func(n *Network, self, from topology.NodeID, pkt Packet) {
+			got = append(got, self)
+		}))
+		net.Broadcast(0, "x")
+		change()
+		net.Run()
+		return got
+	}
+	topo := lineTopo(4)
+	if got := heard(topo, func() { topo.AddExtraLink(0, 3) }); len(got) != 1 || got[0] != 1 {
+		t.Errorf("tunnel added after the broadcast: heard by %v, want [1]", got)
+	}
+	if got := heard(topo, func() { topo.RemoveExtraLink(0, 3) }); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Errorf("tunnel removed after the broadcast: heard by %v, want [1 3]", got)
+	}
+}
+
+// TestBroadcastFanoutZeroAlloc extends TestBroadcastDeliverZeroAlloc to the
+// broadcasts that fill a fan-out entry unevenly: a warm lossy broadcast, a
+// warm broadcast with a link-delayed neighbour (its own heap key) and a
+// warm broadcast to 65 neighbours each allocate nothing.
+func TestBroadcastFanoutZeroAlloc(t *testing.T) {
+	star := func(leaves int) *topology.Topology {
+		topo := topology.New("star", 1.001)
+		topo.AddNode(geom.Pt(0, 0))
+		for i := 1; i <= leaves; i++ {
+			topo.AddNode(geom.Pt(float64(10*i), 10))
+			topo.AddExtraLink(0, topology.NodeID(i))
+		}
+		topo.Freeze()
+		return topo
+	}
+	cases := []struct {
+		name  string
+		net   *Network
+		setup func(*Network)
+	}{
+		{"lossy", NewNetwork(star(8), Config{Seed: 1, LossRate: 0.4}), nil},
+		{"link-delayed", NewNetwork(star(4), Config{Seed: 1}), func(n *Network) { n.SetLinkDelay(0, 2, 3) }},
+		{"degree-65", NewNetwork(star(65), Config{Seed: 1}), nil},
+	}
+	var pkt Packet = "x"
+	for _, c := range cases {
+		net := c.net
+		net.SetAllHandlers(HandlerFunc(nopHandler))
+		if c.setup != nil {
+			c.setup(net)
+		}
+		net.Broadcast(0, pkt)
+		net.Run()
+		if got := testing.AllocsPerRun(200, func() {
+			net.Broadcast(0, pkt)
+			net.Run()
+		}); got != 0 {
+			t.Errorf("%s: broadcast+deliver allocates %.1f times per op, want 0", c.name, got)
+		}
+		if tx, rx := net.TotalTraffic(); rx == 0 || tx == 0 {
+			t.Errorf("%s: nothing delivered (tx %d, rx %d)", c.name, tx, rx)
+		}
 	}
 }
