@@ -205,54 +205,6 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ---
 
-// BenchmarkAblationSMRRule compares the paper's MR duplicate rule against
-// strict SMR: routes found and overhead per discovery.
-func BenchmarkAblationSMRRule(b *testing.B) {
-	variants := []struct {
-		name string
-		p    func() routing.Protocol
-	}{
-		{"MR", func() routing.Protocol { return &mr.Protocol{} }},
-		{"SMR", func() routing.Protocol { return &mr.Protocol{IncomingLinkRule: true} }},
-		{"MR-unbounded", func() routing.Protocol { return &mr.Protocol{MaxForwards: -1} }},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			var routes, overhead int64
-			for i := 0; i < b.N; i++ {
-				d := discoverOnce(uint64(i+1), v.p(), 1)
-				routes += int64(len(d.Routes))
-				overhead += d.Overhead()
-			}
-			b.ReportMetric(float64(routes)/float64(b.N), "routes/op")
-			b.ReportMetric(float64(overhead)/float64(b.N), "traffic/op")
-		})
-	}
-}
-
-// BenchmarkAblationWaitWindow sweeps the destination's collection slack —
-// the paper's "certain amount of time" design parameter.
-func BenchmarkAblationWaitWindow(b *testing.B) {
-	for _, slack := range []struct {
-		name  string
-		value int
-	}{
-		{"strict", mr.HopSlackStrict},
-		{"slack1", 1},
-		{"slack2", 2},
-		{"unbounded", mr.HopSlackNone},
-	} {
-		b.Run(slack.name, func(b *testing.B) {
-			var routes int64
-			for i := 0; i < b.N; i++ {
-				d := discoverOnce(uint64(i+1), &mr.Protocol{HopSlack: slack.value}, 1)
-				routes += int64(len(d.Routes))
-			}
-			b.ReportMetric(float64(routes)/float64(b.N), "routes/op")
-		})
-	}
-}
-
 // BenchmarkAblationDetector compares detector feature sets: pmax-only
 // z-score, phi-only, and the combined rule, reporting detection and false-
 // alarm rates over the cluster workload.

@@ -96,12 +96,6 @@ func (c *Checker) Check(sender, receiver topology.NodeID) bool {
 	return ok
 }
 
-// FlaggedLink records one leash violation observed during a run.
-type FlaggedLink struct {
-	Link  topology.Link
-	Count int64
-}
-
 // Monitor attaches the checker to a simulation as a passive observer: every
 // delivery is leash-checked and violations are tallied per link, without
 // interfering with delivery (detection, not prevention — mirroring how SAM

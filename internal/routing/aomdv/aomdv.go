@@ -9,9 +9,12 @@
 // exceed the hop count the node already advertised for that source, which
 // bounds path inflation and preserves loop freedom (every stored reverse
 // path came from a simple RREQ traversal, so following next hops strictly
-// decreases the distance to the source). The destination answers RREQ
-// copies that arrived with distinct (first hop, last hop) pairs, a
-// link-disjointness heuristic.
+// decreases the distance to the source). The destination answers the first
+// k RREQ copies that reach it (k = 3, or 1 for AODV). Real AOMDV also
+// requires distinct (first hop, last hop) pairs there, but with forward-once
+// flooding every copy reaches the destination over a different last hop, so
+// that filter never removes a copy and the route set is the first k
+// arrivals.
 //
 // The request flood runs on routing.RunDiscovery: the forwarding rule
 // records reverse paths and forwards only the first copy. RREQs carry the
@@ -88,7 +91,7 @@ type Protocol struct {
 	SinglePath bool
 }
 
-// maxRoutes caps the destination's link-disjoint replies.
+// maxRoutes caps the arrivals the destination answers.
 const maxRoutes = 3
 
 // Name implements routing.Protocol.
@@ -126,7 +129,9 @@ func (p *Protocol) discover(net *sim.Network, src, dst topology.NodeID) (*routin
 	if p.SinglePath {
 		n = 1
 	}
-	keepDistinctPairs(d, n)
+	if len(d.Routes) > n {
+		d.Routes, d.Times = d.Routes[:n], d.Times[:n]
+	}
 
 	// Reply phase: each RREP travels toward the source hop by hop along
 	// reverse entries (distance-vector forwarding, not source routing). The
@@ -153,32 +158,4 @@ func (p *Protocol) discover(net *sim.Network, src, dst topology.NodeID) (*routin
 	net.SetAllHandlers(nil)
 	d.TxTotal, d.RxTotal = net.TotalTraffic()
 	return d, tables
-}
-
-// keepDistinctPairs applies AOMDV's destination rule to the flood's
-// collection: in arrival order, it keeps routes whose (first hop, last hop)
-// pair is new — a link-disjointness heuristic — up to max of them, along
-// with their arrival times.
-func keepDistinctPairs(d *routing.Discovery, max int) {
-	n := 0
-	for i, r := range d.Routes {
-		if n == max {
-			break
-		}
-		dup := false
-		for _, k := range d.Routes[:n] {
-			if k[1] == r[1] && k[len(k)-2] == r[len(r)-2] {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			d.Routes[n], d.Times[n] = r, d.Times[i]
-			n++
-		}
-	}
-	d.Routes, d.Times = d.Routes[:n], d.Times[:n]
-	if n > 0 {
-		d.FirstArrival, d.LastArrival = d.Times[0], d.Times[n-1]
-	}
 }

@@ -12,13 +12,10 @@ import (
 	"samnet/internal/topology"
 )
 
-// Protocol is DSR route discovery. The zero value is ready to use.
+// Protocol is DSR route discovery. The zero value is ready to use; like MR's,
+// its destination admits routes within routing.DefaultHopSlack hops of the
+// first arrival.
 type Protocol struct {
-	// HopSlack matches mr.Protocol.HopSlack: how many hops beyond the
-	// first-arriving route the destination admits. Zero selects
-	// routing.DefaultHopSlack; routing.HopSlackStrict and
-	// routing.HopSlackNone apply here too.
-	HopSlack int
 	// Avoid excludes nodes from discovery (routing.FloodConfig.Avoid) —
 	// the IDS's isolation list plugs in here.
 	Avoid func(topology.NodeID) bool
@@ -36,7 +33,7 @@ func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing
 		Name:     p.Name(),
 		Rule:     rule,
 		ReplyAll: true,
-		HopSlack: routing.ProtocolHopSlack(p.HopSlack),
+		HopSlack: routing.DefaultHopSlack,
 		Avoid:    p.Avoid,
 		Forge:    p.Forge,
 	})

@@ -80,22 +80,3 @@ func TestDSRRouteCountBoundedByDegree(t *testing.T) {
 		t.Errorf("%d routes exceed dst degree %d", len(d.Routes), net.Topo.Degree(dst))
 	}
 }
-
-func TestDSRHopSlackSentinels(t *testing.T) {
-	net := topology.Uniform(6, 6, 1, 0)
-	src, dst := net.SrcPool[0], net.DstPool[len(net.DstPool)-1]
-	run := func(slack int) int {
-		s := sim.NewNetwork(net.Topo, sim.Config{Seed: 6})
-		return len((&Protocol{HopSlack: slack}).Discover(s, src, dst).Routes)
-	}
-	strict := run(-1) // mr.HopSlackStrict
-	def := run(0)
-	loose := run(-2) // mr.HopSlackNone
-	wide := run(4)
-	if strict > def || def > loose {
-		t.Errorf("route counts should grow with slack: %d <= %d <= %d", strict, def, loose)
-	}
-	if wide < def {
-		t.Errorf("explicit wide slack (%d routes) below default (%d)", wide, def)
-	}
-}

@@ -135,10 +135,6 @@ func refAOMDVDiscover(singlePath bool, net *sim.Network, src, dst topology.NodeI
 	net.Run()
 
 	d := &routing.Discovery{Protocol: name, Src: src, Dst: dst, Routes: run.routes, Times: run.arrivalTimes}
-	if len(run.arrivalTimes) > 0 {
-		d.FirstArrival = run.arrivalTimes[0]
-		d.LastArrival = run.arrivalTimes[len(run.arrivalTimes)-1]
-	}
 	for _, r := range run.routes {
 		net.Schedule(0, func() { run.sendRREP(net, r) })
 	}

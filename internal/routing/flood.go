@@ -47,31 +47,9 @@ type ForwardRule func(self, from topology.NodeID, q *RREQ, st *NodeState) bool
 // ignores them.
 type ForgeFunc func(self, from topology.NodeID, q *RREQ, prefix Route) Route
 
-// Protocol-level HopSlack settings, shared by every protocol that exposes a
-// HopSlack field (mr, dsr). A protocol's zero value selects DefaultHopSlack.
-const (
-	// DefaultHopSlack admits routes up to two hops longer than the first.
-	DefaultHopSlack = 2
-	// HopSlackStrict admits only routes as short as the first arrival.
-	HopSlackStrict = -1
-	// HopSlackNone disables the destination hop filter.
-	HopSlackNone = -2
-)
-
-// ProtocolHopSlack resolves a protocol's HopSlack field to
-// FloodConfig.HopSlack: a positive slack is kept, HopSlackStrict becomes 0,
-// HopSlackNone becomes -1 (no filter), and anything else DefaultHopSlack.
-func ProtocolHopSlack(v int) int {
-	switch {
-	case v > 0:
-		return v
-	case v == HopSlackStrict:
-		return 0
-	case v == HopSlackNone:
-		return -1
-	}
-	return DefaultHopSlack
-}
+// DefaultHopSlack is the destination collection slack mr and dsr use: routes
+// up to two hops longer than the first arrival are admitted.
+const DefaultHopSlack = 2
 
 // FloodConfig parameterizes RunDiscovery, the one flood engine behind MR,
 // SMR, DSR, MDSR, AOMDV and AODV. A protocol is a forwarding rule, a
@@ -83,10 +61,10 @@ type FloodConfig struct {
 	// Rule is the duplicate-forwarding decision.
 	Rule ForwardRule
 	// MaxForwards caps how many RREQ copies one intermediate node forwards
-	// per request (0 = unlimited). The paper's MR overhead (about twice
-	// DSR's, Table II) implies the first copy plus roughly one duplicate
-	// per node, so mr.Protocol bounds it (mr.DefaultMaxForwards); the
-	// unlimited variant is kept for the ablation benchmark.
+	// per request (0 = unlimited). MR sets a budget of 6, the MAC-contention
+	// bound that keeps its overhead near Table II's "more than twice" DSR's;
+	// the forward-once protocols leave it at 0, and mr's ablation benchmark
+	// runs MR's rule unlimited.
 	MaxForwards int
 	// ReplyAll makes the destination reply to every collected route (DSR
 	// behaviour); otherwise it replies to the two maximally disjoint routes
@@ -97,9 +75,8 @@ type FloodConfig struct {
 	// at most HopSlack (negative disables the filter). The paper's
 	// destination "waits a certain amount of time ... to collect all the
 	// obtained routes"; bounding by hop count rather than wall-clock keeps
-	// the collection deterministic. Zero (the default) keeps only routes as
-	// short as the first one. Protocols resolve their own HopSlack field to
-	// this one with ProtocolHopSlack.
+	// the collection deterministic. Zero keeps only routes as short as the
+	// first one; mr and dsr use DefaultHopSlack.
 	HopSlack int
 	// SuppressReplies skips the RREP phase, for protocols that filter the
 	// collected routes and answer them with their own reply phase (mdsr,
@@ -158,22 +135,6 @@ func (a *pathArena) contains(ref int32, id topology.NodeID) bool {
 		}
 	}
 	return false
-}
-
-// samePath reports whether refs p and q denote identical node sequences.
-// Paths converge once they share an entry, so the walk short-circuits on
-// shared prefixes.
-func (a *pathArena) samePath(p, q int32) bool {
-	if a.hops[p] != a.hops[q] {
-		return false
-	}
-	for p != q {
-		if a.node[p] != a.node[q] {
-			return false
-		}
-		p, q = a.parent[p], a.parent[q]
-	}
-	return true
 }
 
 // appendPath writes the path ending at ref onto dst, source first.
@@ -279,10 +240,6 @@ func RunDiscovery(net *sim.Network, src, dst topology.NodeID, cfg FloodConfig) *
 	routes, times := run.collectRoutes()
 	d.Routes = routes
 	d.Times = times
-	if len(run.arrivals) > 0 {
-		d.FirstArrival = run.arrivals[0].at
-		d.LastArrival = run.arrivals[len(run.arrivals)-1].at
-	}
 
 	if !cfg.SuppressReplies && len(routes) > 0 {
 		var toReply []Route
@@ -312,9 +269,13 @@ func RunDiscovery(net *sim.Network, src, dst topology.NodeID, cfg FloodConfig) *
 	return d
 }
 
-// collectRoutes dedups arrivals and applies the hop slack,
-// preserving arrival order, then materializes the survivors out of the
-// arena into one backing slice, with each survivor's arrival time alongside.
+// collectRoutes applies the hop slack to the arrivals, preserving arrival
+// order, then materializes the survivors out of the arena into one backing
+// slice, with each survivor's arrival time alongside. Arrivals need no dedup:
+// a node forwards each copy at most once, every forward pushes a new arena
+// path, and a neighbor is listed once however many links join it, so no two
+// copies reaching the destination share a node sequence
+// (TestDestinationArrivalsDistinct).
 func (f *floodRun) collectRoutes() ([]Route, []sim.Time) {
 	if len(f.arrivals) == 0 {
 		return nil, nil
@@ -328,16 +289,6 @@ func (f *floodRun) collectRoutes() ([]Route, []sim.Time) {
 	total := 0
 	for _, a := range f.arrivals {
 		if f.arena.hops[a.ref] > maxHops {
-			continue
-		}
-		dup := false
-		for _, k := range f.kept {
-			if f.arena.samePath(k, a.ref) {
-				dup = true
-				break
-			}
-		}
-		if dup {
 			continue
 		}
 		f.kept = append(f.kept, a.ref)

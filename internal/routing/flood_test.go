@@ -46,8 +46,8 @@ func TestRunDiscoveryLine(t *testing.T) {
 	if !d.Routes[0].Equal(want) {
 		t.Errorf("route = %v, want %v", d.Routes[0], want)
 	}
-	if d.FirstArrival <= 0 {
-		t.Error("FirstArrival not recorded")
+	if len(d.Times) != 1 || d.Times[0] <= 0 {
+		t.Errorf("arrival time not recorded: %v", d.Times)
 	}
 	if d.Overhead() == 0 {
 		t.Error("overhead not counted")
@@ -167,8 +167,8 @@ func TestDiscoveryUnreachableDst(t *testing.T) {
 	if len(d.Routes) != 0 {
 		t.Errorf("routes to unreachable dst: %v", d.Routes)
 	}
-	if d.FirstArrival != 0 {
-		t.Error("FirstArrival should stay zero")
+	if len(d.Times) != 0 {
+		t.Errorf("arrival times for unreachable dst: %v", d.Times)
 	}
 }
 
@@ -348,22 +348,12 @@ func TestArrivalTimesOrdered(t *testing.T) {
 	src, dst := nodeAt(topo, 0, 0), nodeAt(topo, 5, 3)
 	d := RunDiscovery(sim.NewNetwork(topo, sim.Config{Seed: 7}), src, dst,
 		FloodConfig{Name: "t", Rule: forwardAll, MaxForwards: 4, SuppressReplies: true})
-	if d.FirstArrival > d.LastArrival {
-		t.Errorf("FirstArrival %v after LastArrival %v", d.FirstArrival, d.LastArrival)
+	if len(d.Times) == 0 || d.Times[0] <= 0 {
+		t.Fatalf("arrivals not recorded: %v", d.Times)
 	}
-	if d.FirstArrival <= 0 {
-		t.Error("arrivals not recorded")
-	}
-}
-
-// TestProtocolHopSlack pins the protocol-level HopSlack settings mr and dsr
-// share onto the flood's.
-func TestProtocolHopSlack(t *testing.T) {
-	for in, want := range map[int]int{
-		0: DefaultHopSlack, 3: 3, HopSlackStrict: 0, HopSlackNone: -1, -7: DefaultHopSlack,
-	} {
-		if got := ProtocolHopSlack(in); got != want {
-			t.Errorf("ProtocolHopSlack(%d) = %d, want %d", in, got, want)
+	for i := 1; i < len(d.Times); i++ {
+		if d.Times[i] < d.Times[i-1] {
+			t.Errorf("Times[%d] = %v before Times[%d] = %v", i, d.Times[i], i-1, d.Times[i-1])
 		}
 	}
 }

@@ -30,12 +30,10 @@ func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing
 	d := routing.RunDiscovery(net, src, dst, routing.FloodConfig{
 		Name:            p.Name(),
 		Rule:            func(self, from topology.NodeID, q *routing.RREQ, st *routing.NodeState) bool { return !st.Seen },
-		ReplyAll:        true,
 		HopSlack:        -1, // MDSR's destination sees every surviving copy
 		SuppressReplies: true,
 	})
-	// Times stays parallel to Routes; FirstArrival and LastArrival keep
-	// describing every copy that reached the destination.
+	// Times stays parallel to Routes.
 	kept := pruneDisjoint(d.Routes, maxAlternates)
 	for n, k := range kept {
 		d.Routes[n], d.Times[n] = d.Routes[k], d.Times[k]

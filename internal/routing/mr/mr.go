@@ -7,35 +7,22 @@
 //
 // Unlike strict SMR, the incoming link of the duplicate is not considered,
 // so MR may discover more routes. Strict SMR is available behind the
-// IncomingLinkRule flag for the ablation benchmark.
+// IncomingLinkRule flag.
 package mr
 
 import (
-	"samnet/internal/knob"
 	"samnet/internal/routing"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
 )
 
 // Protocol is the multi-path routing protocol. The zero value is the
-// paper's MR; the destination replies to the 2 maximally disjoint routes.
+// paper's MR; the destination collects routes within routing.DefaultHopSlack
+// hops of the first arrival and replies to the 2 maximally disjoint ones.
 type Protocol struct {
-	// MaxForwards caps the total RREQ copies each intermediate node
-	// forwards per request, modeling the MAC-level contention that keeps
-	// the paper's observed overhead at "more than twice" DSR's rather than
-	// letting grid braiding explode combinatorially. The zero value selects
-	// DefaultMaxForwards; negative means unlimited (the literal unbounded
-	// reading of the paper's rule, kept for the ablation benchmark).
-	MaxForwards int
 	// IncomingLinkRule enables strict SMR: a duplicate is forwarded only if
 	// it arrived over a different link than the first copy.
 	IncomingLinkRule bool
-	// HopSlack is how many hops beyond the first-arriving route the
-	// destination's collection admits — the "certain amount of time" design
-	// parameter, expressed in hops so collection is deterministic. The zero
-	// value selects DefaultHopSlack; use HopSlackStrict for shortest-only
-	// collection and HopSlackNone to disable the filter.
-	HopSlack int
 	// Avoid excludes nodes from discovery (routing.FloodConfig.Avoid) —
 	// the IDS's isolation list plugs in here.
 	Avoid func(topology.NodeID) bool
@@ -44,17 +31,12 @@ type Protocol struct {
 	Forge routing.ForgeFunc
 }
 
-// Defaults and sentinels for Protocol fields.
-const (
-	// DefaultMaxForwards is the per-node forward budget when
-	// Protocol.MaxForwards is zero.
-	DefaultMaxForwards = 6
-	// DefaultHopSlack, HopSlackStrict and HopSlackNone are the routing
-	// package's HopSlack settings, shared with dsr.
-	DefaultHopSlack = routing.DefaultHopSlack
-	HopSlackStrict  = routing.HopSlackStrict
-	HopSlackNone    = routing.HopSlackNone
-)
+// maxForwards caps the total RREQ copies each intermediate node forwards per
+// request, modeling the MAC-level contention that keeps the paper's observed
+// overhead at "more than twice" DSR's rather than letting grid braiding
+// explode combinatorially. BenchmarkAblationSMRRule runs the literal
+// unbounded rule.
+const maxForwards = 6
 
 // Name implements routing.Protocol.
 func (p *Protocol) Name() string {
@@ -69,8 +51,8 @@ func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing
 	return routing.RunDiscovery(net, src, dst, routing.FloodConfig{
 		Name:        p.Name(),
 		Rule:        p.rule,
-		MaxForwards: knob.Resolve(p.MaxForwards, DefaultMaxForwards), // 0 = unlimited
-		HopSlack:    routing.ProtocolHopSlack(p.HopSlack),
+		MaxForwards: maxForwards,
+		HopSlack:    routing.DefaultHopSlack,
 		Avoid:       p.Avoid,
 		Forge:       p.Forge,
 	})

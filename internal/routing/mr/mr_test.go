@@ -159,20 +159,3 @@ func TestMRDeterministicPerSeed(t *testing.T) {
 		t.Error("overhead differs across identical seeds")
 	}
 }
-
-func TestHopSlackSentinels(t *testing.T) {
-	net := topology.Uniform(6, 6, 1, 0)
-	strict := discover(t, &Protocol{HopSlack: HopSlackStrict}, net, 2)
-	loose := discover(t, &Protocol{HopSlack: HopSlackNone}, net, 2)
-	def := discover(t, &Protocol{}, net, 2)
-	if len(strict.Routes) > len(def.Routes) || len(def.Routes) > len(loose.Routes) {
-		t.Errorf("route counts should grow with slack: %d <= %d <= %d",
-			len(strict.Routes), len(def.Routes), len(loose.Routes))
-	}
-	minHops := strict.Routes[0].Hops()
-	for _, r := range strict.Routes {
-		if r.Hops() != minHops {
-			t.Error("strict slack admitted a longer route")
-		}
-	}
-}

@@ -211,10 +211,6 @@ type Discovery struct {
 	// implausibly early.
 	ReplyTimes []sim.Time
 
-	// FirstArrival and LastArrival are the virtual times of the first and
-	// last RREQ copies reaching the destination (0,0 if none did).
-	FirstArrival, LastArrival sim.Time
-
 	// FloodEnd is the virtual time the request flood died out — the moment
 	// the destination starts answering. Reply travel time is measured from
 	// it.

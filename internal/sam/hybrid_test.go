@@ -1,8 +1,10 @@
 package sam
 
 import (
+	"slices"
 	"testing"
 
+	"samnet/internal/geom"
 	"samnet/internal/routing"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
@@ -64,10 +66,10 @@ func TestHybridNormalStaysQuiet(t *testing.T) {
 func TestHybridFlagsClassicWormholeByFrequency(t *testing.T) {
 	routes := attackRoutes()
 	// Corroborate even the tunnel (colluders do) and give it a short detour:
-	// the frequency channels must still catch the classic spike on their own.
+	// each frequency channel must still catch the classic spike on its own.
 	h := trainedHybrid(t, hubTables(routes), HybridConfig{})
 	v := h.Evaluate(Analyze(routes), routes, honestTimes(routes))
-	if !v.Attacked || !(v.BySAM || v.ByPMF || v.ByZ) {
+	if !v.Attacked || !v.BySAM || !v.ByPMF || !v.ByZ {
 		t.Errorf("classic frequency spike not caught: %+v", v)
 	}
 }
@@ -88,6 +90,35 @@ func TestHybridFlagsUncorroboratedLink(t *testing.T) {
 	}
 	if len(v.SuspectLinks) == 0 {
 		t.Error("suspect links should name the fabricated link")
+	}
+}
+
+// TestHybridFlagsUncorroboratedShortLink pins the mutual-claim audit on its
+// own: a forged link between two-hop radio neighbors detours in 2 hops, well
+// under DetourHops, so only the missing corroboration can condemn it.
+func TestHybridFlagsUncorroboratedShortLink(t *testing.T) {
+	// A 5x2 ladder at unit spacing: nodes 0-4 along the bottom row, 5-9
+	// above them.
+	topo := topology.New("ladder", 1.001)
+	for y := 0; y < 2; y++ {
+		for x := 0; x < 5; x++ {
+			topo.AddNode(geom.Pt(float64(x), float64(y)))
+		}
+	}
+	nt := RadioNeighborTables(topo)
+	forged := topology.MkLink(0, 2)
+	if nt.Corroborated(forged.A, forged.B) || nt.DetourHops(forged) != 2 {
+		t.Fatalf("fixture: want an unclaimed link with a 2-hop detour, got detour %d", nt.DetourHops(forged))
+	}
+
+	routes := []routing.Route{{0, 2, 3, 4}}
+	h := trainedHybrid(t, nt, HybridConfig{DetourHops: 4})
+	v := h.Evaluate(Analyze(routes), routes, nil)
+	if !v.ByNeighbor || !v.Attacked {
+		t.Fatalf("uncorroborated short link not flagged: %+v", v)
+	}
+	if !slices.Equal(v.SuspectLinks, []topology.Link{forged}) {
+		t.Errorf("suspect links = %v, want [%v]", v.SuspectLinks, forged)
 	}
 }
 
