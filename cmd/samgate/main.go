@@ -78,16 +78,7 @@ func main() {
 	if hi <= 0 {
 		hi = -1
 	}
-	// Tracing follows samserve's -decisions convention: 0 means the default
-	// ring, negative disables. Disabled tracing costs the proxy path nothing.
-	var tracer *obs.Tracer
-	if *traces >= 0 {
-		size := *traces
-		if size == 0 {
-			size = 256
-		}
-		tracer = obs.NewTracer(size, *traceSlow)
-	}
+	tracer := cli.NewTracer(*traces, *traceSlow)
 
 	gw, err := cluster.NewGateway(cluster.GatewayConfig{
 		Replicas:       addrs,

@@ -105,16 +105,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Tracing follows the -decisions convention: 0 means the default ring,
-	// negative disables. Disabled tracing costs the detect hot path nothing.
-	var tracer *obs.Tracer
-	if *traces >= 0 {
-		size := *traces
-		if size == 0 {
-			size = 256
-		}
-		tracer = obs.NewTracer(size, *traceSlow)
-	}
+	tracer := cli.NewTracer(*traces, *traceSlow)
 
 	cfg := service.Config{
 		Workers:        *workers,

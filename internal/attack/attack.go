@@ -70,11 +70,6 @@ func (w *Wormhole) Installed() bool { return w.installed }
 // whose appearance frequency SAM keys on.
 func (w *Wormhole) Link() topology.Link { return topology.MkLink(w.A, w.B) }
 
-// Endpoints returns the attacker node set of this wormhole.
-func (w *Wormhole) Endpoints() map[topology.NodeID]bool {
-	return map[topology.NodeID]bool{w.A: true, w.B: true}
-}
-
 // PayloadBehavior is what wormhole endpoints do with data packets once
 // routes flow through them.
 type PayloadBehavior int
@@ -167,10 +162,6 @@ type Scenario struct {
 	// destination can collect, keeping the tunnel's appearance frequency —
 	// SAM's p_max — under the trained alarm threshold. Zero is unlimited.
 	ReqBudget int
-	// TargetPMax records the trained p_max alarm level an adaptive attacker
-	// is engineered to stay under (informational; the throttle itself is
-	// ReqBudget + TunnelDelay).
-	TargetPMax float64
 }
 
 // NewScenario installs count wormholes on net with the given payload

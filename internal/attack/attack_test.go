@@ -155,17 +155,6 @@ func TestBehaviorString(t *testing.T) {
 	}
 }
 
-func TestEndpoints(t *testing.T) {
-	net := topology.Cluster(1, 1)
-	sc := NewScenario(net, 1, Forward)
-	defer sc.Teardown()
-	w := sc.Tunnels[0]
-	eps := w.Endpoints()
-	if !eps[w.A] || !eps[w.B] || len(eps) != 2 {
-		t.Errorf("endpoints = %v", eps)
-	}
-}
-
 func TestRushingScenario(t *testing.T) {
 	net := topology.Cluster(1, 1)
 	sc := NewRushingScenario(net, 1, 0.3, Forward)

@@ -84,45 +84,27 @@ func NewChainScenario(net *topology.Network, relays int, delay sim.Time, behavio
 	return s
 }
 
-// AdaptiveConfig tunes NewAdaptiveScenario. The zero value selects the most
-// conservative attacker: one tunneled request copy per discovery, tunnel
-// latency matched to the path it shortcuts.
-type AdaptiveConfig struct {
-	// TargetPMax is the trained p_max alarm level the attacker engineers its
-	// throttle to stay under (recorded on the scenario; informational).
-	TargetPMax float64
-	// Budget is the per-discovery tunneled-RREQ budget (default 1).
-	Budget int
-	// Delay is the tunnel's extra crossing latency. The default is one less
-	// than the tunnel's normal-path hop span, so tunneled copies stop
-	// winning first-arrival races — honest routes keep flooding and dilute
-	// the tunnel's appearance frequency.
-	Delay sim.Time
-}
-
 // NewAdaptiveScenario installs count classic wormholes driven by an attacker
 // that knows SAM's statistics and throttles itself under them: few tunneled
 // request copies per discovery (so few collected routes carry the tunnel)
 // and a slow-enough tunnel that honest routes arrive first and stay in the
 // collection. The tunnel still attracts payload traffic — its routes are
 // shorter — but the p_max spike SAM alarms on never forms.
-func NewAdaptiveScenario(net *topology.Network, count int, behavior PayloadBehavior, cfg AdaptiveConfig) *Scenario {
+//
+// The attacker is the most conservative one: one tunneled request copy per
+// discovery, and a tunnel crossing that costs one hop less than the path it
+// shortcuts, so tunneled copies stop winning first-arrival races — honest
+// routes keep flooding and dilute the tunnel's appearance frequency.
+func NewAdaptiveScenario(net *topology.Network, count int, behavior PayloadBehavior) *Scenario {
 	s := NewScenario(net, count, behavior)
-	if cfg.Budget <= 0 {
-		cfg.Budget = 1
-	}
-	if cfg.Delay <= 0 {
-		span := 2
-		if count > 0 {
-			if d := net.TunnelSpan(0); d > span {
-				span = d
-			}
+	span := 2
+	if count > 0 {
+		if d := net.TunnelSpan(0); d > span {
+			span = d
 		}
-		cfg.Delay = sim.Time(span - 1)
 	}
-	s.TunnelDelay = cfg.Delay
-	s.ReqBudget = cfg.Budget
-	s.TargetPMax = cfg.TargetPMax
+	s.TunnelDelay = sim.Time(span - 1)
+	s.ReqBudget = 1
 	return s
 }
 
@@ -210,7 +192,7 @@ func Named(name string, net *topology.Network, behavior PayloadBehavior) (*Scena
 	case "chain":
 		return NewChainScenario(net, DefaultChainRelays, DefaultChainDelay, behavior), nil
 	case "adaptive":
-		return NewAdaptiveScenario(net, 1, behavior, AdaptiveConfig{}), nil
+		return NewAdaptiveScenario(net, 1, behavior), nil
 	case "forge":
 		return NewForgeScenario(net, 1, behavior), nil
 	}

@@ -111,7 +111,7 @@ func TestChainScenarioShape(t *testing.T) {
 
 func TestAdaptiveThrottleCapsTunnelRREQs(t *testing.T) {
 	net := topology.Cluster(1, 1)
-	sc := NewAdaptiveScenario(net, 1, Forward, AdaptiveConfig{Budget: 1})
+	sc := NewAdaptiveScenario(net, 1, Forward)
 	defer sc.Teardown()
 	if sc.ReqBudget != 1 || sc.TunnelDelay <= 0 {
 		t.Fatalf("adaptive defaults: budget=%d delay=%v", sc.ReqBudget, sc.TunnelDelay)
@@ -135,6 +135,24 @@ func TestAdaptiveThrottleCapsTunnelRREQs(t *testing.T) {
 	nb := net.Topo.Neighbors(w.A)[0]
 	if drop(s, nb, w.A, q) {
 		t.Error("non-tunnel links are not throttled")
+	}
+}
+
+// TestAdaptiveTunnelDelayIsSpanMinusOne pins the adaptive attacker's tunnel
+// latency: one hop less than the normal path it shortcuts, and 1 when no
+// tunnel gives it a span to match.
+func TestAdaptiveTunnelDelayIsSpanMinusOne(t *testing.T) {
+	for _, tier := range []int{1, 2} {
+		net := topology.Cluster(tier, 1)
+		sc := NewAdaptiveScenario(net, 1, Forward)
+		if want := sim.Time(net.TunnelSpan(0) - 1); sc.TunnelDelay != want {
+			t.Errorf("tier %d: TunnelDelay = %v, want span-1 = %v", tier, sc.TunnelDelay, want)
+		}
+		sc.Teardown()
+	}
+	sc := NewAdaptiveScenario(topology.Cluster(1, 1), 0, Forward)
+	if sc.TunnelDelay != 1 || len(sc.Tunnels) != 0 {
+		t.Errorf("no tunnels: TunnelDelay = %v with %d tunnels, want 1 with 0", sc.TunnelDelay, len(sc.Tunnels))
 	}
 }
 

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"testing"
+	"time"
 )
 
 func TestBuildTopologyAllNames(t *testing.T) {
@@ -51,5 +52,18 @@ func TestBuildProtocolAllNames(t *testing.T) {
 func TestBuildProtocolUnknown(t *testing.T) {
 	if _, err := BuildProtocol("ospf"); err == nil {
 		t.Error("unknown protocol should error")
+	}
+}
+
+func TestNewTracerResolvesSize(t *testing.T) {
+	if tr := NewTracer(-1, 0); tr != nil {
+		t.Errorf("negative size: tracer = %v, want nil (tracing off)", tr)
+	}
+	if got := NewTracer(0, 0).Cap(); got != 256 {
+		t.Errorf("size 0: capacity = %d, want the default 256", got)
+	}
+	tr := NewTracer(8, time.Second)
+	if tr.Cap() != 8 || tr.SlowThreshold() != time.Second {
+		t.Errorf("size 8: capacity %d, slow threshold %v", tr.Cap(), tr.SlowThreshold())
 	}
 }

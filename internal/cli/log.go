@@ -5,6 +5,9 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"time"
+
+	"samnet/internal/obs"
 )
 
 // LogFormats lists the accepted -log-format values.
@@ -27,4 +30,18 @@ func NewLoggerTo(w io.Writer, format string) (*slog.Logger, error) {
 		return slog.New(slog.NewJSONHandler(w, nil)), nil
 	}
 	return nil, fmt.Errorf("unknown log format %q (want one of %v)", format, LogFormats)
+}
+
+// NewTracer resolves the -traces and -trace-slow flags samserve and samgate
+// share. They follow samserve's -decisions convention: 0 sizes the default
+// ring of 256 spans, and a negative size turns tracing off, which returns a
+// nil tracer that costs the request path nothing.
+func NewTracer(size int, slow time.Duration) *obs.Tracer {
+	if size < 0 {
+		return nil
+	}
+	if size == 0 {
+		size = 256
+	}
+	return obs.NewTracer(size, slow)
 }

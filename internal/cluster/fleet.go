@@ -71,9 +71,6 @@ func NewFleet(addrs []string, client *Client) (*Fleet, error) {
 	return f, nil
 }
 
-// Ring returns the placement ring over the full membership.
-func (f *Fleet) Ring() *Ring { return f.ring }
-
 // Replicas returns the fleet's members, sorted.
 func (f *Fleet) Replicas() []string { return f.ring.Replicas() }
 

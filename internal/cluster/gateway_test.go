@@ -139,13 +139,33 @@ func gridBody(t *testing.T) string {
 	})
 }
 
+// gridProfiles names the profiles gridBody trains.
+var gridProfiles = []string{"cluster-1tier-MR", "cluster-2tier-MR", "cluster-1tier-SMR", "cluster-2tier-SMR"}
+
+// newSplitFleet fronts two fresh replicas whose ring spreads the grid's
+// profiles over both. Placement hashes the replicas' URLs, so it redraws
+// the pair until the grid is split.
+func newSplitFleet(t *testing.T) (g *Gateway, gw, r1, r2 *httptest.Server) {
+	t.Helper()
+	for try := 0; try < 32; try++ {
+		r1, r2 = newReplica(t), newReplica(t)
+		g, gw = newTestGateway(t, r1.URL, r2.URL)
+		for _, p := range gridProfiles[1:] {
+			if g.fleet.Owner(p) != g.fleet.Owner(gridProfiles[0]) {
+				return g, gw, r1, r2
+			}
+		}
+	}
+	t.Fatal("no replica pair split the grid in 32 draws")
+	return nil, nil, nil, nil
+}
+
 // TestGatewayTrainBatchScatterByteIdentity is the determinism acceptance
 // gate: a grid scattered across two replicas and merged by the gateway must
 // produce the exact bytes a single replica produces sweeping the whole grid.
 func TestGatewayTrainBatchScatterByteIdentity(t *testing.T) {
 	single := newReplica(t)
-	r1, r2 := newReplica(t), newReplica(t)
-	g, gw := newTestGateway(t, r1.URL, r2.URL)
+	g, gw, r1, r2 := newSplitFleet(t)
 
 	body := gridBody(t)
 	resp, want := postRaw(t, single.URL+"/v1/train/batch", body)
@@ -166,7 +186,7 @@ func TestGatewayTrainBatchScatterByteIdentity(t *testing.T) {
 	// The split actually happened (both replicas trained something) — the
 	// byte identity above would be vacuous if one replica took the grid.
 	if g.metrics.scatters.Value() == 0 {
-		t.Skip("grid placed on one replica; scatter not exercised with this membership")
+		t.Fatal("grid split across replicas, but the gateway did not scatter it")
 	}
 	for _, r := range []*httptest.Server{r1, r2} {
 		var infos []service.ProfileInfo
@@ -234,8 +254,7 @@ func TestGatewayDetectByteTransparent(t *testing.T) {
 // to a lone replica scoring the same stream.
 func TestGatewayStreamOrdered(t *testing.T) {
 	single := newReplica(t)
-	r1, r2 := newReplica(t), newReplica(t)
-	g, gw := newTestGateway(t, r1.URL, r2.URL)
+	_, gw, _, _ := newSplitFleet(t)
 
 	body := gridBody(t)
 	if resp, blob := postRaw(t, single.URL+"/v1/train/batch", body); resp.StatusCode != http.StatusOK {
@@ -245,19 +264,12 @@ func TestGatewayStreamOrdered(t *testing.T) {
 		t.Fatalf("fleet train: %d: %s", resp.StatusCode, blob)
 	}
 
-	// Confirm the stream really crosses replicas.
-	if g.fleet.Owner("cluster-1tier-MR") == g.fleet.Owner("cluster-2tier-MR") &&
-		g.fleet.Owner("cluster-1tier-MR") == g.fleet.Owner("cluster-1tier-SMR") &&
-		g.fleet.Owner("cluster-1tier-MR") == g.fleet.Owner("cluster-2tier-SMR") {
-		t.Skip("all stream profiles placed on one replica with this membership")
-	}
-
+	// newSplitFleet placed the stream's profiles on both replicas.
 	sets := genSets(8, false, 8000)
 	var in bytes.Buffer
-	profiles := []string{"cluster-1tier-MR", "cluster-2tier-MR", "cluster-1tier-SMR", "cluster-2tier-SMR"}
 	lines := 0
 	for i := 0; i < 8; i++ {
-		in.WriteString(mustMarshal(t, service.DetectRequest{Profile: profiles[i%4], Routes: sets[i]}))
+		in.WriteString(mustMarshal(t, service.DetectRequest{Profile: gridProfiles[i%4], Routes: sets[i]}))
 		in.WriteByte('\n')
 		lines++
 		if i == 3 {
@@ -472,7 +484,7 @@ func TestGatewayFailover(t *testing.T) {
 	name := ""
 	for i := 0; name == ""; i++ {
 		candidate := fmt.Sprintf("failover-%d", i)
-		if g.fleet.Ring().Owner(candidate) == deadURL {
+		if g.fleet.ring.Owner(candidate) == deadURL {
 			name = candidate
 		}
 	}

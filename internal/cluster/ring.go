@@ -42,9 +42,6 @@ func NewRing(replicas []string) *Ring {
 // must not mutate it.
 func (r *Ring) Replicas() []string { return r.replicas }
 
-// Len returns the number of replicas on the ring.
-func (r *Ring) Len() int { return len(r.replicas) }
-
 // score is the rendezvous weight of (replica, key): a 64-bit FNV-1a over the
 // replica address, a separator, and the key, passed through a splitmix64
 // finalizer. FNV alone is too linear for rendezvous hashing — nearby keys

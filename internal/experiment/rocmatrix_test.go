@@ -106,7 +106,7 @@ func TestROCMatrixAdaptiveThrottleHoldsPMax(t *testing.T) {
 	profile := rocMatrixProfile(cfg, "MR")
 	rows := rocMatrixRowsByName(t, cfg)
 
-	// The detector floors sigma at MinStd (default 0.02) before thresholding;
+	// The detector floors sigma at minStd (0.02) before thresholding;
 	// mirror that here.
 	std := profile.PMax.Std
 	if std < 0.02 {

@@ -60,19 +60,6 @@ func TestTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestAddSubScale(t *testing.T) {
-	p := Pt(2, 3)
-	if got := p.Add(Pt(1, -1)); got != Pt(3, 2) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := p.Sub(Pt(1, -1)); got != Pt(1, 4) {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := p.Scale(2); got != Pt(4, 6) {
-		t.Errorf("Scale = %v", got)
-	}
-}
-
 func TestLerp(t *testing.T) {
 	a, b := Pt(0, 0), Pt(10, 20)
 	if got := a.Lerp(b, 0); got != a {
@@ -114,18 +101,6 @@ func TestRectGeometry(t *testing.T) {
 	r := NewRect(Pt(1, 2), Pt(4, 8))
 	if r.Width() != 3 || r.Height() != 6 {
 		t.Errorf("Width/Height = %v/%v", r.Width(), r.Height())
-	}
-	if r.Center() != Pt(2.5, 5) {
-		t.Errorf("Center = %v", r.Center())
-	}
-}
-
-func TestRectUnion(t *testing.T) {
-	a := NewRect(Pt(0, 0), Pt(2, 2))
-	b := NewRect(Pt(1, -1), Pt(5, 1))
-	u := a.Union(b)
-	if u.Min != Pt(0, -1) || u.Max != Pt(5, 2) {
-		t.Errorf("Union = %+v", u)
 	}
 }
 

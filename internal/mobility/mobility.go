@@ -97,9 +97,6 @@ func (m *Model) Pin(ids ...topology.NodeID) {
 	}
 }
 
-// Now returns the model's current time.
-func (m *Model) Now() float64 { return m.now }
-
 func (m *Model) newLeg(from geom.Point, start float64) leg {
 	to := geom.Pt(
 		m.cfg.Arena.Min.X+m.rng.Float64()*m.cfg.Arena.Width(),
@@ -146,19 +143,4 @@ func (m *Model) positionAt(i int, t float64) geom.Point {
 		l.paused = true
 		l.pauseUntil = l.start + travel + m.cfg.Pause
 	}
-}
-
-// InArena reports whether every node currently sits inside the arena —
-// a model invariant (pinned nodes may start outside; they are exempt).
-func (m *Model) InArena() bool {
-	for i := 0; i < m.topo.N(); i++ {
-		id := topology.NodeID(i)
-		if m.pinned[id] {
-			continue
-		}
-		if !m.cfg.Arena.Contains(m.topo.Pos(id)) {
-			return false
-		}
-	}
-	return true
 }

@@ -50,8 +50,10 @@ func TestNodesStayInArena(t *testing.T) {
 	m := New(topo, Config{Arena: arena()}, rand.New(rand.NewPCG(2, 2)))
 	for step := 0; step < 200; step++ {
 		m.Advance(0.37)
-		if !m.InArena() {
-			t.Fatalf("node left the arena at step %d", step)
+		for i, p := range topo.Positions() {
+			if !arena().Contains(p) {
+				t.Fatalf("node %d left the arena at step %d: %v", i, step, p)
+			}
 		}
 	}
 }
@@ -85,7 +87,7 @@ func TestAdvanceZeroIsNoop(t *testing.T) {
 			t.Error("Advance(0) moved a node")
 		}
 	}
-	if m.Now() != 0 {
+	if m.now != 0 {
 		t.Error("time advanced")
 	}
 }

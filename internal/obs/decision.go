@@ -88,38 +88,28 @@ type DecisionEvidence struct {
 // DecisionRing retains the most recent decision records in a fixed-size
 // lock-free ring. Writers claim a slot with one atomic increment and publish
 // the record with one atomic pointer store; readers snapshot without
-// blocking writers. Capture hides behind an atomic enabled flag so a
-// disabled ring costs one branch and zero allocations on the detect hot
-// path.
+// blocking writers.
 //
-// A nil *DecisionRing is valid and permanently disabled, so callers can
-// thread "maybe telemetry" without nil checks.
+// A ring captures exactly when it is non-nil. A nil *DecisionRing is valid
+// and captures nothing, so callers can thread "maybe telemetry" without nil
+// checks, and capture off costs one branch and zero allocations on the
+// detect hot path.
 type DecisionRing struct {
-	enabled atomic.Bool
-	seq     atomic.Uint64
-	slots   []atomic.Pointer[Decision]
+	seq   atomic.Uint64
+	slots []atomic.Pointer[Decision]
 }
 
-// NewDecisionRing builds a ring retaining the last size records, enabled.
-// size < 1 is clamped to 1.
+// NewDecisionRing builds a ring retaining the last size records. It panics
+// if size is below 1.
 func NewDecisionRing(size int) *DecisionRing {
 	if size < 1 {
-		size = 1
+		panic("obs: DecisionRing size must be at least 1")
 	}
-	r := &DecisionRing{slots: make([]atomic.Pointer[Decision], size)}
-	r.enabled.Store(true)
-	return r
+	return &DecisionRing{slots: make([]atomic.Pointer[Decision], size)}
 }
 
-// Enabled reports whether Record currently captures. Nil-safe (false).
-func (r *DecisionRing) Enabled() bool { return r != nil && r.enabled.Load() }
-
-// SetEnabled toggles capture. Nil-safe (no-op).
-func (r *DecisionRing) SetEnabled(on bool) {
-	if r != nil {
-		r.enabled.Store(on)
-	}
-}
+// Enabled reports whether Record captures: whether r is non-nil.
+func (r *DecisionRing) Enabled() bool { return r != nil }
 
 // Cap returns the ring capacity. Nil-safe (0).
 func (r *DecisionRing) Cap() int {
@@ -137,18 +127,9 @@ func (r *DecisionRing) Recorded() uint64 {
 	return r.seq.Load()
 }
 
-// Len returns how many records a Snapshot would currently return. Nil-safe.
-func (r *DecisionRing) Len() int {
-	n := r.Recorded()
-	if c := uint64(r.Cap()); n > c {
-		n = c
-	}
-	return int(n)
-}
-
-// Record captures d (assigning its Seq) unless the ring is disabled or nil.
-// Callers on hot paths should guard record construction with Enabled so the
-// disabled case stays allocation-free:
+// Record captures d (assigning its Seq) unless the ring is nil. Callers on
+// hot paths should guard record construction with Enabled so the capture-off
+// case stays allocation-free:
 //
 //	if ring.Enabled() {
 //	    ring.Record(buildDecision(...))

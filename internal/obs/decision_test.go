@@ -17,9 +17,6 @@ func TestDecisionRingWraparound(t *testing.T) {
 	if got := r.Recorded(); got != 10 {
 		t.Fatalf("Recorded = %d, want 10", got)
 	}
-	if got := r.Len(); got != 4 {
-		t.Fatalf("Len = %d, want 4", got)
-	}
 	snap := r.Snapshot()
 	if len(snap) != 4 {
 		t.Fatalf("snapshot has %d records, want 4", len(snap))
@@ -32,28 +29,28 @@ func TestDecisionRingWraparound(t *testing.T) {
 	}
 }
 
+// TestDecisionRingDisabledAndNil: a nil ring is the one disabled ring.
 func TestDecisionRingDisabledAndNil(t *testing.T) {
 	var nilRing *DecisionRing
 	if nilRing.Enabled() {
-		t.Error("nil ring must report disabled")
+		t.Error("nil ring must report capture off")
 	}
 	nilRing.Record(Decision{}) // must not panic
-	nilRing.SetEnabled(true)   // must not panic
 	if got := nilRing.Snapshot(); got != nil {
 		t.Errorf("nil ring snapshot = %v, want nil", got)
 	}
+	if nilRing.Recorded() != 0 || nilRing.Cap() != 0 {
+		t.Error("nil ring must report nothing recorded and no capacity")
+	}
+}
 
-	r := NewDecisionRing(2)
-	r.SetEnabled(false)
-	r.Record(Decision{})
-	if r.Recorded() != 0 || r.Len() != 0 {
-		t.Error("disabled ring must not record")
-	}
-	r.SetEnabled(true)
-	r.Record(Decision{})
-	if r.Recorded() != 1 {
-		t.Error("re-enabled ring must record")
-	}
+func TestNewDecisionRingRejectsZeroSize(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("size 0 should panic")
+		}
+	}()
+	NewDecisionRing(0)
 }
 
 // TestDecisionRingConcurrent runs writers against snapshotting readers; under

@@ -1,17 +1,17 @@
 // Package obs is the repository's zero-dependency observability core: a
-// process-wide registry of counters, gauges, and fixed-bucket histograms
-// with a Prometheus text exposition writer, structured detection decision
-// records held in a lock-free ring buffer, and a progress tracker for
-// long-running experiment sweeps.
+// process-wide registry of counters, sampled gauges, and fixed-bucket
+// histograms with a Prometheus text exposition writer, structured detection
+// decision records held in a lock-free ring buffer, and a progress tracker
+// for long-running experiment sweeps.
 //
 // Two constraints shape the package, carried over from the hot-path work of
 // earlier PRs:
 //
 //   - Telemetry must be allocation-light on hot paths. Instrument handles
 //     are resolved once at registration time (the only place a lock is
-//     taken); Add/Set/Observe are single atomic operations and never
-//     allocate. Decision capture hides behind an atomic enabled check, so a
-//     disabled ring costs one predictable branch and zero allocations.
+//     taken); Inc/Observe are atomic operations and never allocate.
+//     Decision capture is on exactly when the ring is non-nil, so capture
+//     off costs one predictable branch and zero allocations.
 //   - Telemetry must never perturb simulation results. Nothing in this
 //     package touches RNG state or event ordering; progress and metrics only
 //     aggregate counts and wall-clock time. samrepro output is pinned
@@ -58,7 +58,6 @@ func (k kind) String() string {
 type series struct {
 	labels string // rendered {k="v",...} suffix, "" when label-less
 	c      *Counter
-	g      *Gauge
 	gf     func() float64
 	h      *Histogram
 }
@@ -95,15 +94,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		s.c = &Counter{}
 	}
 	return s.c
-}
-
-// Gauge registers (or fetches) a settable gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.getOrCreate(name, help, gaugeKind, nil, labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
 }
 
 // GaugeFunc registers a gauge whose value is sampled from fn at exposition
@@ -198,8 +188,6 @@ func writeSeries(w io.Writer, f *family, s *series) {
 		v := 0.0
 		if s.gf != nil {
 			v = s.gf()
-		} else if s.g != nil {
-			v = s.g.Value()
 		}
 		fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatFloat(v))
 	case histogramKind:

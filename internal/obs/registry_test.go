@@ -13,10 +13,11 @@ import (
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("app_requests_total", "Requests served.", Label{"endpoint", "detect"}, Label{"class", "2xx"})
-	c.Add(7)
+	for i := 0; i < 7; i++ {
+		c.Inc()
+	}
 	r.Counter("app_requests_total", "Requests served.", Label{"endpoint", "detect"}, Label{"class", "5xx"}).Inc()
-	g := r.Gauge("app_queue_depth", "Tasks admitted.")
-	g.Set(3)
+	r.GaugeFunc("app_queue_depth", "Tasks admitted.", func() float64 { return 3 })
 	r.GaugeFunc("app_uptime_seconds", "Uptime.", func() float64 { return 12.5 })
 	h := r.Histogram("app_latency_seconds", "Latency.", []float64{0.1, 0.5, 1}, Label{"endpoint", "detect"})
 	h.Observe(0.05)
@@ -70,7 +71,7 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 			t.Fatal("want panic on kind mismatch")
 		}
 	}()
-	r.Gauge("m", "")
+	r.GaugeFunc("m", "", func() float64 { return 0 })
 }
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -107,7 +108,6 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestInstrumentsConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "")
-	g := r.Gauge("g", "")
 	h := r.Histogram("h", "", []float64{1, 2, 4})
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
@@ -117,7 +117,6 @@ func TestInstrumentsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(float64(i % 5))
 				if i%100 == 0 {
 					var b strings.Builder
@@ -129,9 +128,6 @@ func TestInstrumentsConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Value() != workers*per {
 		t.Errorf("counter = %d, want %d", c.Value(), workers*per)
-	}
-	if g.Value() != workers*per {
-		t.Errorf("gauge = %v, want %d", g.Value(), workers*per)
 	}
 	if h.Count() != workers*per {
 		t.Errorf("histogram count = %d, want %d", h.Count(), workers*per)

@@ -4,8 +4,8 @@ package obs
 // observe-only discipline as the rest of this package. A Tracer hands out
 // trace/span identities, propagates them in W3C trace-context style
 // ("traceparent" header), and retains completed spans in lock-free rings —
-// one for recent spans, one for spans over a slow threshold — behind an
-// atomic enabled flag, so a disabled (or nil) tracer costs one branch and
+// one for recent spans, one for spans over a slow threshold. Tracing is on
+// exactly when the tracer is non-nil, so tracing off costs one branch and
 // zero allocations on the detect hot path.
 //
 // The contract mirrors DecisionRing's: writers claim a slot with one atomic
@@ -185,12 +185,6 @@ type SpanContext struct {
 // Valid reports whether the context carries a real trace identity.
 func (c SpanContext) Valid() bool { return !c.traceID.IsZero() && !c.spanID.IsZero() }
 
-// TraceID returns the binary trace id.
-func (c SpanContext) TraceID() TraceID { return c.traceID }
-
-// SpanID returns the binary span id.
-func (c SpanContext) SpanID() SpanID { return c.spanID }
-
 // Traceparent returns the header value propagating this span as the parent
 // of downstream work ("" for a context parsed from a remote header, which is
 // never re-propagated verbatim).
@@ -299,44 +293,34 @@ func (r *spanRing) snapshot() []Span {
 }
 
 // Tracer creates spans and retains the completed ones. A nil *Tracer is
-// valid and permanently disabled, so services thread "maybe tracing" without
-// nil checks — the same contract as DecisionRing.
+// valid and traces nothing, so services thread "maybe tracing" without nil
+// checks — the same contract as DecisionRing.
 type Tracer struct {
-	enabled atomic.Bool
-	slowNS  int64
-	recent  spanRing
-	slow    spanRing
+	slowNS int64
+	recent spanRing
+	slow   spanRing
 }
 
-// NewTracer builds an enabled tracer retaining the last size spans plus a
+// NewTracer builds a tracer retaining the last size spans plus a
 // quarter-size ring of spans at or over slowThreshold (slowThreshold <= 0
-// disables slow capture). size < 1 is clamped to 1.
+// disables slow capture). It panics if size is below 1.
 func NewTracer(size int, slowThreshold time.Duration) *Tracer {
 	if size < 1 {
-		size = 1
+		panic("obs: Tracer size must be at least 1")
 	}
 	slowSize := size / 4
 	if slowSize < 1 {
 		slowSize = 1
 	}
-	t := &Tracer{
+	return &Tracer{
 		slowNS: int64(slowThreshold),
 		recent: spanRing{slots: make([]atomic.Pointer[Span], size)},
 		slow:   spanRing{slots: make([]atomic.Pointer[Span], slowSize)},
 	}
-	t.enabled.Store(true)
-	return t
 }
 
-// Enabled reports whether Start/Finish currently capture. Nil-safe (false).
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
-// SetEnabled toggles capture. Nil-safe (no-op).
-func (t *Tracer) SetEnabled(on bool) {
-	if t != nil {
-		t.enabled.Store(on)
-	}
-}
+// Enabled reports whether Start/Finish capture: whether t is non-nil.
+func (t *Tracer) Enabled() bool { return t != nil }
 
 // Cap returns the recent-span ring capacity. Nil-safe (0).
 func (t *Tracer) Cap() int {
@@ -376,8 +360,8 @@ func (a ActiveSpan) Context() SpanContext { return a.ctx }
 
 // Start begins a span under parent: the parent's trace is continued when it
 // is valid, otherwise a fresh trace is rooted. Callers on hot paths must
-// guard with Enabled so the disabled case stays allocation-free; Start on a
-// nil or disabled tracer returns an inert span Finish ignores.
+// guard with Enabled so tracing off stays allocation-free; Start on a nil
+// tracer returns an inert span Finish ignores.
 func (t *Tracer) Start(name string, parent SpanContext) ActiveSpan {
 	if !t.Enabled() {
 		return ActiveSpan{}
@@ -397,7 +381,7 @@ func (t *Tracer) Start(name string, parent SpanContext) ActiveSpan {
 
 // Finish completes a span and records it, stamping duration and status. The
 // slow ring additionally retains it when the duration reaches the threshold.
-// Inert spans (from a disabled Start) and nil tracers are no-ops.
+// Inert spans (from a nil tracer's Start) and nil tracers are no-ops.
 func (t *Tracer) Finish(a ActiveSpan, status int) {
 	if t == nil || !a.ctx.Valid() {
 		return
@@ -427,8 +411,8 @@ func (t *Tracer) Finish(a ActiveSpan, status int) {
 // trace (or roots a new one), echoes the span in the Traceparent response
 // header so clients and the access log can join the trace, hands the span
 // context to h through the request context for downstream propagation, and
-// records the span with the status. A nil or disabled tracer costs one
-// atomic load, and the pooled status capture allocates nothing.
+// records the span with the status. A nil tracer costs one nil check, and
+// the pooled status capture allocates nothing.
 func (t *Tracer) Serve(name string, w http.ResponseWriter, r *http.Request, h http.HandlerFunc) int {
 	sw := NewStatusWriter(w)
 	var span ActiveSpan

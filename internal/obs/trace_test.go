@@ -99,7 +99,7 @@ func TestSpanContextHexAliasesHeader(t *testing.T) {
 	if h[3:35] != sc.TraceHex() || h[36:52] != sc.SpanHex() {
 		t.Fatalf("hex views disagree with header: %q vs %q/%q", h, sc.TraceHex(), sc.SpanHex())
 	}
-	if sc.TraceHex() != sc.TraceID().String() || sc.SpanHex() != sc.SpanID().String() {
+	if sc.TraceHex() != sc.traceID.String() || sc.SpanHex() != sc.spanID.String() {
 		t.Fatal("hex views disagree with binary ids")
 	}
 	// A parsed (remote) context has no header but still renders hex.
@@ -173,32 +173,29 @@ func TestTracerParentChild(t *testing.T) {
 	}
 }
 
+// TestTracerDisabledAndNil: a nil tracer is the one disabled tracer.
 func TestTracerDisabledAndNil(t *testing.T) {
 	var nilT *Tracer
 	if nilT.Enabled() {
-		t.Fatal("nil tracer should be disabled")
+		t.Fatal("nil tracer should report tracing off")
 	}
-	nilT.SetEnabled(true) // must not panic
-	nilT.Finish(nilT.Start("x", SpanContext{}), 200)
+	span := nilT.Start("x", SpanContext{})
+	if span.Context().Valid() {
+		t.Fatal("nil tracer's Start should return an inert span")
+	}
+	nilT.Finish(span, 200)
 	if nilT.Snapshot() != nil || nilT.SnapshotSlow() != nil || nilT.Cap() != 0 || nilT.Recorded() != 0 {
 		t.Fatal("nil tracer should report empty")
 	}
+}
 
-	tr := NewTracer(4, 0)
-	tr.SetEnabled(false)
-	span := tr.Start("x", SpanContext{})
-	if span.Context().Valid() {
-		t.Fatal("disabled Start should return inert span")
-	}
-	tr.Finish(span, 200)
-	if tr.Recorded() != 0 {
-		t.Fatal("disabled tracer must record nothing")
-	}
-	tr.SetEnabled(true)
-	tr.Finish(tr.Start("y", SpanContext{}), 200)
-	if tr.Recorded() != 1 {
-		t.Fatal("re-enabled tracer should record")
-	}
+func TestNewTracerRejectsZeroSize(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("size 0 should panic")
+		}
+	}()
+	NewTracer(0, 0)
 }
 
 func TestTracerSlowCapture(t *testing.T) {
@@ -318,17 +315,8 @@ func TestTracerHandler(t *testing.T) {
 }
 
 func TestStartAllocsWhenDisabled(t *testing.T) {
-	tr := NewTracer(8, 0)
-	tr.SetEnabled(false)
-	allocs := testing.AllocsPerRun(100, func() {
-		span := tr.Start("op", SpanContext{})
-		tr.Finish(span, 200)
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled Start/Finish allocs = %v, want 0", allocs)
-	}
 	var nilT *Tracer
-	allocs = testing.AllocsPerRun(100, func() {
+	allocs := testing.AllocsPerRun(100, func() {
 		span := nilT.Start("op", SpanContext{})
 		nilT.Finish(span, 200)
 	})
@@ -357,35 +345,26 @@ func (w nopWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w nopWriter) WriteHeader(int)             {}
 
 // TestServeZeroAllocWhenTracingOff pins the traced-request wrapper's cost with
-// tracing off: a nil or disabled tracer takes one branch, and the pooled
-// StatusWriter allocates nothing per request.
+// tracing off: a nil tracer takes one branch, and the pooled StatusWriter
+// allocates nothing per request.
 func TestServeZeroAllocWhenTracingOff(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of Puts under the race detector, so pooled-path allocation counts are meaningless")
 	}
-	disabled := NewTracer(8, 0)
-	disabled.SetEnabled(false)
+	var tr *Tracer
 	w := nopWriter{h: http.Header{}}
 	r := httptest.NewRequest("POST", "/v1/detect", nil)
 	h := func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusAccepted) }
-	for _, tc := range []struct {
-		name string
-		tr   *Tracer
-	}{{"nil", nil}, {"disabled", disabled}} {
-		allocs := testing.AllocsPerRun(100, func() {
-			if got := tc.tr.Serve("detect", w, r, h); got != http.StatusAccepted {
-				t.Fatalf("%s tracer: Serve = %d, want 202", tc.name, got)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s tracer: Serve allocs = %v, want 0", tc.name, allocs)
+	allocs := testing.AllocsPerRun(100, func() {
+		if got := tr.Serve("detect", w, r, h); got != http.StatusAccepted {
+			t.Fatalf("nil tracer: Serve = %d, want 202", got)
 		}
-		if len(w.h) != 0 {
-			t.Errorf("%s tracer: response headers %v, want none", tc.name, w.h)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("nil tracer: Serve allocs = %v, want 0", allocs)
 	}
-	if disabled.Recorded() != 0 {
-		t.Errorf("disabled tracer recorded %d spans", disabled.Recorded())
+	if len(w.h) != 0 {
+		t.Errorf("nil tracer: response headers %v, want none", w.h)
 	}
 }
 

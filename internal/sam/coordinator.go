@@ -17,21 +17,19 @@ type Coordinator struct {
 	// Quorum is the number of distinct accusing agents required (default 1:
 	// a single confirmed local detection suffices, as in the paper's
 	// "report to security authority" step).
-	Quorum    int
-	accusers  map[topology.NodeID]map[topology.NodeID]bool // suspect -> set of reporters
-	reports   []AttackReport
-	reporters map[topology.NodeID]int
+	Quorum   int
+	accusers map[topology.NodeID]map[topology.NodeID]bool // suspect -> set of reporters
 }
 
-// NewCoordinator builds a coordinator with the given quorum (minimum 1).
+// NewCoordinator builds a coordinator with the given quorum. It panics if
+// quorum is below 1: a blacklist that needs no accuser would hold every node.
 func NewCoordinator(quorum int) *Coordinator {
 	if quorum < 1 {
-		quorum = 1
+		panic("sam: Coordinator quorum must be at least 1")
 	}
 	return &Coordinator{
-		Quorum:    quorum,
-		accusers:  make(map[topology.NodeID]map[topology.NodeID]bool),
-		reporters: make(map[topology.NodeID]int),
+		Quorum:   quorum,
+		accusers: make(map[topology.NodeID]map[topology.NodeID]bool),
 	}
 }
 
@@ -43,8 +41,6 @@ func (c *Coordinator) Submit(reporter topology.NodeID, r AttackReport) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.reports = append(c.reports, r)
-	c.reporters[reporter]++
 	for _, s := range r.Suspects {
 		set := c.accusers[s]
 		if set == nil {
@@ -84,11 +80,4 @@ func (c *Coordinator) BlacklistSet() map[topology.NodeID]bool {
 		out[n] = true
 	}
 	return out
-}
-
-// Reports returns all confirmed reports received so far.
-func (c *Coordinator) Reports() []AttackReport {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]AttackReport(nil), c.reports...)
 }

@@ -11,47 +11,44 @@ import (
 
 // DetectorConfig tunes how the local detection module turns feature
 // deviations into the soft decision lambda. The defaults reproduce the
-// paper's qualitative behaviour; the ablation benchmark sweeps them.
+// paper's qualitative behaviour; the ROC experiment sweeps the z-ramp and the
+// adaptive experiment sets Beta.
 type DetectorConfig struct {
 	// ZLow and ZHigh map a feature z-score (deviation above the trained
 	// mean, in trained standard deviations) to risk: risk is 0 at or below
 	// ZLow and 1 at or above ZHigh, linear between. Defaults 1.5 and 4.
 	ZLow, ZHigh float64
-	// MinStd floors the trained standard deviation so a degenerate
-	// (near-constant) training set cannot make the detector hair-triggered.
-	// Default 0.02.
-	MinStd float64
-	// TVLow and TVHigh likewise map the total-variation distance between
-	// the observed frequency PMF and the trained PMF to risk.
-	// Defaults 0.3 and 0.7.
-	TVLow, TVHigh float64
-	// SuspectLambda and AttackLambda partition lambda into verdicts:
-	// lambda <= AttackLambda is Attacked, lambda <= SuspectLambda is
-	// Suspicious, otherwise Normal. Recall the paper's convention:
-	// lambda = 0 means attacked with certainty, 1 means no attack.
-	// Defaults 0.7 and 0.25.
-	SuspectLambda, AttackLambda float64
 	// Beta is the forgetting factor of the adaptive profile update
 	// (equations 8 and 9), 0 < Beta < 1. Default 0.1. Beta has no
 	// meaningful zero, so ExplicitZero does not apply to it.
 	Beta float64
 }
 
+// The detector's fixed cut points.
+const (
+	// minStd floors the trained standard deviation so a degenerate
+	// (near-constant) training set cannot make the detector hair-triggered.
+	minStd = 0.02
+	// tvLow and tvHigh map the total-variation distance between the
+	// observed frequency PMF and the trained PMF to risk, as ZLow and ZHigh
+	// do for the z-scores.
+	tvLow, tvHigh = 0.3, 0.7
+	// suspectLambda and attackLambda partition lambda into verdicts:
+	// lambda <= attackLambda is Attacked, lambda <= suspectLambda is
+	// Suspicious, otherwise Normal. Recall the paper's convention:
+	// lambda = 0 means attacked with certainty, 1 means no attack.
+	suspectLambda, attackLambda = 0.7, 0.25
+)
+
 // ExplicitZero configures a DetectorConfig field to an effective value of
-// zero. A literal 0 is the "use the default" sentinel, so fields that are
-// meaningfully zero — MinStd: 0 disables the std floor, AttackLambda: 0
-// reserves the Attacked verdict for lambda exactly 0, ZLow/TVLow: 0 start
-// the risk ramps immediately — take this (or any negative value) instead.
+// zero. A literal 0 is the "use the default" sentinel, so a ZLow that is
+// meaningfully zero (the risk ramp starts immediately) takes this (or any
+// negative value) instead.
 const ExplicitZero = knob.ExplicitZero
 
 func (c *DetectorConfig) defaults() {
 	c.ZLow = knob.Resolve(c.ZLow, 1.5)
 	c.ZHigh = knob.Resolve(c.ZHigh, 4)
-	c.MinStd = knob.Resolve(c.MinStd, 0.02)
-	c.TVLow = knob.Resolve(c.TVLow, 0.3)
-	c.TVHigh = knob.Resolve(c.TVHigh, 0.7)
-	c.SuspectLambda = knob.Resolve(c.SuspectLambda, 0.7)
-	c.AttackLambda = knob.Resolve(c.AttackLambda, 0.25)
 	if c.Beta == 0 {
 		c.Beta = 0.1
 	}
@@ -130,9 +127,6 @@ func NewDetector(profile *Profile, cfg DetectorConfig) *Detector {
 	}
 }
 
-// Config returns the effective configuration (defaults filled in).
-func (d *Detector) Config() DetectorConfig { return d.cfg }
-
 // Profile returns the underlying trained profile.
 func (d *Detector) Profile() *Profile { return d.profile }
 
@@ -166,13 +160,13 @@ func (d *Detector) Evaluate(s Stats) Verdict {
 	v.SuspectLink = s.Suspect
 	v.Suspects = [2]topology.NodeID{s.Suspect.A, s.Suspect.B}
 
-	v.ZPMax = d.zScore(s.PMax, d.pmaxMean, d.profile.PMax.Std)
-	v.ZPhi = d.zScore(s.Phi, d.phiMean, d.profile.Phi.Std)
+	v.ZPMax = zScore(s.PMax, d.pmaxMean, d.profile.PMax.Std)
+	v.ZPhi = zScore(s.Phi, d.phiMean, d.profile.Phi.Std)
 	v.TV = stats.TVDistance(s.PMF(d.profile.PMF.Bins()), d.profile.PMF)
 
 	riskP := ramp(v.ZPMax, d.cfg.ZLow, d.cfg.ZHigh)
 	riskPhi := ramp(v.ZPhi, d.cfg.ZLow, d.cfg.ZHigh)
-	riskTV := ramp(v.TV, d.cfg.TVLow, d.cfg.TVHigh)
+	riskTV := ramp(v.TV, tvLow, tvHigh)
 
 	// p_max is the primary feature (it separates attacks in every topology
 	// the paper tests, Fig. 10/13); phi and the PMF corroborate. Combine as
@@ -182,9 +176,9 @@ func (d *Detector) Evaluate(s Stats) Verdict {
 	v.Lambda = 1 - risk
 
 	switch {
-	case v.Lambda <= d.cfg.AttackLambda:
+	case v.Lambda <= attackLambda:
 		v.Decision = Attacked
-	case v.Lambda <= d.cfg.SuspectLambda:
+	case v.Lambda <= suspectLambda:
 		v.Decision = Suspicious
 	default:
 		v.Decision = Normal
@@ -211,21 +205,11 @@ func (d *Detector) Update(s Stats, lambda float64) {
 	d.phiMean = w*s.Phi + (1-w)*d.phiMean
 }
 
-func (d *Detector) zScore(obs, mean, std float64) float64 {
-	if std < d.cfg.MinStd {
-		std = d.cfg.MinStd
-	}
-	if std == 0 {
-		// MinStd: ExplicitZero with a degenerate training set. Any
-		// deviation from the mean is infinitely surprising; none is no
-		// surprise at all. Keeps NaN out of the lambda computation.
-		switch {
-		case obs > mean:
-			return math.Inf(1)
-		case obs < mean:
-			return math.Inf(-1)
-		}
-		return 0
+// zScore is obs's deviation from mean in standard deviations, with std
+// floored at minStd.
+func zScore(obs, mean, std float64) float64 {
+	if std < minStd {
+		std = minStd
 	}
 	return (obs - mean) / std
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"samnet/internal/routing"
+	"samnet/internal/stats"
 	"samnet/internal/topology"
 )
 
@@ -132,6 +133,63 @@ func TestLambdaMonotoneInDominance(t *testing.T) {
 	}
 }
 
+// TestDecisionBands pins the fixed cut points through Evaluate: the lambda
+// bands (attackLambda and suspectLambda, both inclusive) and the TV ramp
+// (tvLow to tvHigh). The profile is a unit-std feature pair at mean 0 with
+// the z-ramp set to [0, 1], so a feature value is its own risk, and a PMF
+// with all its mass in one bin, so a route set's TV is the share of its
+// links outside that bin.
+func TestDecisionBands(t *testing.T) {
+	const bins = 10
+	prof := &Profile{
+		Label: "bands",
+		PMax:  stats.Summary{Mean: 0, Std: 1},
+		Phi:   stats.Summary{Mean: 0, Std: 1},
+		PMF:   stats.NewPMF(bins),
+	}
+	prof.PMF.Add(0.55)
+	d := NewDetector(prof, DetectorConfig{ZLow: ExplicitZero, ZHigh: 1})
+	// mk builds a route set's statistics with offBin of its ten links
+	// outside the profile's PMF bin.
+	mk := func(pmax, phi float64, offBin int) Stats {
+		s := Stats{Routes: 1, N: 10, PMax: pmax, Phi: phi}
+		for i := 0; i < 10; i++ {
+			p := 0.55
+			if i < offBin {
+				p = 0.05
+			}
+			s.ByLink = append(s.ByLink, LinkCount{Link: topology.MkLink(topology.NodeID(i), 99), Count: 1, P: p})
+		}
+		return s
+	}
+	cases := []struct {
+		name   string
+		s      Stats
+		lambda float64
+		want   Decision
+	}{
+		{"pmax at attack lambda", mk(0.75, 0, 0), 0.25, Attacked},
+		{"pmax just above attack lambda", mk(0.7, 0, 0), 0.3, Suspicious},
+		{"pmax at suspect lambda", mk(0.3, 0, 0), 0.7, Suspicious},
+		{"pmax below suspect lambda", mk(0.25, 0, 0), 0.75, Normal},
+		// phi risk 1 averaged with TV risk ramp(tv, 0.3, 0.7).
+		{"tv at tvLow", mk(0, 1, 3), 0.5, Suspicious},
+		{"tv inside ramp", mk(0, 1, 4), 0.375, Suspicious},
+		{"tv at tvHigh", mk(0, 1, 7), 0, Attacked},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v := d.Evaluate(tc.s)
+			if math.Abs(v.Lambda-tc.lambda) > 1e-9 {
+				t.Errorf("lambda = %v, want %v", v.Lambda, tc.lambda)
+			}
+			if v.Decision != tc.want {
+				t.Errorf("decision = %v at lambda %v, want %v", v.Decision, v.Lambda, tc.want)
+			}
+		})
+	}
+}
+
 func TestUpdateAdaptsOnlyWhenNormal(t *testing.T) {
 	d := trainedDetector(t)
 	pm0, ph0 := d.AdaptiveMeans()
@@ -147,7 +205,7 @@ func TestUpdateAdaptsOnlyWhenNormal(t *testing.T) {
 	obs := Analyze(normalRoutes(3))
 	d.Update(obs, 1)
 	pm2, _ := d.AdaptiveMeans()
-	beta := d.Config().Beta
+	beta := d.cfg.Beta
 	want := beta*obs.PMax + (1-beta)*pm0
 	if math.Abs(pm2-want) > 1e-12 {
 		t.Errorf("update = %v, want %v (eq. 8)", pm2, want)
@@ -204,49 +262,36 @@ func TestDetectorConfigZeroSemantics(t *testing.T) {
 	tr.ObserveRoutes(normalRoutes(0))
 	prof, _ := tr.Profile()
 
-	def := NewDetector(prof, DetectorConfig{}).Config()
-	want := DetectorConfig{
-		ZLow: 1.5, ZHigh: 4, MinStd: 0.02,
-		TVLow: 0.3, TVHigh: 0.7,
-		SuspectLambda: 0.7, AttackLambda: 0.25, Beta: 0.1,
-	}
-	if def != want {
+	def := NewDetector(prof, DetectorConfig{}).cfg
+	if want := (DetectorConfig{ZLow: 1.5, ZHigh: 4, Beta: 0.1}); def != want {
 		t.Errorf("zero config resolved to %+v, want %+v", def, want)
 	}
 
-	got := NewDetector(prof, DetectorConfig{
-		ZLow:   ExplicitZero,
-		MinStd: ExplicitZero,
-		TVLow:  ExplicitZero,
-		// AttackLambda 0 would previously have been overwritten with the
-		// default 0.25, making "alert only at lambda exactly 0" unreachable.
-		AttackLambda: ExplicitZero,
-	}).Config()
-	if got.ZLow != 0 || got.MinStd != 0 || got.TVLow != 0 || got.AttackLambda != 0 {
-		t.Errorf("ExplicitZero fields resolved to %+v, want true zeros", got)
+	got := NewDetector(prof, DetectorConfig{ZLow: ExplicitZero}).cfg
+	if got.ZLow != 0 {
+		t.Errorf("ExplicitZero ZLow resolved to %v, want a true zero", got.ZLow)
 	}
-	// Fields left at literal zero alongside ExplicitZero ones still default.
-	if got.ZHigh != 4 || got.TVHigh != 0.7 || got.SuspectLambda != 0.7 || got.Beta != 0.1 {
-		t.Errorf("defaulted fields corrupted by ExplicitZero neighbours: %+v", got)
+	// Fields left at literal zero alongside an ExplicitZero one still default.
+	if got.ZHigh != 4 || got.Beta != 0.1 {
+		t.Errorf("defaulted fields corrupted by an ExplicitZero neighbour: %+v", got)
 	}
 	// Positive values pass through untouched.
-	if c := NewDetector(prof, DetectorConfig{MinStd: 0.5}).Config(); c.MinStd != 0.5 {
-		t.Errorf("explicit MinStd 0.5 resolved to %v", c.MinStd)
+	if c := NewDetector(prof, DetectorConfig{ZHigh: 5}).cfg; c.ZHigh != 5 {
+		t.Errorf("explicit ZHigh 5 resolved to %v", c.ZHigh)
 	}
 }
 
-// TestZScoreZeroStd: with the std floor disabled and a degenerate profile,
-// z-scores must stay NaN-free so lambda remains a valid decision.
+// TestZScoreZeroStd: a degenerate profile (trained std 0) scores
+// against the std floor, so a deviation gets a finite z-score and lambda
+// stays a valid decision.
 func TestZScoreZeroStd(t *testing.T) {
-	d := &Detector{cfg: DetectorConfig{MinStd: 0}}
-	if z := d.zScore(1, 1, 0); z != 0 {
+	obs, mean := 0.6, 0.5
+	z := zScore(obs, mean, 0)
+	if want := (obs - mean) / minStd; z != want || math.IsInf(z, 0) {
+		t.Errorf("zScore(%v, %v, std=0) = %v, want %v", obs, mean, z, want)
+	}
+	if z := zScore(mean, mean, 0); z != 0 {
 		t.Errorf("zScore(obs==mean, std=0) = %v, want 0", z)
-	}
-	if z := d.zScore(2, 1, 0); !math.IsInf(z, 1) {
-		t.Errorf("zScore(obs>mean, std=0) = %v, want +Inf", z)
-	}
-	if z := d.zScore(0, 1, 0); !math.IsInf(z, -1) {
-		t.Errorf("zScore(obs<mean, std=0) = %v, want -Inf", z)
 	}
 }
 

@@ -19,7 +19,7 @@ func (c DetectorConfig) WithDefaults() DetectorConfig {
 // statistics against the thresholds of cfg, the localized link, and the
 // soft decision. profile names the trained profile the route set was scored
 // against; cfg should be the detector's effective configuration
-// (Detector.Config, or DetectorConfig.WithDefaults).
+// (DetectorConfig.WithDefaults).
 //
 // The record is self-contained plain data: it allocates the Links table, so
 // hot paths must guard construction behind DecisionRing.Enabled.
@@ -36,10 +36,10 @@ func NewDecisionRecord(profile string, v Verdict, cfg DetectorConfig) obs.Decisi
 
 		ZLow:          cfg.ZLow,
 		ZHigh:         cfg.ZHigh,
-		TVLow:         cfg.TVLow,
-		TVHigh:        cfg.TVHigh,
-		SuspectLambda: cfg.SuspectLambda,
-		AttackLambda:  cfg.AttackLambda,
+		TVLow:         tvLow,
+		TVHigh:        tvHigh,
+		SuspectLambda: suspectLambda,
+		AttackLambda:  attackLambda,
 
 		Suspect:  obs.DecisionLink{A: int(v.Suspects[0]), B: int(v.Suspects[1])},
 		Lambda:   v.Lambda,
@@ -52,18 +52,4 @@ func NewDecisionRecord(profile string, v Verdict, cfg DetectorConfig) obs.Decisi
 		}
 	}
 	return d
-}
-
-// SetRecorder attaches a decision ring to the pipeline: every Process emits
-// one decision record (labelled with the trained profile's label) while the
-// ring is enabled. A nil or disabled ring costs one branch per Process and
-// no allocation.
-func (p *Pipeline) SetRecorder(r *obs.DecisionRing) { p.recorder = r }
-
-// record captures v into the pipeline's ring when enabled.
-func (p *Pipeline) record(v Verdict) {
-	if !p.recorder.Enabled() {
-		return
-	}
-	p.recorder.Record(NewDecisionRecord(p.Detector.Profile().Label, v, p.Detector.Config()))
 }

@@ -10,7 +10,7 @@ import (
 // HybridConfig tunes the hybrid detector. Zero values select defaults; the
 // float fields follow the package's ExplicitZero convention.
 type HybridConfig struct {
-	// Detector configures the fused SAM module (z ramps, lambda cuts); its
+	// Detector configures the fused SAM module (z ramp, Beta); its
 	// ZHigh also serves as the per-link z-score alarm level.
 	Detector DetectorConfig
 	// TVThreshold and TailProb configure the PMF component (see
@@ -82,8 +82,7 @@ type HybridVerdict struct {
 // honest detours and cost tunnel latency; forged links are never
 // corroborated and their replies arrive faster than radio allows.
 //
-// Evaluate is safe for concurrent use; adaptive updates through Detector
-// are not.
+// Evaluate is safe for concurrent use.
 type HybridDetector struct {
 	cfg       HybridConfig
 	det       *Detector
@@ -115,12 +114,6 @@ func NewHybridDetector(profile *Profile, neighbors *NeighborTables, cfg HybridCo
 	}
 }
 
-// Config returns the effective configuration (defaults filled in).
-func (h *HybridDetector) Config() HybridConfig { return h.cfg }
-
-// Detector returns the embedded frequency detector (for adaptive updates).
-func (h *HybridDetector) Detector() *Detector { return h.det }
-
 // Evaluate scores one route set. s must be Analyze(routes); times, when
 // non-nil, holds each route's discovery latency parallel to routes —
 // destination arrival times for collected routes, or reply time minus
@@ -143,7 +136,7 @@ func (h *HybridDetector) Evaluate(s Stats, routes []routing.Route, times []sim.T
 	// tunnel is evidence even when another link tops it.
 	pmaxMean, _ := h.det.AdaptiveMeans()
 	for _, lc := range s.ByLink {
-		if h.det.zScore(lc.P, pmaxMean, h.det.profile.PMax.Std) >= h.cfg.Detector.ZHigh {
+		if zScore(lc.P, pmaxMean, h.det.profile.PMax.Std) >= h.cfg.Detector.ZHigh {
 			v.ByZ = true
 		}
 	}

@@ -179,13 +179,13 @@ func TestHybridConfigExplicitZero(t *testing.T) {
 		FastHopRatio:    ExplicitZero,
 		NominalHopDelay: sim.Time(ExplicitZero),
 	})
-	cfg := h.Config()
+	cfg := h.cfg
 	if cfg.TVThreshold != 0 || cfg.TailProb != 0 || cfg.SlowHopRatio != 0 ||
 		cfg.FastHopRatio != 0 || cfg.NominalHopDelay != 0 {
 		t.Errorf("ExplicitZero fields did not resolve to zero: %+v", cfg)
 	}
 
-	def := trainedHybrid(t, nil, HybridConfig{}).Config()
+	def := trainedHybrid(t, nil, HybridConfig{}).cfg
 	if def.TVThreshold != 0.5 || def.TailProb != 0.02 || def.DetourHops != 4 ||
 		def.SlowHopRatio != 1.2 || def.FastHopRatio != 0.6 || def.NominalHopDelay != 1.05 {
 		t.Errorf("defaults wrong: %+v", def)

@@ -1,7 +1,6 @@
 package sam
 
 import (
-	"samnet/internal/obs"
 	"samnet/internal/routing"
 	"samnet/internal/topology"
 )
@@ -69,9 +68,6 @@ type PipelineConfig struct {
 	MaxSelect int
 	// MaxProbes bounds how many suspicious paths step 2 tests (default 3).
 	MaxProbes int
-	// UpdateProfile applies the adaptive low-pass update after each
-	// evaluation (default true via NewPipeline).
-	UpdateProfile bool
 }
 
 // Pipeline wires the three-step wormhole detection procedure (paper Fig. 3):
@@ -86,9 +82,6 @@ type Pipeline struct {
 	Prober    Prober
 	Responder Responder
 	cfg       PipelineConfig
-	// recorder, when set and enabled, captures one decision record per
-	// Process (see SetRecorder in explain.go).
-	recorder *obs.DecisionRing
 }
 
 // NewPipeline builds a pipeline. Prober and Responder may be nil: without a
@@ -102,18 +95,13 @@ func NewPipeline(d *Detector, p Prober, r Responder, cfg PipelineConfig) *Pipeli
 	if cfg.MaxProbes == 0 {
 		cfg.MaxProbes = 3
 	}
-	cfg.UpdateProfile = true
 	return &Pipeline{Detector: d, Prober: p, Responder: r, cfg: cfg}
 }
-
-// SetUpdateProfile toggles the adaptive profile update (on by default).
-func (p *Pipeline) SetUpdateProfile(on bool) { p.cfg.UpdateProfile = on }
 
 // Process runs the procedure over one discovery's route set.
 func (p *Pipeline) Process(routes []routing.Route) Outcome {
 	s := Analyze(routes)
 	v := p.Detector.Evaluate(s)
-	p.record(v)
 	out := Outcome{Verdict: v}
 
 	switch v.Decision {
@@ -149,9 +137,7 @@ func (p *Pipeline) Process(routes []routing.Route) Outcome {
 		out.SelectedRoutes = p.selectAvoiding(routes, v.SuspectLink)
 	}
 
-	if p.cfg.UpdateProfile {
-		p.Detector.Update(s, v.Lambda)
-	}
+	p.Detector.Update(s, v.Lambda)
 	return out
 }
 

@@ -156,14 +156,6 @@ func TestPipelineUpdatesProfile(t *testing.T) {
 	if pm0 == pm1 {
 		t.Error("normal processing should nudge the adaptive profile")
 	}
-
-	p.SetUpdateProfile(false)
-	pm2, _ := p.Detector.AdaptiveMeans()
-	p.Process(obs)
-	pm3, _ := p.Detector.AdaptiveMeans()
-	if pm2 != pm3 {
-		t.Error("updates disabled but profile moved")
-	}
 }
 
 func TestPipelineProbeBudget(t *testing.T) {
@@ -211,15 +203,21 @@ func TestCoordinatorQuorum(t *testing.T) {
 	if !c.BlacklistSet()[100] {
 		t.Error("BlacklistSet missing node")
 	}
-	if len(c.Reports()) != 3 {
-		t.Errorf("reports = %d", len(c.Reports()))
-	}
+}
+
+func TestNewCoordinatorRejectsZeroQuorum(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("quorum 0 should panic")
+		}
+	}()
+	NewCoordinator(0)
 }
 
 func TestCoordinatorIgnoresUnconfirmed(t *testing.T) {
 	c := NewCoordinator(1)
 	c.Submit(1, AttackReport{Suspects: [2]topology.NodeID{7, 8}, Confirmed: false})
-	if len(c.Blacklist()) != 0 || len(c.Reports()) != 0 {
+	if len(c.Blacklist()) != 0 {
 		t.Error("unconfirmed report must be ignored")
 	}
 }
@@ -234,7 +232,9 @@ func TestCoordinatorResponderFor(t *testing.T) {
 }
 
 func TestCoordinatorConcurrentSubmissions(t *testing.T) {
-	c := NewCoordinator(1)
+	// Quorum 8: the pair is blacklisted only if every one of the 8 agents'
+	// accusations landed.
+	c := NewCoordinator(8)
 	rep := AttackReport{
 		SuspectLink: topology.MkLink(100, 101),
 		Suspects:    [2]topology.NodeID{100, 101},
@@ -252,9 +252,6 @@ func TestCoordinatorConcurrentSubmissions(t *testing.T) {
 	}
 	for g := 0; g < 8; g++ {
 		<-done
-	}
-	if got := len(c.Reports()); got != 800 {
-		t.Errorf("reports = %d, want 800", got)
 	}
 	if bl := c.Blacklist(); len(bl) != 2 {
 		t.Errorf("blacklist = %v", bl)

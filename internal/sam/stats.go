@@ -204,21 +204,6 @@ func (s Stats) TopLinks(k int) []LinkCount {
 	return s.ByLink[:k]
 }
 
-// OutlierLinks returns every link whose relative frequency is at least
-// cutoff. With multiple wormholes, each tunnel shows up as its own outlier;
-// localization for Fig. 15 uses this.
-func (s Stats) OutlierLinks(cutoff float64) []LinkCount {
-	var out []LinkCount
-	for _, lc := range s.ByLink {
-		if lc.P >= cutoff {
-			out = append(out, lc)
-		} else {
-			break // ByLink is sorted by decreasing count
-		}
-	}
-	return out
-}
-
 // String implements fmt.Stringer.
 func (s Stats) String() string {
 	return fmt.Sprintf("routes=%d N=%d distinct=%d pmax=%.4f (link %s) phi=%.4f",

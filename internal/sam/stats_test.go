@@ -131,22 +131,6 @@ func TestTopLinks(t *testing.T) {
 	}
 }
 
-func TestOutlierLinks(t *testing.T) {
-	routes := []routing.Route{
-		{0, 5, 6, 9},
-		{1, 5, 6, 8},
-		{2, 5, 6, 7},
-	}
-	s := Analyze(routes)
-	out := s.OutlierLinks(0.3)
-	if len(out) != 1 || out[0].Link != topology.MkLink(5, 6) {
-		t.Errorf("outliers = %+v", out)
-	}
-	if got := s.OutlierLinks(0.01); len(got) != len(s.ByLink) {
-		t.Errorf("low cutoff should return everything, got %d", len(got))
-	}
-}
-
 func TestStatsString(t *testing.T) {
 	s := Analyze([]routing.Route{{0, 1, 2}})
 	if s.String() == "" {

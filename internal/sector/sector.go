@@ -70,16 +70,6 @@ func (p *Prover) Measure(challenger, neighbor topology.NodeID) float64 {
 	return true2 + p.rng.Float64()*p.cfg.ProcessingError
 }
 
-// Check measures and verdicts one link: true means the neighbor is within
-// bound (accepted), false flags the link.
-func (p *Prover) Check(challenger, neighbor topology.NodeID) bool {
-	ok := p.Measure(challenger, neighbor) <= p.Bound()
-	if !ok {
-		p.Flagged++
-	}
-	return ok
-}
-
 // SweepNeighbors distance-bounds every adjacency in the topology (both
 // directions, as each node challenges its own neighbor list) and returns the
 // flagged links with their worst measured distance.

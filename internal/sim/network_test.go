@@ -29,7 +29,7 @@ func TestBroadcastReachesNeighborsOnly(t *testing.T) {
 	recs := make([]*recorder, 4)
 	for i := range recs {
 		recs[i] = &recorder{}
-		net.SetHandler(topology.NodeID(i), recs[i])
+		net.handlers[topology.NodeID(i)] = recs[i]
 	}
 	net.Schedule(0, func() { net.Broadcast(1, "hello") })
 	net.Run()
@@ -62,7 +62,7 @@ func TestUnicast(t *testing.T) {
 	topo := lineTopo(3)
 	net := NewNetwork(topo, Config{Seed: 1})
 	r := &recorder{}
-	net.SetHandler(1, r)
+	net.handlers[1] = r
 	net.Schedule(0, func() { net.Unicast(0, 1, "direct") })
 	net.Run()
 	if len(r.got) != 1 || r.got[0] != "direct" {
@@ -89,7 +89,7 @@ func TestUnicastOverTunnel(t *testing.T) {
 	topo.AddExtraLink(0, 4)
 	net := NewNetwork(topo, Config{Seed: 1})
 	r := &recorder{}
-	net.SetHandler(4, r)
+	net.handlers[4] = r
 	net.Schedule(0, func() { net.Unicast(0, 4, "tunneled") })
 	net.Run()
 	if len(r.got) != 1 {
@@ -101,7 +101,7 @@ func TestDropFuncSuppressesDelivery(t *testing.T) {
 	topo := lineTopo(2)
 	net := NewNetwork(topo, Config{Seed: 1})
 	r := &recorder{}
-	net.SetHandler(1, r)
+	net.handlers[1] = r
 	net.SetDropFunc(func(n *Network, from, to topology.NodeID, pkt Packet) bool {
 		return true
 	})
@@ -161,9 +161,9 @@ func TestSeedChangesJitter(t *testing.T) {
 		topo := lineTopo(2)
 		net := NewNetwork(topo, Config{Seed: seed})
 		var at Time
-		net.SetHandler(1, HandlerFunc(func(n *Network, self, from topology.NodeID, pkt Packet) {
+		net.handlers[1] = HandlerFunc(func(n *Network, self, from topology.NodeID, pkt Packet) {
 			at = n.Now()
-		}))
+		})
 		net.Schedule(0, func() { net.Broadcast(0, "x") })
 		net.Run()
 		return at
@@ -177,15 +177,31 @@ func TestSeedChangesJitter(t *testing.T) {
 	}
 }
 
+// TestResetCounters: Reset zeroes every traffic tally — per-node tx/rx,
+// channel losses and hook drops — so a reused network reports only its own
+// run's Table II overhead.
 func TestResetCounters(t *testing.T) {
-	topo := lineTopo(2)
-	net := NewNetwork(topo, Config{Seed: 1})
-	net.Schedule(0, func() { net.Broadcast(0, "x") })
+	topo := lineTopo(3)
+	net := NewNetwork(topo, Config{Seed: 1, LossRate: 0.5})
+	net.SetDropFunc(func(n *Network, from, to topology.NodeID, pkt Packet) bool { return to == 2 })
+	for i := 0; i < 20; i++ {
+		net.Schedule(0, func() { net.Broadcast(1, "x") })
+	}
 	net.Run()
-	net.ResetCounters()
-	tx, rx := net.TotalTraffic()
-	if tx != 0 || rx != 0 {
+	if tx, rx := net.TotalTraffic(); tx == 0 || rx == 0 || net.Lost() == 0 || net.Dropped() == 0 {
+		t.Fatalf("setup: tx %d, rx %d, lost %d, dropped %d; want all nonzero", tx, rx, net.Lost(), net.Dropped())
+	}
+	net.Reset(1)
+	if tx, rx := net.TotalTraffic(); tx != 0 || rx != 0 {
 		t.Errorf("counters not reset: %d/%d", tx, rx)
+	}
+	for i := 0; i < topo.N(); i++ {
+		if id := topology.NodeID(i); net.TxCount(id) != 0 || net.RxCount(id) != 0 {
+			t.Errorf("node %d counters not reset: tx %d rx %d", i, net.TxCount(id), net.RxCount(id))
+		}
+	}
+	if net.Lost() != 0 || net.Dropped() != 0 {
+		t.Errorf("lost %d, dropped %d after Reset, want 0", net.Lost(), net.Dropped())
 	}
 }
 
@@ -193,7 +209,7 @@ func TestLossRateDropsReceptions(t *testing.T) {
 	topo := lineTopo(2)
 	net := NewNetwork(topo, Config{Seed: 1, LossRate: 1})
 	r := &recorder{}
-	net.SetHandler(1, r)
+	net.handlers[1] = r
 	for i := 0; i < 20; i++ {
 		net.Schedule(0, func() { net.Broadcast(0, "x") })
 	}
@@ -210,7 +226,7 @@ func TestLossRatePartial(t *testing.T) {
 	topo := lineTopo(2)
 	net := NewNetwork(topo, Config{Seed: 1, LossRate: 0.5})
 	r := &recorder{}
-	net.SetHandler(1, r)
+	net.handlers[1] = r
 	const n = 400
 	for i := 0; i < n; i++ {
 		net.Schedule(0, func() { net.Broadcast(0, "x") })
@@ -233,9 +249,9 @@ func TestDelayFactorSpeedsDelivery(t *testing.T) {
 			net.SetDelayFactor(0, factor)
 		}
 		var at Time
-		net.SetHandler(1, HandlerFunc(func(n *Network, self, from topology.NodeID, pkt Packet) {
+		net.handlers[1] = HandlerFunc(func(n *Network, self, from topology.NodeID, pkt Packet) {
 			at = n.Now()
-		}))
+		})
 		net.Schedule(0, func() { net.Broadcast(0, "x") })
 		net.Run()
 		return at
@@ -311,12 +327,12 @@ func TestSetLinkDelaySlowsOnlyThatLink(t *testing.T) {
 	net.SetLinkDelay(0, 4, 6)
 
 	var tunnelAt, radioAt Time
-	net.SetHandler(4, HandlerFunc(func(n *Network, self, from topology.NodeID, pkt Packet) {
+	net.handlers[4] = HandlerFunc(func(n *Network, self, from topology.NodeID, pkt Packet) {
 		tunnelAt = n.Now()
-	}))
-	net.SetHandler(1, HandlerFunc(func(n *Network, self, from topology.NodeID, pkt Packet) {
+	})
+	net.handlers[1] = HandlerFunc(func(n *Network, self, from topology.NodeID, pkt Packet) {
 		radioAt = n.Now()
-	}))
+	})
 	net.Schedule(0, func() {
 		net.Unicast(0, 4, "tunneled")
 		net.Unicast(0, 1, "radio")
@@ -334,9 +350,9 @@ func TestSetLinkDelaySlowsOnlyThatLink(t *testing.T) {
 	net.SetLinkDelay(0, 1, 3)
 	net.Reset(2)
 	radioAt = 0
-	net.SetHandler(1, HandlerFunc(func(n *Network, self, from topology.NodeID, pkt Packet) {
+	net.handlers[1] = HandlerFunc(func(n *Network, self, from topology.NodeID, pkt Packet) {
 		radioAt = n.Now()
-	}))
+	})
 	net.Schedule(0, func() { net.Unicast(0, 1, "after reset") })
 	net.Run()
 	if radioAt != 1 {

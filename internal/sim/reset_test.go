@@ -92,9 +92,9 @@ func TestConfigExplicitZeroJitter(t *testing.T) {
 		cfg.Seed = seed
 		net := NewNetwork(lineTopo(2), cfg)
 		var at Time
-		net.SetHandler(1, HandlerFunc(func(n *Network, self, from topology.NodeID, pkt Packet) {
+		net.handlers[1] = HandlerFunc(func(n *Network, self, from topology.NodeID, pkt Packet) {
 			at = n.Now()
-		}))
+		})
 		net.Schedule(0, func() { net.Broadcast(0, "x") })
 		net.Run()
 		return at

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator tracks count, mean and variance online using Welford's
@@ -39,13 +38,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// AddAll folds every value of xs into the accumulator.
-func (a *Accumulator) AddAll(xs []float64) {
-	for _, x := range xs {
-		a.Add(x)
-	}
-}
-
 // N returns the number of samples.
 func (a *Accumulator) N() int { return a.n }
 
@@ -62,12 +54,6 @@ func (a *Accumulator) Var() float64 {
 
 // Std returns the sample standard deviation.
 func (a *Accumulator) Std() float64 { return math.Sqrt(a.Var()) }
-
-// Min returns the smallest sample (0 if empty).
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest sample (0 if empty).
-func (a *Accumulator) Max() float64 { return a.max }
 
 // Summary is a frozen snapshot of an accumulator.
 type Summary struct {
@@ -96,34 +82,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Std returns the unbiased sample standard deviation of xs.
-func Std(xs []float64) float64 {
-	var a Accumulator
-	a.AddAll(xs)
-	return a.Std()
-}
-
-// Quantile returns the q-quantile (0<=q<=1) of xs by linear interpolation of
-// the sorted samples. It panics on an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic("stats: quantile out of [0,1]")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
 }
 
 // PMF is a binned probability mass function over [0,1]: bin i covers
@@ -176,15 +134,6 @@ func (p *PMF) Prob(i int) float64 {
 		return 0
 	}
 	return float64(p.Counts[i]) / float64(p.Total)
-}
-
-// Probs returns all bin masses.
-func (p *PMF) Probs() []float64 {
-	out := make([]float64, len(p.Counts))
-	for i := range p.Counts {
-		out[i] = p.Prob(i)
-	}
-	return out
 }
 
 // BinCenter returns the midpoint value of bin i.

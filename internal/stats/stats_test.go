@@ -6,9 +6,17 @@ import (
 	"testing/quick"
 )
 
-func TestAccumulatorBasics(t *testing.T) {
+// accumulate returns an accumulator holding xs.
+func accumulate(xs ...float64) *Accumulator {
 	var a Accumulator
-	a.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	for _, x := range xs {
+		a.Add(x)
+	}
+	return &a
+}
+
+func TestAccumulatorBasics(t *testing.T) {
+	a := accumulate(2, 4, 4, 4, 5, 5, 7, 9)
 	if a.N() != 8 {
 		t.Errorf("N = %d", a.N())
 	}
@@ -19,8 +27,8 @@ func TestAccumulatorBasics(t *testing.T) {
 	if got := a.Var(); math.Abs(got-32.0/7) > 1e-12 {
 		t.Errorf("Var = %v", got)
 	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", a.Min(), a.Max())
+	if s := a.Summarize(); s.Min != 2 || s.Max != 9 {
+		t.Errorf("Min/Max = %v/%v", s.Min, s.Max)
 	}
 }
 
@@ -37,7 +45,7 @@ func TestAccumulatorSingle(t *testing.T) {
 	if a.Var() != 0 {
 		t.Error("variance of one sample should be 0")
 	}
-	if a.Min() != 3 || a.Max() != 3 {
+	if s := a.Summarize(); s.Min != 3 || s.Max != 3 {
 		t.Error("min/max of single sample")
 	}
 }
@@ -53,8 +61,7 @@ func TestAccumulatorMatchesDirectComputation(t *testing.T) {
 		if len(xs) < 2 {
 			return true
 		}
-		var a Accumulator
-		a.AddAll(xs)
+		a := accumulate(xs...)
 		mean := Mean(xs)
 		var ss float64
 		for _, x := range xs {
@@ -71,48 +78,13 @@ func TestAccumulatorMatchesDirectComputation(t *testing.T) {
 }
 
 func TestSummaryString(t *testing.T) {
-	var a Accumulator
-	a.AddAll([]float64{1, 2, 3})
+	a := accumulate(1, 2, 3)
 	s := a.Summarize()
 	if s.N != 3 || s.Mean != 2 {
 		t.Errorf("summary = %+v", s)
 	}
 	if s.String() == "" {
 		t.Error("empty String")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Errorf("q0 = %v", got)
-	}
-	if got := Quantile(xs, 1); got != 4 {
-		t.Errorf("q1 = %v", got)
-	}
-	if got := Quantile(xs, 0.5); got != 2.5 {
-		t.Errorf("median = %v", got)
-	}
-	// Input must not be mutated.
-	if xs[0] != 4 {
-		t.Error("Quantile mutated its input")
-	}
-}
-
-func TestQuantilePanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { Quantile(nil, 0.5) },
-		func() { Quantile([]float64{1}, -0.1) },
-		func() { Quantile([]float64{1}, 1.1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
 	}
 }
 
@@ -136,8 +108,8 @@ func TestPMFProbsSumToOne(t *testing.T) {
 	p := NewPMF(20)
 	p.AddAll([]float64{0.1, 0.2, 0.2, 0.9, 0.55})
 	var sum float64
-	for _, pr := range p.Probs() {
-		sum += pr
+	for i := range p.Counts {
+		sum += p.Prob(i)
 	}
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("probs sum to %v", sum)
@@ -242,7 +214,7 @@ func TestMeanStd(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := Std([]float64{2, 4}); math.Abs(got-math.Sqrt2) > 1e-12 {
+	if got := accumulate(2, 4).Std(); math.Abs(got-math.Sqrt2) > 1e-12 {
 		t.Errorf("Std = %v", got)
 	}
 }

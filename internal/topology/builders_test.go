@@ -43,9 +43,22 @@ func TestClusterTiers(t *testing.T) {
 	if d2 <= d1 {
 		t.Errorf("2-tier degree (%d) should exceed 1-tier (%d)", d2, d1)
 	}
-	if n2.Topo.Diameter() >= n1.Topo.Diameter() {
+	if diameter(n2.Topo) >= diameter(n1.Topo) {
 		t.Error("2-tier diameter should shrink")
 	}
+}
+
+// diameter returns the longest hop distance between two connected nodes.
+func diameter(topo *Topology) int {
+	max := 0
+	for i := 0; i < topo.N(); i++ {
+		for _, d := range topo.BFSDist(NodeID(i)) {
+			if d > max {
+				max = d
+			}
+		}
+	}
+	return max
 }
 
 func TestClusterAttackersExcludedFromPools(t *testing.T) {
@@ -69,10 +82,10 @@ func TestClusterTunnelDominatesEveryPair(t *testing.T) {
 	a1, a2 := net.AttackerPairs[0][0], net.AttackerPairs[0][1]
 	normal := make(map[NodeID][]int) // distances without tunnel
 	for _, s := range net.SrcPool {
-		normal[s] = net.Topo.BFSDist(s, nil)
+		normal[s] = net.Topo.BFSDist(s)
 	}
-	dA1 := net.Topo.BFSDist(a1, nil)
-	dA2 := net.Topo.BFSDist(a2, nil)
+	dA1 := net.Topo.BFSDist(a1)
+	dA2 := net.Topo.BFSDist(a2)
 	for _, s := range net.SrcPool {
 		for _, d := range net.DstPool {
 			direct := normal[s][d]
@@ -404,7 +417,7 @@ func TestTunnelSpanRestoresTunnels(t *testing.T) {
 	if span < 2 {
 		t.Fatalf("span = %d", span)
 	}
-	if !net.Topo.HasExtraLink(p[0], p[1]) {
+	if !net.Topo.extra[MkLink(p[0], p[1])] {
 		t.Error("TunnelSpan must restore the tunnel afterwards")
 	}
 }
@@ -427,7 +440,7 @@ func TestKTierNeighborhoodMatchesPaperDefinition(t *testing.T) {
 		if center == None {
 			t.Fatal("no center node")
 		}
-		oneHop := base.Topo.BFSDist(center, nil)
+		oneHop := base.Topo.BFSDist(center)
 		want := map[NodeID]bool{}
 		for i, d := range oneHop {
 			if d >= 1 && d <= k {
@@ -462,7 +475,7 @@ func BenchmarkBFSDist(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Topo.BFSDist(0, nil)
+		net.Topo.BFSDist(0)
 	}
 }
 

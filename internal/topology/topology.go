@@ -47,18 +47,6 @@ func MkLink(a, b NodeID) Link {
 	return Link{A: a, B: b}
 }
 
-// Other returns the endpoint of l that is not id, or None if id is not an
-// endpoint.
-func (l Link) Other(id NodeID) NodeID {
-	switch id {
-	case l.A:
-		return l.B
-	case l.B:
-		return l.A
-	}
-	return None
-}
-
 // String implements fmt.Stringer.
 func (l Link) String() string { return fmt.Sprintf("%d-%d", l.A, l.B) }
 
@@ -140,9 +128,6 @@ func (t *Topology) RemoveExtraLink(a, b NodeID) {
 	delete(t.extra, MkLink(a, b))
 	t.adj = nil
 }
-
-// HasExtraLink reports whether an out-of-band link exists between a and b.
-func (t *Topology) HasExtraLink(a, b NodeID) bool { return t.extra[MkLink(a, b)] }
 
 // ExtraLinks returns all out-of-band links in deterministic order.
 func (t *Topology) ExtraLinks() []Link {

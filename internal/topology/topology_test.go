@@ -25,16 +25,6 @@ func TestMkLinkNormalizes(t *testing.T) {
 	}
 }
 
-func TestLinkOther(t *testing.T) {
-	l := MkLink(1, 3)
-	if l.Other(1) != 3 || l.Other(3) != 1 {
-		t.Error("Other returns wrong endpoint")
-	}
-	if l.Other(9) != None {
-		t.Error("Other on non-endpoint should be None")
-	}
-}
-
 func TestTierRange(t *testing.T) {
 	r1 := TierRange(1, 1)
 	if !(r1 > 1 && r1 < 1.01) {
@@ -86,8 +76,8 @@ func TestExtraLinkCreatesAdjacency(t *testing.T) {
 	if !topo.Adjacent(0, 11) {
 		t.Error("tunnel endpoints should be adjacent")
 	}
-	if !topo.HasExtraLink(11, 0) {
-		t.Error("HasExtraLink should be direction-independent")
+	if !topo.extra[MkLink(11, 0)] {
+		t.Error("extra links should be direction-independent")
 	}
 	found := false
 	for _, n := range topo.Neighbors(0) {
@@ -145,22 +135,11 @@ func TestSelfLinkPanics(t *testing.T) {
 
 func TestBFSDist(t *testing.T) {
 	topo := line(t, 5, 1.001)
-	d := topo.BFSDist(0, nil)
+	d := topo.BFSDist(0)
 	for i, want := range []int{0, 1, 2, 3, 4} {
 		if d[i] != want {
 			t.Errorf("dist[%d] = %d, want %d", i, d[i], want)
 		}
-	}
-}
-
-func TestBFSDistExcluded(t *testing.T) {
-	topo := line(t, 5, 1.001)
-	d := topo.BFSDist(0, map[NodeID]bool{2: true})
-	if d[1] != 1 {
-		t.Errorf("dist[1] = %d", d[1])
-	}
-	if d[3] != -1 || d[4] != -1 {
-		t.Error("nodes beyond excluded cut should be unreachable")
 	}
 }
 
@@ -175,56 +154,17 @@ func TestHopDistUsesTunnel(t *testing.T) {
 	}
 }
 
-func TestShortestPath(t *testing.T) {
-	topo := line(t, 5, 1.001)
-	p := topo.ShortestPath(0, 4)
-	want := []NodeID{0, 1, 2, 3, 4}
-	if len(p) != len(want) {
-		t.Fatalf("path = %v", p)
-	}
-	for i := range p {
-		if p[i] != want[i] {
-			t.Fatalf("path = %v, want %v", p, want)
-		}
-	}
-	if got := topo.ShortestPath(2, 2); len(got) != 1 || got[0] != 2 {
-		t.Errorf("self path = %v", got)
-	}
-}
-
+// TestShortestPathDisconnected: no path crosses a gap, so the hop distance
+// is -1 and the topology is not connected.
 func TestShortestPathDisconnected(t *testing.T) {
 	topo := New("gap", 1.001)
 	topo.AddNode(geom.Pt(0, 0))
 	topo.AddNode(geom.Pt(10, 0))
-	if p := topo.ShortestPath(0, 1); p != nil {
-		t.Errorf("path across gap = %v", p)
+	if got := topo.HopDist(0, 1); got != -1 {
+		t.Errorf("HopDist across gap = %d", got)
 	}
 	if topo.Connected() {
 		t.Error("disconnected topology reported connected")
-	}
-}
-
-func TestConnectedWithout(t *testing.T) {
-	topo := line(t, 5, 1.001)
-	if !topo.ConnectedWithout(nil) {
-		t.Error("line should be connected")
-	}
-	if topo.ConnectedWithout(map[NodeID]bool{2: true}) {
-		t.Error("line minus middle node should be disconnected")
-	}
-	// Removing an endpoint keeps the rest connected.
-	if !topo.ConnectedWithout(map[NodeID]bool{0: true}) {
-		t.Error("line minus endpoint should stay connected")
-	}
-}
-
-func TestDiameterAndEccentricity(t *testing.T) {
-	topo := line(t, 6, 1.001)
-	if got := topo.Diameter(); got != 5 {
-		t.Errorf("Diameter = %d", got)
-	}
-	if got := topo.Eccentricity(2); got != 3 {
-		t.Errorf("Eccentricity(2) = %d", got)
 	}
 }
 

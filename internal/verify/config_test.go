@@ -17,9 +17,6 @@ func TestConfigDefaults(t *testing.T) {
 	if c.MaxProbes != 3 {
 		t.Errorf("MaxProbes = %d, want 3", c.MaxProbes)
 	}
-	if c.CondemnThreshold != 0.75 {
-		t.Errorf("CondemnThreshold = %v, want 0.75", c.CondemnThreshold)
-	}
 	if !bytes.Equal(c.Key, DefaultKey) {
 		t.Errorf("Key = %q, want DefaultKey", c.Key)
 	}
@@ -30,10 +27,9 @@ func TestConfigDefaults(t *testing.T) {
 // convention as sam.DetectorConfig and sim.Config.
 func TestConfigExplicitZero(t *testing.T) {
 	c := Config{
-		Timeout:          ExplicitZero,
-		Retries:          ExplicitZero,
-		MaxProbes:        ExplicitZero,
-		CondemnThreshold: ExplicitZero,
+		Timeout:   ExplicitZero,
+		Retries:   ExplicitZero,
+		MaxProbes: ExplicitZero,
 	}.WithDefaults()
 	if c.Timeout != 0 {
 		t.Errorf("Timeout = %v, want 0", c.Timeout)
@@ -44,15 +40,12 @@ func TestConfigExplicitZero(t *testing.T) {
 	if c.MaxProbes != 0 {
 		t.Errorf("MaxProbes = %d, want 0", c.MaxProbes)
 	}
-	if c.CondemnThreshold != 0 {
-		t.Errorf("CondemnThreshold = %v, want 0", c.CondemnThreshold)
-	}
 }
 
 // TestConfigExplicitValuesKept pins that genuine values pass through.
 func TestConfigExplicitValuesKept(t *testing.T) {
-	c := Config{Timeout: 10, Retries: 4, MaxProbes: 7, CondemnThreshold: 0.5, Key: []byte("x")}.WithDefaults()
-	if c.Timeout != 10 || c.Retries != 4 || c.MaxProbes != 7 || c.CondemnThreshold != 0.5 || string(c.Key) != "x" {
+	c := Config{Timeout: 10, Retries: 4, MaxProbes: 7, Key: []byte("x")}.WithDefaults()
+	if c.Timeout != 10 || c.Retries != 4 || c.MaxProbes != 7 || string(c.Key) != "x" {
 		t.Fatalf("config mangled: %+v", c)
 	}
 }

@@ -99,10 +99,11 @@ type Verdict struct {
 	Evidence []Evidence
 }
 
-// Judge folds evidence into a Verdict under the given condemnation
-// threshold. With no weighted evidence the likelihood is the 0.5 prior and
-// nothing is condemned: an unprobed pair is unproven, not innocent.
-func Judge(pair topology.Link, evidence []Evidence, threshold float64, probes int) Verdict {
+// Judge folds evidence into a Verdict, condemning the pair at a likelihood
+// of condemnThreshold or more. With no weighted evidence the likelihood is
+// the 0.5 prior and nothing is condemned: an unprobed pair is unproven, not
+// innocent.
+func Judge(pair topology.Link, evidence []Evidence, probes int) Verdict {
 	var inc, exc float64
 	for _, e := range evidence {
 		i, x := e.Kind.weights()
@@ -112,7 +113,7 @@ func Judge(pair topology.Link, evidence []Evidence, threshold float64, probes in
 	v := Verdict{Pair: pair, Likelihood: 0.5, Probes: probes, Evidence: evidence}
 	if inc+exc > 0 {
 		v.Likelihood = inc / (inc + exc)
-		v.Condemned = v.Likelihood >= threshold
+		v.Condemned = v.Likelihood >= condemnThreshold
 	}
 	return v
 }

@@ -108,5 +108,5 @@ func (s *session) onProof(probeID uint64, proof []byte, at sim.Time) {
 
 // judge folds the session's evidence into the pair verdict.
 func (s *session) judge() Verdict {
-	return Judge(s.pair, s.evidence, s.cfg.CondemnThreshold, len(s.attempts))
+	return Judge(s.pair, s.evidence, len(s.attempts))
 }

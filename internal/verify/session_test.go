@@ -197,24 +197,23 @@ func TestJudge(t *testing.T) {
 		return out
 	}
 	cases := []struct {
-		name      string
-		evidence  []Evidence
-		threshold float64
-		wantL     float64
-		wantC     bool
+		name     string
+		evidence []Evidence
+		wantL    float64
+		wantC    bool
 	}{
-		{"no evidence", nil, 0.75, 0.5, false},
-		{"only administrative", mk(PairIsolated), 0.75, 0.5, false},
-		{"all missing", mk(AckMissing, AckMissing, AckMissing), 0.75, 1, true},
-		{"all valid", mk(AckValid, AckValid), 0.75, 0, false},
-		{"mixed below threshold", mk(AckMissing, AckValid, AckValid), 0.75, 1.0 / 3, false},
-		{"at threshold", mk(AckMissing, AckMissing, AckMissing, AckValid), 0.75, 0.75, true},
-		{"late and duplicate corroborate", mk(AckLate, AckDuplicate), 0.75, 1, true},
-		{"late against valid", mk(AckLate, AckValid), 0.75, 1.0 / 3, false},
+		{"no evidence", nil, 0.5, false},
+		{"only administrative", mk(PairIsolated), 0.5, false},
+		{"all missing", mk(AckMissing, AckMissing, AckMissing), 1, true},
+		{"all valid", mk(AckValid, AckValid), 0, false},
+		{"mixed below threshold", mk(AckMissing, AckValid, AckValid), 1.0 / 3, false},
+		{"at threshold", mk(AckMissing, AckMissing, AckMissing, AckValid), 0.75, true},
+		{"late and duplicate corroborate", mk(AckLate, AckDuplicate), 1, true},
+		{"late against valid", mk(AckLate, AckValid), 1.0 / 3, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := Judge(pair, tc.evidence, tc.threshold, len(tc.evidence))
+			v := Judge(pair, tc.evidence, len(tc.evidence))
 			if v.Likelihood != tc.wantL {
 				t.Errorf("Likelihood = %v, want %v", v.Likelihood, tc.wantL)
 			}

@@ -30,6 +30,10 @@ import (
 // negative value) instead, mirroring sam.DetectorConfig's convention.
 const ExplicitZero = knob.ExplicitZero
 
+// condemnThreshold is the likelihood at or above which a probed pair is
+// condemned.
+const condemnThreshold = 0.75
+
 // DefaultKey is the probe HMAC key when Config.Key is empty. Any key works —
 // what matters is that the simulated attackers do not hold it, which is why
 // forged proofs fail verification.
@@ -47,9 +51,6 @@ type Config struct {
 	// MaxProbes caps how many routes through the suspect pair are probed
 	// (default 3; ExplicitZero disables probing entirely).
 	MaxProbes int
-	// CondemnThreshold is the likelihood at or above which a probed pair is
-	// condemned (default 0.75; ExplicitZero condemns on any evidence).
-	CondemnThreshold float64
 	// Key is the shared HMAC key honest nodes prove knowledge of (default
 	// DefaultKey).
 	Key []byte
@@ -65,7 +66,6 @@ func (c Config) WithDefaults() Config {
 	c.Timeout = knob.Resolve(c.Timeout, 64)
 	c.Retries = knob.Resolve(c.Retries, 1)
 	c.MaxProbes = knob.Resolve(c.MaxProbes, 3)
-	c.CondemnThreshold = knob.Resolve(c.CondemnThreshold, 0.75)
 	if len(c.Key) == 0 {
 		c.Key = DefaultKey
 	}
