@@ -16,8 +16,10 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"strconv"
+	"sync"
 
 	"samnet/internal/attack"
+	"samnet/internal/geom"
 	"samnet/internal/routing"
 	"samnet/internal/routing/dsr"
 	"samnet/internal/routing/mr"
@@ -83,7 +85,7 @@ type Condition struct {
 	Label string
 	// Build constructs the network for one run. Most conditions ignore run
 	// and rebuild the same deterministic grid; random-topology conditions
-	// draw a fresh placement from topoRNG.
+	// draw each run's placement from topoRNG (see buildRandom).
 	Build func(cfg Config, run int) *topology.Network
 	// Wormholes is how many attacker pairs tunnel during the run.
 	Wormholes int
@@ -205,9 +207,34 @@ func buildUniform(cols, rows, k int) func(Config, int) *topology.Network {
 	return func(Config, int) *topology.Network { return topology.Uniform(cols, rows, k, 2) }
 }
 
+// buildRandom returns a builder that draws run's placement from
+// topoRNG(cfg.Seed, run). Rejection sampling makes a draw cost hundreds of
+// tries, so the builder draws each (seed, run) once, keeps the accepted
+// placement, and rebuilds later calls' networks from it with
+// topology.RandomAt, the network the draw would return. Every call gets its
+// own Network, since an attack scenario adds tunnel links to it. Conditions
+// that share one builder share its draws; the memo lives as long as the
+// builder, one experiment's Run.
 func buildRandom() func(Config, int) *topology.Network {
-	return func(cfg Config, run int) *topology.Network {
-		return topology.Random(topology.RandomConfig{Wormholes: 2}, topoRNG(cfg.Seed, run))
+	type placement struct {
+		mu  sync.Mutex
+		pos []geom.Point
+	}
+	cfg := topology.RandomConfig{Wormholes: 2}
+	var placed sync.Map // [2]uint64{seed, run} -> *placement
+	return func(c Config, run int) *topology.Network {
+		v, _ := placed.LoadOrStore([2]uint64{c.Seed, uint64(run)}, new(placement))
+		p := v.(*placement)
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if p.pos == nil {
+			// An undrawable key panics here and leaves pos nil, so every
+			// call at that key panics alike.
+			net := topology.Random(cfg, topoRNG(c.Seed, run))
+			p.pos = net.Topo.Positions()
+			return net
+		}
+		return topology.RandomAt(cfg, p.pos)
 	}
 }
 

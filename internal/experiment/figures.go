@@ -150,10 +150,11 @@ func Fig9(cfg Config) *report.Artifact {
 // per run), normal versus attacked.
 func Fig10(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
+	build := buildRandom() // one builder, so the columns share each draw
 	t := seriesTable(cfg, "Figure 10 — p_max of networks with random topology (MR)", pmaxOf,
 		[]column{
-			{"Normal", newCond("random", buildRandom(), 0, mrProtocol, "MR")},
-			{"Attack", newCond("random", buildRandom(), 1, mrProtocol, "MR")},
+			{"Normal", newCond("random", build, 0, mrProtocol, "MR")},
+			{"Attack", newCond("random", build, 1, mrProtocol, "MR")},
 		},
 		"Paper shape: p_max alone separates attack from normal on random topologies "+
 			"(the paper does not plot phi here, and phi is indeed uninformative).",

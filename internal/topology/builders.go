@@ -156,7 +156,9 @@ type RandomConfig struct {
 	// position assumption.
 	Wormholes int
 	// MaxTries bounds the rejection sampling for a connected placement
-	// (default 2000).
+	// (default 50000). About 1 draw in 250 is connected at the other
+	// defaults, and some placements an experiment sweep needs take more
+	// than 2000 tries.
 	MaxTries int
 }
 
@@ -171,7 +173,7 @@ func (c *RandomConfig) defaults() {
 		c.Radius = 2.3
 	}
 	if c.MaxTries == 0 {
-		c.MaxTries = 2000
+		c.MaxTries = 50000
 	}
 }
 
@@ -188,6 +190,9 @@ func (c *RandomConfig) defaults() {
 // Most draws are disconnected at the paper's density (about 1 in 250 is
 // connected at the defaults), so a draw is tested on its positions alone and
 // a Topology is built only once it passes; rejected draws allocate nothing.
+// Most rejected draws leave some node isolated, and the test rejects those
+// before it runs a BFS. Callers that need one placement again rebuild it
+// with RandomAt instead of redrawing it.
 func Random(cfg RandomConfig, rng *rand.Rand) *Network {
 	cfg.defaults()
 	pos := make([]geom.Point, cfg.N)
@@ -205,6 +210,14 @@ func Random(cfg RandomConfig, rng *rand.Rand) *Network {
 		}
 	}
 	panic("topology: could not draw a connected random topology; raise Radius or N")
+}
+
+// RandomAt builds the network Random returns for an accepted placement pos,
+// such as the Positions of a network Random drew with the same cfg. It
+// returns nil for a placement that Random would reject for an empty pool.
+func RandomAt(cfg RandomConfig, pos []geom.Point) *Network {
+	cfg.defaults()
+	return randomNetwork(cfg, pos)
 }
 
 // randomNetwork builds Random's network over one connected placement, or
@@ -238,13 +251,28 @@ func randomNetwork(cfg RandomConfig, pos []geom.Point) *Network {
 // evaluate, without building either. rest and queue are caller-owned scratch
 // with capacity len(pos); the check allocates nothing.
 //
-// It is a BFS from node 0 in which each dequeued node scans only the nodes
-// not yet reached, removing the ones in range from rest by swap-remove.
+// It first rejects a placement in which some node has no neighbor in range;
+// each node's scan stops at its first neighbor, so this is cheap, and it
+// settles most disconnected draws. Otherwise it is a BFS from node 0 in which
+// each dequeued node scans only the nodes not yet reached, removing the ones
+// in range from rest by swap-remove. Both stages use the same Dist2 <= r*r
+// test, so the first stage never changes the answer.
 func placementConnected(pos []geom.Point, radius float64, rest, queue []int32) bool {
 	if len(pos) == 0 {
 		return true
 	}
 	r2 := radius * radius
+	if len(pos) > 1 {
+	nodes:
+		for i, p := range pos {
+			for j, q := range pos {
+				if j != i && p.Dist2(q) <= r2 {
+					continue nodes
+				}
+			}
+			return false
+		}
+	}
 	rest = rest[:len(pos)-1]
 	for i := range rest {
 		rest[i] = int32(i + 1)

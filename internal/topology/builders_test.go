@@ -354,6 +354,29 @@ func TestPlacementConnectedMatchesTopology(t *testing.T) {
 	}
 }
 
+func TestPlacementConnectedEdgeCases(t *testing.T) {
+	const r = 2.3
+	for _, tc := range []struct {
+		name string
+		pos  []geom.Point
+		want bool
+	}{
+		{"no nodes", nil, true},
+		{"one node", []geom.Point{geom.Pt(1, 1)}, true},
+		{"two nodes out of range", []geom.Point{geom.Pt(0, 0), geom.Pt(r+0.01, 0)}, false},
+		{"two nodes exactly at range", []geom.Point{geom.Pt(0, 0), geom.Pt(r, 0)}, true},
+		{"isolated third node", []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(9, 9)}, false},
+		// No node is isolated, so the BFS decides: two separate pairs.
+		{"two components", []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(8, 0), geom.Pt(9, 0)}, false},
+	} {
+		rest := make([]int32, len(tc.pos))
+		queue := make([]int32, 0, len(tc.pos))
+		if got := placementConnected(tc.pos, r, rest, queue); got != tc.want {
+			t.Errorf("%s: placementConnected = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestRandomRejectedTriesAllocFree(t *testing.T) {
 	cfg := RandomConfig{Wormholes: 1}
 	cfg.defaults()
