@@ -15,8 +15,9 @@ import (
 // ROCMatrix sweeps the detector family against the adversary family — the
 // arms race the paper's single classic wormhole never exercises. Rows are
 // scenarios (normal plus each complex-attack variant); columns are the three
-// detectors: SAM alone (the paper's p_max/phi statistic), the PMF detector,
-// and the hybrid that adds per-link z-scores, neighbor-table comparison and
+// detectors: SAM alone (the paper's p_max/phi statistic), the PMF test (the
+// paper's alternative statistic, the hybrid's ByPMF channel), and the hybrid
+// that adds per-link z-scores, neighbor-table comparison and
 // delay-consistency evidence. The interesting cells are the ones where a
 // complex adversary flattens the frequency signal SAM keys on (relay chains
 // split it, adaptive throttling starves it, forgery diversifies it) and the
@@ -184,7 +185,7 @@ func rocMatrixRows(cfg Config) []rocMatrixRow {
 		samV := sam.NewDetector(profile, sam.DetectorConfig{}).Evaluate(st)
 		hybV := sam.NewHybridDetector(profile, nbr, sam.HybridConfig{}).Evaluate(st, routes, times)
 		return out{
-			flags:    [3]bool{samV.Decision != sam.Normal, hybV.PMF.Attacked, hybV.Attacked},
+			flags:    [3]bool{samV.Decision != sam.Normal, hybV.ByPMF, hybV.Attacked},
 			channels: [5]bool{hybV.BySAM, hybV.ByPMF, hybV.ByZ, hybV.ByNeighbor, hybV.ByDelay},
 			pmax:     st.PMax,
 			routes:   len(routes),

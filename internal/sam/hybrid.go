@@ -1,51 +1,48 @@
 package sam
 
 import (
-	"samnet/internal/knob"
 	"samnet/internal/routing"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
 )
 
-// HybridConfig tunes the hybrid detector. Zero values select defaults; the
-// float fields follow the package's ExplicitZero convention.
+// HybridConfig configures the hybrid detector. Only its fused SAM module is
+// settable; the PMF cut points (pmfTVThreshold, pmfTailProb), the detour
+// length (detourHops) and the delay band (slowHopRatio, fastHopRatio around
+// nominalHopDelay) are constants.
 type HybridConfig struct {
 	// Detector configures the fused SAM module (z ramp, Beta); its
 	// ZHigh also serves as the per-link z-score alarm level.
 	Detector DetectorConfig
-	// TVThreshold and TailProb configure the PMF component (see
-	// NewPMFDetector; defaults 0.5 and 0.02, ExplicitZero for true zeros).
-	TVThreshold, TailProb float64
-	// DetourHops is the corroborated-detour length at which a claimed link
-	// counts as a wormhole: honest radio links on the paper's topologies
-	// detour around themselves in at most 3 hops, so the default is 4.
-	// Non-positive selects the default.
-	DetourHops int
-	// SlowHopRatio flags a route whose per-hop latency exceeds this multiple
-	// of NominalHopDelay — tunnel store-and-forward cost surfacing in the
-	// discovery timing (default 1.2; honest jitter tops out well under it,
-	// while even one slow tunnel crossing pushes a route past it). FastHopRatio
-	// flags latencies below
-	// that multiple — replies that arrived faster than radio allows, i.e.
-	// forged mid-flood (default 0.6). ExplicitZero for true zeros.
-	SlowHopRatio, FastHopRatio float64
-	// NominalHopDelay is the expected honest per-hop latency the delay
-	// check normalizes by (default 1.05: unit hop delay plus mean jitter).
-	// ExplicitZero for a zero-delay network.
-	NominalHopDelay sim.Time
 }
 
-func (c *HybridConfig) defaults() {
-	c.Detector.defaults()
-	c.TVThreshold = knob.Resolve(c.TVThreshold, 0.5)
-	c.TailProb = knob.Resolve(c.TailProb, 0.02)
-	if c.DetourHops <= 0 {
-		c.DetourHops = 4
-	}
-	c.SlowHopRatio = knob.Resolve(c.SlowHopRatio, 1.2)
-	c.FastHopRatio = knob.Resolve(c.FastHopRatio, 0.6)
-	c.NominalHopDelay = knob.Resolve(c.NominalHopDelay, 1.05)
-}
+// The hybrid detector's fixed cut points.
+const (
+	// pmfTVThreshold and pmfTailProb are the PMF test, the paper's
+	// alternative statistic (Section III): compare the live PMF of n/N with
+	// the trained profile's. A route set fires when its total-variation
+	// distance to the profile is at least pmfTVThreshold, or when the
+	// profile's own tail mass at the live p_max — "the probability of high
+	// usage link" — is below pmfTailProb: no normal run produced a link
+	// that frequent.
+	pmfTVThreshold = 0.5
+	pmfTailProb    = 0.02
+	// detourHops is the corroborated-detour length at which a claimed link
+	// counts as a wormhole: honest radio links on the paper's topologies
+	// detour around themselves in at most 3 hops.
+	detourHops = 4
+	// slowHopRatio flags a route whose per-hop latency reaches this multiple
+	// of nominalHopDelay — tunnel store-and-forward cost surfacing in the
+	// discovery timing (honest jitter tops out well under it, while even
+	// one slow tunnel crossing pushes a route past it). fastHopRatio flags
+	// latencies at or below that multiple — replies that arrived faster
+	// than radio allows, i.e. forged mid-flood.
+	slowHopRatio = 1.2
+	fastHopRatio = 0.6
+	// nominalHopDelay is the expected honest per-hop latency the delay
+	// check normalizes by: unit hop delay plus mean jitter.
+	nominalHopDelay sim.Time = 1.05
+)
 
 // HybridVerdict is the hybrid detector's evaluation: the fused decision plus
 // which evidence channels fired.
@@ -53,18 +50,18 @@ type HybridVerdict struct {
 	// Attacked is the fused decision: any channel's alarm condemns the set.
 	Attacked bool
 	// BySAM: the frequency detector's own hard verdict (Decision ==
-	// Attacked). ByPMF: the PMF total-variation/tail test. ByZ: some link's
-	// frequency sits ZHigh trained deviations above the trained p_max mean
-	// (a per-link generalization of SAM's primary z-score — it also catches
-	// secondary tunnels that are not the maximum). ByNeighbor: neighbor-
-	// table comparison found an uncorroborated (fabricated) link or a
-	// corroborated link whose honest detour is DetourHops or longer (a
+	// Attacked). ByPMF: the PMF test (pmfTVThreshold, pmfTailProb). ByZ:
+	// some link's frequency sits ZHigh trained deviations above the trained
+	// p_max mean (a per-link generalization of SAM's primary z-score — it
+	// also catches secondary tunnels that are not the maximum). ByNeighbor:
+	// neighbor-table comparison found an uncorroborated (fabricated) link or a
+	// corroborated link whose honest detour is detourHops or longer (a
 	// tunnel). ByDelay: some route's per-hop timing fell outside the
-	// [FastHopRatio, SlowHopRatio] band around the nominal hop delay.
+	// (fastHopRatio, slowHopRatio) band around nominalHopDelay.
 	BySAM, ByPMF, ByZ, ByNeighbor, ByDelay bool
-	// SAM and PMF echo the component verdicts.
+	// SAM echoes the frequency detector's verdict; its TV is the distance
+	// the PMF test reads.
 	SAM Verdict
-	PMF PMFVerdict
 	// SuspectLinks are the links condemned by neighbor-table evidence, in
 	// decreasing frequency order.
 	SuspectLinks []topology.Link
@@ -84,32 +81,16 @@ type HybridVerdict struct {
 //
 // Evaluate is safe for concurrent use.
 type HybridDetector struct {
-	cfg       HybridConfig
 	det       *Detector
-	pmf       *PMFDetector
 	neighbors *NeighborTables
 }
 
 // NewHybridDetector builds the hybrid over a trained profile and the claimed
-// neighbor tables. neighbors may be nil, disabling the neighbor check.
+// neighbor tables. neighbors may be nil, disabling the neighbor check. It
+// panics on a nil profile, as NewDetector does.
 func NewHybridDetector(profile *Profile, neighbors *NeighborTables, cfg HybridConfig) *HybridDetector {
-	if profile == nil {
-		panic("sam: nil profile")
-	}
-	cfg.defaults()
-	tv, tail := cfg.TVThreshold, cfg.TailProb
-	// NewPMFDetector resolves its own defaults; forward true zeros as
-	// ExplicitZero so the resolved config round-trips.
-	if tv == 0 {
-		tv = ExplicitZero
-	}
-	if tail == 0 {
-		tail = ExplicitZero
-	}
 	return &HybridDetector{
-		cfg:       cfg,
 		det:       NewDetector(profile, cfg.Detector),
-		pmf:       NewPMFDetector(profile, tv, tail),
 		neighbors: neighbors,
 	}
 }
@@ -121,22 +102,19 @@ func NewHybridDetector(profile *Profile, neighbors *NeighborTables, cfg HybridCo
 // elapsed time and fall out of the fast band). A nil times skips the delay
 // check.
 func (h *HybridDetector) Evaluate(s Stats, routes []routing.Route, times []sim.Time) HybridVerdict {
-	v := HybridVerdict{
-		SAM: h.det.Evaluate(s),
-		PMF: h.pmf.Evaluate(s),
-	}
+	v := HybridVerdict{SAM: h.det.Evaluate(s)}
 	v.BySAM = v.SAM.Decision == Attacked
-	v.ByPMF = v.PMF.Attacked
 	if s.N == 0 {
 		return v
 	}
+	v.ByPMF = v.SAM.TV >= pmfTVThreshold || h.det.profile.PMF.TailMass(s.PMax) < pmfTailProb
 
 	// Per-link z-score: every link's frequency against the trained p_max
 	// profile, not just the maximum — the frequency spike of a secondary
 	// tunnel is evidence even when another link tops it.
 	pmaxMean, _ := h.det.AdaptiveMeans()
 	for _, lc := range s.ByLink {
-		if zScore(lc.P, pmaxMean, h.det.profile.PMax.Std) >= h.cfg.Detector.ZHigh {
+		if zScore(lc.P, pmaxMean, h.det.profile.PMax.Std) >= h.det.cfg.ZHigh {
 			v.ByZ = true
 		}
 	}
@@ -153,7 +131,7 @@ func (h *HybridDetector) Evaluate(s Stats, routes []routing.Route, times []sim.T
 				v.SuspectLinks = append(v.SuspectLinks, l)
 				continue
 			}
-			if d := h.neighbors.detourHops(l, sc); d < 0 || d >= h.cfg.DetourHops {
+			if d := h.neighbors.detourHops(l, sc); d < 0 || d >= detourHops {
 				v.ByNeighbor = true
 				v.SuspectLinks = append(v.SuspectLinks, l)
 			}
@@ -163,9 +141,9 @@ func (h *HybridDetector) Evaluate(s Stats, routes []routing.Route, times []sim.T
 	// Delay consistency: honest per-hop latency is pinned to the MAC's hop
 	// delay plus bounded jitter; tunnel crossings add latency no radio hop
 	// can, and forged replies arrive before any honest reply can.
-	if times != nil && h.cfg.NominalHopDelay > 0 {
-		slow := float64(h.cfg.NominalHopDelay) * h.cfg.SlowHopRatio
-		fast := float64(h.cfg.NominalHopDelay) * h.cfg.FastHopRatio
+	if times != nil {
+		slow := float64(nominalHopDelay) * slowHopRatio
+		fast := float64(nominalHopDelay) * fastHopRatio
 		for i, r := range routes {
 			if i >= len(times) || r.Hops() == 0 {
 				continue

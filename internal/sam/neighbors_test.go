@@ -196,8 +196,8 @@ func TestHybridEvaluateAllocs(t *testing.T) {
 	c.hybrid.Evaluate(c.stats, c.routes, c.times) // warm the pool
 	if got := testing.AllocsPerRun(200, func() {
 		c.hybrid.Evaluate(c.stats, c.routes, c.times)
-	}); got > 8 {
-		t.Errorf("HybridDetector.Evaluate allocates %.1f times per call, want at most 8", got)
+	}); got > 7 {
+		t.Errorf("HybridDetector.Evaluate allocates %.1f times per call, want at most 7", got)
 	}
 }
 
