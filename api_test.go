@@ -6,33 +6,6 @@ import (
 	"samnet"
 )
 
-func TestFacadeQuickstartFlow(t *testing.T) {
-	net := samnet.NewCluster(1, 1)
-	src, dst := net.SrcPool[0], net.DstPool[len(net.DstPool)-1]
-
-	normal := samnet.DiscoverMR(net, src, dst, 1)
-	if len(normal.Routes) == 0 {
-		t.Fatal("no routes on clean network")
-	}
-	ns := samnet.Analyze(normal.Routes)
-
-	sc := samnet.Attack(net, 1, samnet.BehaviorForward)
-	defer sc.Teardown()
-	attacked := samnet.DiscoverMR(net, src, dst, 1)
-	as := samnet.Analyze(attacked.Routes)
-
-	if as.PMax <= ns.PMax {
-		t.Errorf("attack p_max %.3f should exceed normal %.3f", as.PMax, ns.PMax)
-	}
-	tunnel := sc.TunnelLinks()[0]
-	if attacked.AffectedBy(tunnel) != 1 {
-		t.Errorf("cluster affected = %v, want 1", attacked.AffectedBy(tunnel))
-	}
-	if as.Suspect != tunnel {
-		t.Errorf("suspect %v != tunnel %v", as.Suspect, tunnel)
-	}
-}
-
 func TestFacadeBuilders(t *testing.T) {
 	if n := samnet.NewUniform(6, 6, 1, 2).Topo.N(); n != 36 {
 		t.Errorf("uniform N = %d", n)

@@ -7,6 +7,8 @@
 // packet-leash baseline, and an experiment harness that regenerates every
 // table and figure of the paper's evaluation.
 //
-// The root package holds only the benchmark suite (bench_test.go); the
-// implementation lives under internal/ and the executables under cmd/.
+// The root package holds the library facade (api.go) and the benchmark
+// suite (bench_test.go); the implementation lives under internal/, the
+// executables under cmd/, and the examples, as Example tests with pinned
+// output, under examples/.
 package samnet

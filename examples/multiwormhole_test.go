@@ -1,9 +1,4 @@
-// Multi-wormhole example (paper Sec. III.D, Fig. 15): two simultaneous
-// wormholes in the cluster topology, detected and localized per tunnel with
-// the outlier-link statistic.
-//
-//	go run ./examples/multiwormhole
-package main
+package examples_test
 
 import (
 	"fmt"
@@ -11,7 +6,10 @@ import (
 	"samnet"
 )
 
-func main() {
+// Multiple wormholes (paper Sec. III.D, Fig. 15): two simultaneous
+// wormholes in the cluster topology, detected and localized per tunnel with
+// the outlier-link statistic.
+func Example_multiwormhole() {
 	net := samnet.NewCluster(1, 2)
 	fmt.Printf("cluster topology with %d embedded attacker pairs\n", len(net.AttackerPairs))
 
@@ -48,4 +46,25 @@ func main() {
 		fmt.Printf("  localized %d/%d tunnels across runs\n\n", len(localized), len(tunnels))
 		sc.Teardown()
 	}
+
+	// Output:
+	// cluster topology with 2 embedded attacker pairs
+	// normal:        p_max=0.072 phi=0.000 (13 routes)
+	// 1 wormhole(s): tunnels=[9-32]
+	//   run 1: src= 2 dst=27 p_max=0.143 suspect=9-32  <- accused the tunnel
+	//   run 2: src= 5 dst=33 p_max=0.231 suspect=9-32  <- accused the tunnel
+	//   run 3: src=10 dst=39 p_max=0.167 suspect=9-32  <- accused the tunnel
+	//   run 4: src=13 dst=28 p_max=0.231 suspect=9-32  <- accused the tunnel
+	//   run 5: src= 0 dst=34 p_max=0.128 suspect=9-32  <- accused the tunnel
+	//   run 6: src= 3 dst=40 p_max=0.120 suspect=9-32  <- accused the tunnel
+	//   localized 1/1 tunnels across runs
+	//
+	// 2 wormhole(s): tunnels=[9-32 6-35]
+	//   run 1: src= 2 dst=27 p_max=0.152 suspect=2-6
+	//   run 2: src= 5 dst=33 p_max=0.167 suspect=9-32  <- accused the tunnel
+	//   run 3: src=10 dst=39 p_max=0.167 suspect=6-35  <- accused the tunnel
+	//   run 4: src=13 dst=28 p_max=0.231 suspect=9-32  <- accused the tunnel
+	//   run 5: src= 0 dst=34 p_max=0.115 suspect=6-35  <- accused the tunnel
+	//   run 6: src= 3 dst=40 p_max=0.176 suspect=6-35  <- accused the tunnel
+	//   localized 2/2 tunnels across runs
 }

@@ -228,10 +228,6 @@ func (g *Gateway) observeReplica(url string, d time.Duration) {
 	}
 }
 
-// SyncNow runs one synchronous anti-entropy pass, returning how many
-// snapshot records were shipped to their owners.
-func (g *Gateway) SyncNow(ctx context.Context) int { return g.syncOnce(ctx) }
-
 // Close stops the health checker and the anti-entropy loop.
 func (g *Gateway) Close() {
 	g.closeOnce.Do(func() {

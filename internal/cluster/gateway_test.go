@@ -22,6 +22,10 @@ import (
 	"samnet/internal/topology"
 )
 
+// SyncNow runs one synchronous anti-entropy pass, returning how many
+// snapshot records were shipped to their owners.
+func (g *Gateway) SyncNow(ctx context.Context) int { return g.syncOnce(ctx) }
+
 // genSets mirrors the service tests' corpus generator: n route sets from MR
 // discoveries on a 1-tier cluster, wormhole on or off.
 func genSets(n int, wormhole bool, seedBase uint64) [][][]int {

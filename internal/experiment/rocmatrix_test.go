@@ -22,13 +22,13 @@ func rocMatrixRowsByName(t *testing.T, cfg Config) map[string]rocMatrixRow {
 	return out
 }
 
-// TestGoldenROCMatrix pins the arms race. SAM alone (and the PMF detector)
-// keeps the paper's near-perfect detection of the classic and latent
-// wormholes, but degrades hard against the relay chain (measured 3%), the
-// adaptive throttler (30%) and reply forgery (43%). The hybrid recovers all
-// three (70% / 83% / 100%) while flagging exactly the same normal runs the
-// PMF component already flagged — the side channels are free of their own
-// false alarms.
+// TestGoldenROCMatrix pins the arms race. SAM alone (and the hybrid's ByPMF
+// channel) keeps the paper's near-perfect detection of the classic and
+// latent wormholes, but degrades hard against the relay chain (measured 3%),
+// the adaptive throttler (30%) and reply forgery (43%). The hybrid recovers
+// all three (70% / 83% / 100%) while flagging at most one normal run more
+// than the PMF component flags alone — the side channels are free of their
+// own false alarms.
 func TestGoldenROCMatrix(t *testing.T) {
 	rows := rocMatrixRowsByName(t, Config{Runs: 30})
 

@@ -15,7 +15,7 @@ import (
 //   - Corroborated: a link is believable only if both endpoints claim each
 //     other. Fabricated links in forged route replies fail this — the
 //     invented neighbor never claimed the forger.
-//   - DetourHops: for a corroborated link, the hop distance between its
+//   - detourHops: for a corroborated link, the hop distance between its
 //     endpoints through the rest of the claimed graph. Radio links always
 //     have short detours (their endpoints share a physical neighborhood); a
 //     tunnel's endpoints are many honest hops apart, however loudly the
@@ -28,11 +28,6 @@ import (
 // reporter ID, so a caller fed IDs from outside the program must bound them.
 type NeighborTables struct {
 	claims [][]topology.NodeID
-}
-
-// NewNeighborTables returns an empty claim set.
-func NewNeighborTables() *NeighborTables {
-	return &NeighborTables{}
 }
 
 // RadioNeighborTables builds the honest baseline: every node claims exactly
@@ -104,7 +99,7 @@ func (t *NeighborTables) Corroborated(a, b topology.NodeID) bool {
 	return t.claimed(a, b) && t.claimed(b, a)
 }
 
-// detourScratch is the breadth-first search state DetourHops reuses across
+// detourScratch is the breadth-first search state detourHops reuses across
 // links. Between searches every dist entry is -1; queue lists the nodes a
 // search reached, which are exactly the entries it must reset.
 type detourScratch struct {
@@ -116,18 +111,11 @@ type detourScratch struct {
 // HybridDetector that holds one safe for concurrent use.
 var detourPool = sync.Pool{New: func() any { return new(detourScratch) }}
 
-// DetourHops returns the hop distance between l's endpoints through the
+// detourHops returns the hop distance between l's endpoints through the
 // corroborated claim graph with l itself removed — the length of the honest
 // detour around the link. It returns -1 when no detour exists. Radio links
 // detour in 2–3 hops on the paper's topologies; a corroborated tunnel can
 // only detour over the many-hop honest path it shortcuts.
-func (t *NeighborTables) DetourHops(l topology.Link) int {
-	sc := detourPool.Get().(*detourScratch)
-	d := t.detourHops(l, sc)
-	detourPool.Put(sc)
-	return d
-}
-
 func (t *NeighborTables) detourHops(l topology.Link, sc *detourScratch) int {
 	if l.A == l.B {
 		return 0

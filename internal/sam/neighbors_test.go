@@ -14,6 +14,20 @@ import (
 	"samnet/internal/topology"
 )
 
+// NewNeighborTables returns an empty claim set.
+func NewNeighborTables() *NeighborTables {
+	return &NeighborTables{}
+}
+
+// DetourHops runs detourHops on scratch borrowed from the pool the hybrid's
+// audit uses.
+func (t *NeighborTables) DetourHops(l topology.Link) int {
+	sc := detourPool.Get().(*detourScratch)
+	d := t.detourHops(l, sc)
+	detourPool.Put(sc)
+	return d
+}
+
 // refNeighborTables is the previous map-of-maps implementation, kept as the
 // reference the slice-backed tables are diffed against.
 type refNeighborTables struct {

@@ -105,15 +105,6 @@ type Engine struct {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Processed returns the number of events executed so far. Each receiver of
-// a broadcast is one event.
-func (e *Engine) Processed() uint64 { return e.processed }
-
-// Pending returns the number of scheduled-but-unexecuted events. Each
-// receiver still waiting for a broadcast counts as one, although all of a
-// broadcast's same-delay receivers share one heap key.
-func (e *Engine) Pending() int { return len(e.pq) + e.waiting }
-
 // Schedule runs fn after delay d. A negative delay panics: the simulator
 // does not travel backwards.
 func (e *Engine) Schedule(d Time, fn func()) {
@@ -311,14 +302,4 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		e.now = deadline
 	}
 	return e.now
-}
-
-// Step executes exactly one event if any is pending and reports whether it
-// did. Of a broadcast, it delivers one receiver.
-func (e *Engine) Step() bool {
-	if len(e.pq) == 0 {
-		return false
-	}
-	e.next()
-	return true
 }

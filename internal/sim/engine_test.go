@@ -6,6 +6,25 @@ import (
 	"testing/quick"
 )
 
+// Processed returns the number of events executed so far. Each receiver of
+// a broadcast is one event.
+func (e *Engine) Processed() uint64 { return e.processed }
+
+// Pending returns the number of scheduled-but-unexecuted events. Each
+// receiver still waiting for a broadcast counts as one, although all of a
+// broadcast's same-delay receivers share one heap key.
+func (e *Engine) Pending() int { return len(e.pq) + e.waiting }
+
+// Step executes exactly one event if any is pending and reports whether it
+// did. Of a broadcast, it delivers one receiver.
+func (e *Engine) Step() bool {
+	if len(e.pq) == 0 {
+		return false
+	}
+	e.next()
+	return true
+}
+
 func TestScheduleRunOrder(t *testing.T) {
 	var e Engine
 	var got []int

@@ -72,18 +72,6 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4f std=%.4f min=%.4f max=%.4f", s.N, s.Mean, s.Std, s.Min, s.Max)
 }
 
-// Mean returns the arithmetic mean of xs (0 if empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // PMF is a binned probability mass function over [0,1]: bin i covers
 // [i/bins, (i+1)/bins), with 1.0 folded into the last bin. It approximates
 // the distribution of the per-link relative frequencies n_i/N.

@@ -6,6 +6,19 @@ import (
 	"testing/quick"
 )
 
+// Mean returns the arithmetic mean of xs (0 if empty), the direct formula
+// the accumulator's running mean is checked against.
+func Mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
+}
+
 // accumulate returns an accumulator holding xs.
 func accumulate(xs ...float64) *Accumulator {
 	var a Accumulator

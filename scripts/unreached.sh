@@ -1,8 +1,8 @@
 #!/bin/sh
 # Prints, one per line and sorted, every function and method declared in a
 # non-test Go file of the samnet module (bench/ excluded) that no binary
-# reaches: not the commands, not the examples, not the benchmark. Run it from
-# the repository root:
+# reaches: not the commands, not the examples' test binary, not the
+# benchmark. Run it from the repository root:
 #
 #	sh scripts/unreached.sh
 #
@@ -16,21 +16,28 @@ export LC_ALL=C
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# dump DIR PKG: link the main package in DIR and print each samnet function
-# it reaches, with type arguments dropped and the binary's "main" renamed to
-# PKG. Shape types can hold spaces, so each edge is split on its arrow.
+# dump PKG GOARGS...: link the binary `go GOARGS...` builds from the package
+# in the directory GOARGS names with -C, and print each samnet function it
+# reaches, with type arguments dropped and the binary's "main" renamed to PKG.
+# Shape types can hold spaces, so each edge is split on its arrow.
 dump() {
-	if ! go build -C "$1" -gcflags=all=-l -ldflags=-dumpdep -o /dev/null . >"$tmp/dep" 2>&1; then
+	pkg=$1
+	shift
+	if ! go "$@" -gcflags=all=-l -ldflags=-dumpdep -o /dev/null . >"$tmp/dep" 2>&1; then
 		cat "$tmp/dep" >&2
 		exit 1
 	fi
 	awk -F ' -> ' 'NF == 2 { print $1; print $2 }' "$tmp/dep" |
-		sed -E -e ':a' -e 's/\[[^][]*\]//' -e 'ta' -e "s#^main\.#$2.#" |
+		sed -E -e ':a' -e 's/\[[^][]*\]//' -e 'ta' -e "s#^main\.#$pkg.#" |
 		grep '^samnet' | sed -E 's/\(\*?([^)]*)\)/\1/g'
 }
 
-for d in cmd/*/ examples/*/; do dump "$d" "samnet/${d%/}" >>"$tmp/edges"; done
-dump bench samnet/bench >>"$tmp/edges"
+for d in cmd/*/; do dump "samnet/${d%/}" -C "$d" build >>"$tmp/edges"; done
+# The examples are Example functions in a test-only package, so their test
+# binary is what links them. Only theirs: the root package's test binary
+# would also reach the test seams its benchmarks call.
+dump samnet/examples -C examples test -c >>"$tmp/edges"
+dump samnet/bench -C bench build >>"$tmp/edges"
 sort -u "$tmp/edges" >"$tmp/reached"
 
 git ls-files --cached --others --exclude-standard '*.go' | grep -v '_test\.go$' | grep -v '^bench/' | while read -r f; do
