@@ -35,8 +35,9 @@ func Blackhole(cfg Config) *report.Artifact {
 	type bhOut struct {
 		fabricated, probeExposed, allGenuine bool
 	}
+	proto := topology.Uniform(6, 6, 1, 1)
 	rows := runner.MapWorkerProgress(cfg.Workers, cfg.Runs, cfg.Progress, newSimCache, func(run int, cache *simCache) bhOut {
-		net := topology.Uniform(6, 6, 1, 1)
+		net := proto.Clone()
 		mal := net.Attackers()
 		src, dst := net.PickPair(pairRNG(cfg.Seed, run))
 

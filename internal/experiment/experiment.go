@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"samnet/internal/attack"
-	"samnet/internal/geom"
 	"samnet/internal/routing"
 	"samnet/internal/routing/dsr"
 	"samnet/internal/routing/mr"
@@ -197,44 +196,50 @@ func RunConditions(cfg Config, conds []Condition) [][]RunResult {
 	})
 }
 
-// Standard network builders, shared across experiment definitions.
+// Standard network builders, shared across experiment definitions. Each
+// builder builds its prototype network once, on first use, and hands every
+// call a Clone of it: a run installs tunnels on its network, and a chain
+// scenario filters its pools, so no two calls may share one. A prototype is
+// frozen and never mutated, so workers clone it concurrently. Conditions
+// that share one builder share its prototypes.
 
 func buildCluster(k int) func(Config, int) *topology.Network {
-	return func(Config, int) *topology.Network { return topology.Cluster(k, 2) }
+	proto := sync.OnceValue(func() *topology.Network { return topology.Cluster(k, 2) })
+	return func(Config, int) *topology.Network { return proto().Clone() }
 }
 
 func buildUniform(cols, rows, k int) func(Config, int) *topology.Network {
-	return func(Config, int) *topology.Network { return topology.Uniform(cols, rows, k, 2) }
+	proto := sync.OnceValue(func() *topology.Network { return topology.Uniform(cols, rows, k, 2) })
+	return func(Config, int) *topology.Network { return proto().Clone() }
 }
 
 // buildRandom returns a builder that draws run's placement from
 // topoRNG(cfg.Seed, run). Rejection sampling makes a draw cost hundreds of
-// tries, so the builder draws each (seed, run) once, keeps the accepted
-// placement, and rebuilds later calls' networks from it with
-// topology.RandomAt, the network the draw would return. Every call gets its
-// own Network, since an attack scenario adds tunnel links to it. Conditions
-// that share one builder share its draws; the memo lives as long as the
-// builder, one experiment's Run.
+// tries, so the builder draws each (seed, run) once and keeps the network
+// as that key's prototype; the memo lives as long as the builder, one
+// experiment's Run.
 func buildRandom() func(Config, int) *topology.Network {
-	type placement struct {
+	type draw struct {
 		mu  sync.Mutex
-		pos []geom.Point
+		net *topology.Network
 	}
 	cfg := topology.RandomConfig{Wormholes: 2}
-	var placed sync.Map // [2]uint64{seed, run} -> *placement
+	var drawn sync.Map // [2]uint64{seed, run} -> *draw
 	return func(c Config, run int) *topology.Network {
-		v, _ := placed.LoadOrStore([2]uint64{c.Seed, uint64(run)}, new(placement))
-		p := v.(*placement)
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if p.pos == nil {
-			// An undrawable key panics here and leaves pos nil, so every
-			// call at that key panics alike.
-			net := topology.Random(cfg, topoRNG(c.Seed, run))
-			p.pos = net.Topo.Positions()
-			return net
+		key := [2]uint64{c.Seed, uint64(run)}
+		v, ok := drawn.Load(key)
+		if !ok {
+			v, _ = drawn.LoadOrStore(key, new(draw))
 		}
-		return topology.RandomAt(cfg, p.pos)
+		d := v.(*draw)
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if d.net == nil {
+			// An undrawable key panics here and leaves net nil, so every
+			// call at that key panics alike.
+			d.net = topology.Random(cfg, topoRNG(c.Seed, run))
+		}
+		return d.net.Clone()
 	}
 }
 

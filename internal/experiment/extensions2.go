@@ -93,8 +93,9 @@ func Rushing(cfg Config) *report.Artifact {
 		pmax  float64
 		onMax bool
 	}
+	build := buildCluster(1)
 	rows := runner.MapWorkerProgress(cfg.Workers, cfg.Runs, cfg.Progress, newSimCache, func(run int, cache *simCache) rushOut {
-		net := topology.Cluster(1, 2)
+		net := build(cfg, run)
 		sc := attack.NewRushingScenario(net, 1, 0.3, attack.Forward)
 		src, dst := net.PickPair(pairRNG(cfg.Seed, run))
 		simNet := cache.network(net.Topo, sim.Config{Seed: deriveSeed(cfg.Seed, "rushing", run)})
@@ -128,11 +129,12 @@ func Loss(cfg Config) *report.Artifact {
 		localized      bool
 	}
 	// One flattened (loss rate x run) grid; sums fold serially per row.
+	build := buildCluster(1)
 	grid := runner.MapGridWorkerProgress(cfg.Workers, len(losses), cfg.Runs, cfg.Progress, newSimCache, func(li, run int, cache *simCache) lossOut {
 		loss := losses[li]
 
 		// Attacked run.
-		net := topology.Cluster(1, 2)
+		net := build(cfg, run)
 		sc := attack.NewScenario(net, 1, attack.Forward)
 		defer sc.Teardown()
 		src, dst := net.PickPair(pairRNG(cfg.Seed, run))
@@ -148,7 +150,7 @@ func Loss(cfg Config) *report.Artifact {
 		}
 
 		// Paired normal run at the same loss rate.
-		netN := topology.Cluster(1, 2)
+		netN := build(cfg, run)
 		simN := cache.network(netN.Topo, sim.Config{
 			Seed: deriveSeed(cfg.Seed, "loss/normal", run), LossRate: loss,
 		})

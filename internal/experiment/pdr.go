@@ -40,9 +40,10 @@ func PDR(cfg Config) *report.Artifact {
 	// Train the detector on normal-condition discoveries.
 	profile := trainProfile(cfg, "pdr", 11, clusterCond(1, 0, mrProtocol, "MR").stats)
 
+	build := buildCluster(1)
 	outs := runner.MapWorkerProgress(cfg.Workers, cfg.Runs, cfg.Progress, newSimCache, func(run int, cache *simCache) delivery {
 		var tally delivery
-		net := topology.Cluster(1, 2)
+		net := build(cfg, run)
 		sc := attack.NewScenario(net, 1, attack.Blackhole)
 		src, dst := net.PickPair(pairRNG(cfg.Seed, run))
 

@@ -9,7 +9,6 @@ import (
 	"samnet/internal/runner"
 	"samnet/internal/sam"
 	"samnet/internal/sim"
-	"samnet/internal/topology"
 )
 
 // ROCMatrix sweeps the detector family against the adversary family — the
@@ -97,12 +96,15 @@ func rocMatrixCells() []rocMatrixCell {
 	}
 }
 
+// rocMatrixNet builds every rocmatrix run's network.
+var rocMatrixNet = buildCluster(1)
+
 // rocMatrixRun executes one discovery of one cell and returns what a
 // detector deployment would see: the scored route set, its per-route timing
 // (nil-safe for the delay check), and the claimed neighbor tables (honest
 // radio claims plus the colluders corroborating their own tunnels).
 func rocMatrixRun(cfg Config, label, proto, variant string, run int, cache *simCache) ([]routing.Route, []sim.Time, *sam.NeighborTables) {
-	net := topology.Cluster(1, 2)
+	net := rocMatrixNet(cfg, run)
 	var sc *attack.Scenario
 	if variant != "" {
 		var err error

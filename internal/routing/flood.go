@@ -85,7 +85,10 @@ type FloodConfig struct {
 	// Avoid excludes nodes from the flood: an avoided node neither forwards
 	// nor accepts request copies, so no discovered route traverses it. The
 	// IDS's step-3 isolation feeds condemned attackers in through this hook
-	// (verify.IsolationSet.Avoid). Nil means no exclusion.
+	// (verify.IsolationSet.Avoid). It is called once per node when a
+	// discovery starts, so a node condemned mid-discovery is avoided from
+	// the next discovery on; the IDS condemns only between discoveries. Nil
+	// means no exclusion.
 	Avoid func(topology.NodeID) bool
 	// Forge, when non-nil, lets Byzantine nodes answer route requests with
 	// fabricated replies (see ForgeFunc). Nil — the default and the only
@@ -101,26 +104,39 @@ const disjointReplies = 2
 // forest: entry i appends one node to the path ending at its parent entry,
 // so all copies share common prefixes and forwarding costs O(1) bookkeeping
 // instead of an O(hops) clone. Routes materialize as node slices only for
-// the arrivals that survive the destination's filters.
+// the arrivals that survive the destination's filters. Each entry also
+// carries the set of nodes on its path, a bitset of a.words uint64s copied
+// from its parent, so the per-reception loop check is one bit test.
 type pathArena struct {
 	node   []topology.NodeID
 	parent []int32
-	hops   []int32 // hop count of the path ending at this entry
+	hops   []int32  // hop count of the path ending at this entry
+	words  int      // bitset words per entry: ceil(N/64)
+	bits   []uint64 // entry i's path set is bits[i*words : (i+1)*words]
 }
 
-func (a *pathArena) reset() {
+// reset empties the arena for a discovery over n nodes.
+func (a *pathArena) reset(n int) {
 	a.node = a.node[:0]
 	a.parent = a.parent[:0]
 	a.hops = a.hops[:0]
+	a.words = (n + 63) / 64
+	a.bits = a.bits[:0]
 }
 
 // push appends node to the path ending at parent (-1 starts a path) and
 // returns the new entry's ref.
 func (a *pathArena) push(parent int32, node topology.NodeID) int32 {
 	var h int32
+	start := len(a.bits)
 	if parent >= 0 {
 		h = a.hops[parent] + 1
+		p := int(parent) * a.words
+		a.bits = append(a.bits, a.bits[p:p+a.words]...)
+	} else {
+		a.bits = append(a.bits, make([]uint64, a.words)...)
 	}
+	a.bits[start+int(node)>>6] |= 1 << (uint(node) & 63)
 	a.node = append(a.node, node)
 	a.parent = append(a.parent, parent)
 	a.hops = append(a.hops, h)
@@ -129,12 +145,7 @@ func (a *pathArena) push(parent int32, node topology.NodeID) int32 {
 
 // contains reports whether the path ending at ref traverses id.
 func (a *pathArena) contains(ref int32, id topology.NodeID) bool {
-	for i := ref; i >= 0; i = a.parent[i] {
-		if a.node[i] == id {
-			return true
-		}
-	}
-	return false
+	return a.bits[int(ref)*a.words+int(id)>>6]&(1<<(uint(id)&63)) != 0
 }
 
 // appendPath writes the path ending at ref onto dst, source first.
@@ -190,6 +201,7 @@ type floodRun struct {
 
 	gen        uint64
 	state      []NodeState // dense, indexed by NodeID, generation-tagged
+	avoid      []bool      // cfg.Avoid per node; empty when cfg.Avoid is nil
 	arena      pathArena
 	rreqs      rreqArena
 	arrivals   []arrival
@@ -206,10 +218,17 @@ func (f *floodRun) begin(net *sim.Network, src, dst topology.NodeID, cfg FloodCo
 	f.reqID = net.NextID()
 	f.src, f.dst = src, dst
 	f.gen++
-	if n := net.Topology().N(); n > len(f.state) {
+	n := net.Topology().N()
+	if n > len(f.state) {
 		f.state = make([]NodeState, n)
 	}
-	f.arena.reset()
+	f.avoid = f.avoid[:0]
+	if cfg.Avoid != nil {
+		for id := range n {
+			f.avoid = append(f.avoid, cfg.Avoid(topology.NodeID(id)))
+		}
+	}
+	f.arena.reset(n)
 	f.rreqs.reset()
 	f.arrivals = f.arrivals[:0]
 	f.kept = f.kept[:0]
@@ -337,7 +356,7 @@ func (f *floodRun) recvRREQ(net *sim.Network, self, from topology.NodeID, q *RRE
 	}
 	// Isolation filter: copies at or from a condemned node die here, before
 	// any state is touched, so no collected route can traverse one.
-	if f.cfg.Avoid != nil && (f.cfg.Avoid(self) || f.cfg.Avoid(from)) {
+	if len(f.avoid) > 0 && (f.avoid[self] || f.avoid[from]) {
 		return
 	}
 	if self == f.dst {
@@ -438,16 +457,18 @@ type ProbeResult struct {
 // ProbeRoutes sends one Data packet along each route and reports which ACKs
 // came back. It installs minimal relay handlers on every node (replacing any
 // discovery handlers) and uses the network's drop function, so black/grey
-// hole attackers on a route surface as missing ACKs — SAM's step 2.
+// hole attackers on a route surface as missing ACKs — SAM's step 2. Route
+// i's probe carries SeqNo i+1 and the route itself: relaying moves only the
+// packets' Pos, never their Route.
 func ProbeRoutes(net *sim.Network, routes []Route) []ProbeResult {
-	acked := make(map[uint64]bool)
+	out := make([]ProbeResult, len(routes))
 	h := sim.HandlerFunc(func(n *sim.Network, self, from topology.NodeID, pkt sim.Packet) {
 		switch p := pkt.(type) {
 		case *Data:
 			RelayData(n, self, p)
 		case *ACK:
 			if p.Route[p.Pos] == self && p.Pos == 0 && self == p.Route[0] {
-				acked[p.SeqNo] = true
+				out[p.SeqNo-1].Acked = true
 			} else {
 				RelayACK(n, self, p)
 			}
@@ -455,15 +476,12 @@ func ProbeRoutes(net *sim.Network, routes []Route) []ProbeResult {
 	})
 	net.SetAllHandlers(h)
 	for i, r := range routes {
+		out[i].Route = r
 		if len(r) < 2 {
 			continue
 		}
-		net.Unicast(r[0], r[1], &Data{SeqNo: uint64(i + 1), Route: r.Clone(), Pos: 1})
+		net.Unicast(r[0], r[1], &Data{SeqNo: uint64(i + 1), Route: r, Pos: 1})
 	}
 	net.Run()
-	out := make([]ProbeResult, len(routes))
-	for i, r := range routes {
-		out[i] = ProbeResult{Route: r, Acked: acked[uint64(i+1)]}
-	}
 	return out
 }

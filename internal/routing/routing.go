@@ -9,6 +9,7 @@ package routing
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"samnet/internal/sim"
@@ -254,32 +255,122 @@ type Protocol interface {
 // with the first (fastest) route and then repeatedly choosing the candidate
 // sharing the fewest links with those already picked (ties: fewer hops, then
 // earlier arrival). This is the "maximally disjoint" reply policy of SMR.
+//
+// Each candidate's shared-link count is a running total: a newly picked
+// route is folded into every total with one pass over each candidate's
+// links (disjointCounter), instead of rescanning every picked route.
 func SelectDisjoint(candidates []Route, max int) []Route {
 	if max <= 0 || len(candidates) == 0 {
 		return nil
 	}
-	picked := []Route{candidates[0]}
-	used := make([]bool, len(candidates))
-	used[0] = true
-	for len(picked) < max && len(picked) < len(candidates) {
-		best, bestShared, bestHops := -1, int(^uint(0)>>1), int(^uint(0)>>1)
+	n := min(max, len(candidates))
+	picked := make([]Route, 1, n)
+	picked[0] = candidates[0]
+	if n == 1 {
+		return picked
+	}
+	dc := newDisjointCounter(candidates)
+	dc.shared[0] = -1 // picked
+	for len(picked) < n {
+		last := picked[len(picked)-1]
+		dc.mark(last)
+		best, bestShared, bestHops := -1, int32(math.MaxInt32), int(^uint(0)>>1)
 		for i, c := range candidates {
-			if used[i] {
+			if dc.shared[i] < 0 {
 				continue
 			}
-			shared := 0
-			for _, p := range picked {
-				shared += c.SharedLinks(p)
-			}
-			if shared < bestShared || (shared == bestShared && c.Hops() < bestHops) {
+			dc.shared[i] += dc.count(c, last, int32(i+1))
+			if shared := dc.shared[i]; shared < bestShared || (shared == bestShared && c.Hops() < bestHops) {
 				best, bestShared, bestHops = i, shared, c.Hops()
 			}
 		}
-		if best == -1 {
-			break
-		}
-		used[best] = true
+		dc.unmark(last)
+		dc.shared[best] = -1
 		picked = append(picked, candidates[best])
 	}
 	return picked
+}
+
+// disjointCounter is SelectDisjoint's scratch, carved from one allocation.
+type disjointCounter struct {
+	// shared[i] is candidate i's running count of links shared with the
+	// picked routes, or -1 once it is picked itself.
+	shared []int32
+	// pos[v] is 1 + v's index in the marked route, or 0 off it; nil when a
+	// candidate holds a negative node ID, which forces the nested scan.
+	pos []int32
+	// hit[j] is the stamp of the last candidate seen to traverse the marked
+	// route's link j, so a candidate repeating a link counts it once.
+	hit []int32
+	// simple reports whether the marked route repeats no node, which makes
+	// each of its links unique and identified by its position.
+	simple bool
+}
+
+func newDisjointCounter(candidates []Route) disjointCounter {
+	lo, hi, maxLen := topology.NodeID(0), topology.NodeID(0), 0
+	for _, c := range candidates {
+		maxLen = max(maxLen, len(c))
+		for _, v := range c {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+	}
+	k, nodes := len(candidates), 0
+	if lo >= 0 {
+		nodes = int(hi) + 1
+	}
+	buf := make([]int32, k+nodes+maxLen)
+	d := disjointCounter{shared: buf[:k], hit: buf[k+nodes:]}
+	if lo >= 0 {
+		d.pos = buf[k : k+nodes]
+	}
+	return d
+}
+
+// mark records p's node positions for count.
+func (d *disjointCounter) mark(p Route) {
+	clear(d.hit)
+	d.simple = d.pos != nil
+	if !d.simple {
+		return
+	}
+	for j, v := range p {
+		if d.pos[v] != 0 {
+			d.simple = false
+		}
+		d.pos[v] = int32(j + 1)
+	}
+}
+
+// unmark clears what mark recorded.
+func (d *disjointCounter) unmark(p Route) {
+	if d.pos == nil {
+		return
+	}
+	for _, v := range p {
+		d.pos[v] = 0
+	}
+}
+
+// count returns c.SharedLinks(p) for the marked route p; stamp is unique to
+// c within one mark. When p is simple, a link of c lies on p exactly when
+// its two nodes sit at adjacent positions of p, and each of p's links counts
+// once however often c traverses it. A route with a repeated node falls back
+// to the nested scan.
+func (d *disjointCounter) count(c, p Route, stamp int32) int32 {
+	if !d.simple {
+		return int32(c.SharedLinks(p))
+	}
+	var n int32
+	for i := 0; i+1 < len(c); i++ {
+		a, b := d.pos[c[i]], d.pos[c[i+1]]
+		if a == 0 || b == 0 || (a-b != 1 && b-a != 1) {
+			continue
+		}
+		if j := min(a, b) - 1; d.hit[j] != stamp {
+			d.hit[j] = stamp
+			n++
+		}
+	}
+	return n
 }

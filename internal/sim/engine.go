@@ -88,14 +88,12 @@ type Engine struct {
 	// spare is the unused tail of the block the last grown fan-out row was
 	// carved from, so warming a queue up costs one allocation per block
 	// rather than one per slot.
-	spare     []topology.NodeID
-	free      []int32 // slab slots not holding a pending event
-	now       Time
-	seq       uint64
-	processed uint64
-	// waiting counts the receivers inside fan-out entries behind the one
-	// each entry delivers next, so Pending counts deliveries, not keys.
-	waiting int
+	spare []topology.NodeID
+	free  []int32 // slab slots not holding a pending event
+	now   Time
+	// seq is spent once per scheduled event, each receiver of a broadcast
+	// included, so it also counts the events scheduled since the last reset.
+	seq uint64
 
 	// net is set when the engine is embedded in a Network; fn == nil events
 	// are deliveries dispatched to it.
@@ -142,7 +140,7 @@ func (e *Engine) reset() {
 		e.slab[k.slot] = payload{}
 	}
 	e.pq, e.slab, e.free = e.pq[:0], e.slab[:0], e.free[:0]
-	e.now, e.seq, e.processed, e.waiting = 0, 0, 0, 0
+	e.now, e.seq = 0, 0
 }
 
 // alloc stores p in a free slab slot and returns the slot.
@@ -216,7 +214,6 @@ func (e *Engine) scheduleFanout(d Time, slot int32, rcv []topology.NodeID, first
 	}
 	e.fan[slot] = rcv
 	e.slab[slot].tid = uint64(len(rcv))
-	e.waiting += len(rcv) - 1
 	e.insert(key{at: e.now + d, seq: first, slot: slot})
 }
 
@@ -261,7 +258,6 @@ func (e *Engine) pop() {
 func (e *Engine) next() {
 	top := e.pq[0]
 	e.now = top.at
-	e.processed++
 	p := &e.slab[top.slot]
 	switch {
 	case p.fn != nil:
@@ -281,8 +277,6 @@ func (e *Engine) next() {
 		to := e.fan[top.slot][p.to]
 		if p.to++; uint64(p.to) == p.tid {
 			e.pop()
-		} else {
-			e.waiting--
 		}
 		e.net.dispatch(from, to, pkt)
 	}

@@ -6,14 +6,25 @@ import (
 	"testing/quick"
 )
 
-// Processed returns the number of events executed so far. Each receiver of
-// a broadcast is one event.
-func (e *Engine) Processed() uint64 { return e.processed }
+// Processed returns the number of events executed since the last reset.
+// Each receiver of a broadcast is one event. Every scheduled event spends
+// one seq, so the executed ones are the seqs spent less those still pending.
+func (e *Engine) Processed() uint64 { return e.seq - uint64(e.Pending()) }
 
-// Pending returns the number of scheduled-but-unexecuted events. Each
-// receiver still waiting for a broadcast counts as one, although all of a
-// broadcast's same-delay receivers share one heap key.
-func (e *Engine) Pending() int { return len(e.pq) + e.waiting }
+// Pending returns the number of scheduled-but-unexecuted events, read off
+// the heap. Each receiver still waiting for a broadcast counts as one,
+// although all of a broadcast's same-delay receivers share one heap key.
+func (e *Engine) Pending() int {
+	n := 0
+	for _, k := range e.pq {
+		if p := &e.slab[k.slot]; p.fn == nil && p.th == nil && p.tid > 0 {
+			n += int(p.tid) - int(p.to) // a fan-out entry's undelivered receivers
+		} else {
+			n++
+		}
+	}
+	return n
+}
 
 // Step executes exactly one event if any is pending and reports whether it
 // did. Of a broadcast, it delivers one receiver.

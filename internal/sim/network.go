@@ -91,6 +91,10 @@ type Network struct {
 	// the covert channel is slower than one radio hop. Nil means no link has
 	// extra delay, keeping the hot delivery path a single nil check.
 	linkDelay map[topology.Link]Time
+	// delayed counts each node's links in linkDelay, so a transmitter with
+	// none skips the map lookup per receiver. It is allocated with the first
+	// link delay and cleared, not dropped, by Reset.
+	delayed []int32
 
 	lost    int64 // receptions destroyed by channel loss
 	dropped int64 // receptions destroyed by the drop hook (attacks)
@@ -140,6 +144,7 @@ func (n *Network) Retarget(topo *topology.Topology, cfg Config) {
 		n.tx = make([]int64, m)
 		n.rx = make([]int64, m)
 		n.factorSpare = nil
+		n.delayed = nil
 	}
 	n.resetState()
 }
@@ -158,6 +163,9 @@ func (n *Network) resetState() {
 		n.factorSpare = n.delayFactor
 	}
 	n.delayFactor = nil
+	if n.linkDelay != nil {
+		clear(n.delayed)
+	}
 	n.linkDelay = nil
 	n.drop = nil
 	n.lost = 0
@@ -219,12 +227,24 @@ func (n *Network) SetDelayFactor(id topology.NodeID, f float64) {
 // A non-positive extra clears the link's entry.
 func (n *Network) SetLinkDelay(a, b topology.NodeID, extra Time) {
 	l := topology.MkLink(a, b)
+	_, had := n.linkDelay[l]
 	if extra <= 0 {
-		delete(n.linkDelay, l)
+		if had {
+			delete(n.linkDelay, l)
+			n.delayed[a]--
+			n.delayed[b]--
+		}
 		return
 	}
 	if n.linkDelay == nil {
 		n.linkDelay = make(map[topology.Link]Time, 4)
+		if n.delayed == nil {
+			n.delayed = make([]int32, n.topo.N())
+		}
+	}
+	if !had {
+		n.delayed[a]++
+		n.delayed[b]++
 	}
 	n.linkDelay[l] = extra
 }
@@ -323,9 +343,9 @@ func (n *Network) lose() bool {
 }
 
 // extraDelay returns the from-to link's extra propagation delay, zero for
-// links without one.
+// links without one. Only a transmitter with a delayed link hashes the link.
 func (n *Network) extraDelay(from, to topology.NodeID) Time {
-	if n.linkDelay == nil {
+	if n.linkDelay == nil || n.delayed[from] == 0 {
 		return 0
 	}
 	return n.linkDelay[topology.MkLink(from, to)]

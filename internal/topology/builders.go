@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"samnet/internal/geom"
 )
@@ -24,6 +25,20 @@ type Network struct {
 	// AttackerPairs lists wormhole endpoint pairs, in the order experiments
 	// enable them (fig15 uses one, then two).
 	AttackerPairs [][2]NodeID
+}
+
+// Clone returns an independent copy of n: its topology (Topology.Clone), its
+// pools and its attacker pairs. Attack scenarios install tunnels on a network
+// and filter its pools in place (NewChainScenario), so a builder that keeps
+// a prototype network hands each run a Clone and never lets a run touch the
+// prototype.
+func (n *Network) Clone() *Network {
+	return &Network{
+		Topo:          n.Topo.Clone(),
+		SrcPool:       slices.Clone(n.SrcPool),
+		DstPool:       slices.Clone(n.DstPool),
+		AttackerPairs: slices.Clone(n.AttackerPairs),
+	}
 }
 
 // Attackers returns the set of all attacker node ids.
@@ -191,8 +206,8 @@ func (c *RandomConfig) defaults() {
 // connected at the defaults), so a draw is tested on its positions alone and
 // a Topology is built only once it passes; rejected draws allocate nothing.
 // Most rejected draws leave some node isolated, and the test rejects those
-// before it runs a BFS. Callers that need one placement again rebuild it
-// with RandomAt instead of redrawing it.
+// before it runs a BFS. Callers that need one placement again keep the
+// network and Clone it instead of redrawing it.
 func Random(cfg RandomConfig, rng *rand.Rand) *Network {
 	cfg.defaults()
 	pos := make([]geom.Point, cfg.N)
@@ -210,14 +225,6 @@ func Random(cfg RandomConfig, rng *rand.Rand) *Network {
 		}
 	}
 	panic("topology: could not draw a connected random topology; raise Radius or N")
-}
-
-// RandomAt builds the network Random returns for an accepted placement pos,
-// such as the Positions of a network Random drew with the same cfg. It
-// returns nil for a placement that Random would reject for an empty pool.
-func RandomAt(cfg RandomConfig, pos []geom.Point) *Network {
-	cfg.defaults()
-	return randomNetwork(cfg, pos)
 }
 
 // randomNetwork builds Random's network over one connected placement, or

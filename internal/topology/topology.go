@@ -9,6 +9,7 @@ package topology
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -58,7 +59,7 @@ type Topology struct {
 	pos    []geom.Point
 	radius float64
 	extra  map[Link]bool // out-of-band links (wormhole tunnels)
-	adj    [][]NodeID    // lazily built; nil when stale
+	adj    [][]NodeID    // lazily built; nil when stale (nodes added or moved)
 }
 
 // New returns an empty topology whose radio range is radius.
@@ -112,21 +113,38 @@ func (t *Topology) Positions() []geom.Point {
 // AddExtraLink installs an out-of-band link between a and b regardless of
 // their distance. Wormhole tunnels are modeled this way: the two attacker
 // nodes behave like one-hop neighbors no matter how far apart they sit.
+// Built adjacency is updated in place: each endpoint enters the other's
+// sorted row, unless the two are already radio neighbors.
 func (t *Topology) AddExtraLink(a, b NodeID) {
 	if a == b {
 		panic("topology: self link")
 	}
 	t.checkID(a)
 	t.checkID(b)
-	t.extra[MkLink(a, b)] = true
-	t.adj = nil
+	l := MkLink(a, b)
+	if t.extra[l] {
+		return
+	}
+	t.extra[l] = true
+	if t.adj != nil && !t.InRange(a, b) {
+		t.adj[a] = insertSorted(t.adj[a], b)
+		t.adj[b] = insertSorted(t.adj[b], a)
+	}
 }
 
-// RemoveExtraLink removes a previously installed out-of-band link. It is a
-// no-op if the link is not present.
+// RemoveExtraLink removes a previously installed out-of-band link, updating
+// built adjacency in place like AddExtraLink. It is a no-op if the link is
+// not present.
 func (t *Topology) RemoveExtraLink(a, b NodeID) {
-	delete(t.extra, MkLink(a, b))
-	t.adj = nil
+	l := MkLink(a, b)
+	if !t.extra[l] {
+		return
+	}
+	delete(t.extra, l)
+	if t.adj != nil && !t.InRange(a, b) {
+		t.adj[a] = deleteSorted(t.adj[a], b)
+		t.adj[b] = deleteSorted(t.adj[b], a)
+	}
 }
 
 // ExtraLinks returns all out-of-band links in deterministic order.
@@ -159,10 +177,13 @@ func (t *Topology) Adjacent(a, b NodeID) bool {
 }
 
 // Neighbors returns the neighbor list of id in ascending order. The returned
-// slice is shared; callers must not modify it.
+// slice is shared; callers must not modify it, nor read it after a tunnel
+// change, which edits the rows in place.
 func (t *Topology) Neighbors(id NodeID) []NodeID {
 	t.checkID(id)
-	t.build()
+	if t.adj == nil {
+		t.build()
+	}
 	return t.adj[id]
 }
 
@@ -187,6 +208,34 @@ func (t *Topology) Links() []Link {
 // Freeze forces adjacency construction now, so that later concurrent reads
 // never race on the lazy build.
 func (t *Topology) Freeze() { t.build() }
+
+// Clone returns an independent copy of t: positions, extra links and, if
+// built, the adjacency rows, copied into one backing array with each row
+// capped at its own length. Changing the copy never changes t, so a frozen
+// topology can serve as a prototype that hands out per-run copies without
+// rebuilding adjacency; concurrent Clones of a frozen topology are safe.
+func (t *Topology) Clone() *Topology {
+	c := &Topology{
+		name:   t.name,
+		pos:    t.Positions(),
+		radius: t.radius,
+		extra:  maps.Clone(t.extra),
+	}
+	if t.adj != nil {
+		total := 0
+		for _, row := range t.adj {
+			total += len(row)
+		}
+		flat := make([]NodeID, 0, total)
+		c.adj = make([][]NodeID, len(t.adj))
+		for i, row := range t.adj {
+			start := len(flat)
+			flat = append(flat, row...)
+			c.adj[i] = flat[start:len(flat):len(flat)]
+		}
+	}
+	return c
+}
 
 func (t *Topology) checkID(id NodeID) {
 	if id < 0 || int(id) >= len(t.pos) {
@@ -246,6 +295,25 @@ func (t *Topology) build() {
 		adj[i] = dedupSorted(adj[i])
 	}
 	t.adj = adj
+}
+
+// insertSorted adds v to the sorted row s if it is absent. A row at capacity
+// moves to a new array; rows are capped at their own window of the shared
+// backing array, so growing one never overwrites the next.
+func insertSorted(s []NodeID, v NodeID) []NodeID {
+	i, found := slices.BinarySearch(s, v)
+	if found {
+		return s
+	}
+	return slices.Insert(s, i, v)
+}
+
+// deleteSorted removes v from the sorted row s, within the row's window.
+func deleteSorted(s []NodeID, v NodeID) []NodeID {
+	if i, found := slices.BinarySearch(s, v); found {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
 }
 
 func dedupSorted(s []NodeID) []NodeID {

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"samnet/internal/geom"
@@ -176,4 +178,98 @@ func TestCheckIDPanics(t *testing.T) {
 		}
 	}()
 	topo.Neighbors(7)
+}
+
+// freshRows returns t's adjacency as a build from scratch computes it over
+// t's current positions and extra links.
+func freshRows(t *Topology) [][]NodeID {
+	fresh := t.Clone()
+	fresh.adj = nil
+	fresh.build()
+	return fresh.adj
+}
+
+// TestExtraLinkEditsMatchRebuild applies random tunnel installs and removals
+// to built topologies, tunnels that double a radio link and repeated or
+// absent links included, and requires the in-place rows to equal a fresh
+// build's after every step.
+func TestExtraLinkEditsMatchRebuild(t *testing.T) {
+	nets := []*Network{
+		Cluster(1, 2),
+		Cluster(2, 1),
+		Uniform(6, 6, 1, 2),
+		Random(RandomConfig{Wormholes: 2}, rand.New(rand.NewPCG(3, 4))),
+	}
+	rng := rand.New(rand.NewPCG(28, 1))
+	for _, net := range nets {
+		topo := net.Topo
+		n := topo.N()
+		var installed []Link
+		for step := 0; step < 400; step++ {
+			a := NodeID(rng.IntN(n))
+			b := a
+			switch {
+			case len(installed) > 0 && rng.IntN(3) == 0:
+				l := installed[rng.IntN(len(installed))]
+				topo.RemoveExtraLink(l.B, l.A)
+			case rng.IntN(3) == 0 && len(topo.Neighbors(a)) > 0:
+				// Double a radio link (or re-add a tunnel).
+				nbrs := topo.Neighbors(a)
+				b = nbrs[rng.IntN(len(nbrs))]
+			case rng.IntN(4) == 0:
+				topo.RemoveExtraLink(a, NodeID(rng.IntN(n))) // mostly absent
+			default:
+				for b == a {
+					b = NodeID(rng.IntN(n))
+				}
+			}
+			if b != a {
+				topo.AddExtraLink(a, b)
+			}
+			installed = topo.ExtraLinks()
+			want := freshRows(topo)
+			for id := range want {
+				if got := topo.Neighbors(NodeID(id)); !slices.Equal(got, want[id]) {
+					t.Fatalf("%s step %d: node %d neighbors %v, fresh build %v", topo.Name(), step, id, got, want[id])
+				}
+			}
+		}
+		if len(installed) == 0 {
+			t.Errorf("%s: the sequence left no tunnel installed", topo.Name())
+		}
+	}
+}
+
+// TestCloneIsIndependent checks that a Clone equals its original and that
+// tunnels and pool edits on the copy leave the original alone.
+func TestCloneIsIndependent(t *testing.T) {
+	orig := Cluster(1, 2)
+	rows := freshRows(orig.Topo)
+	src := slices.Clone(orig.SrcPool)
+	c := orig.Clone()
+	if c.Topo == orig.Topo || !slices.Equal(c.Topo.Links(), orig.Topo.Links()) ||
+		c.Topo.Name() != orig.Topo.Name() || c.Topo.Radius() != orig.Topo.Radius() {
+		t.Fatal("clone differs from its original")
+	}
+	c.Topo.AddExtraLink(0, 41)
+	c.Topo.AddExtraLink(5, 30)
+	c.Topo.RemoveExtraLink(0, 41)
+	c.Topo.SetPos(3, geom.Pt(50, 50))
+	c.SrcPool = WithoutNodes(c.SrcPool, map[NodeID]bool{src[0]: true})
+	c.AttackerPairs[0][0] = 7
+	for id := range rows {
+		if got := orig.Topo.Neighbors(NodeID(id)); !slices.Equal(got, rows[id]) {
+			t.Fatalf("node %d neighbors %v after editing the clone, want %v", id, got, rows[id])
+		}
+	}
+	if !slices.Equal(orig.SrcPool, src) || orig.AttackerPairs[0][0] == 7 || len(orig.Topo.ExtraLinks()) != 0 {
+		t.Error("editing the clone changed the original's pools, pairs or tunnels")
+	}
+
+	// An unbuilt topology clones unbuilt and builds on demand.
+	u := line(t, 4, 1.001)
+	u.AddExtraLink(0, 3)
+	if uc := u.Clone(); uc.adj != nil || !slices.Equal(uc.Neighbors(0), []NodeID{1, 3}) {
+		t.Errorf("unbuilt clone: adj built %v, neighbors %v", uc.adj != nil, uc.Neighbors(0))
+	}
 }
