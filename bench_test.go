@@ -141,7 +141,7 @@ func TestDiscoveryAllocs(t *testing.T) {
 	for _, c := range []struct {
 		p   routing.Protocol
 		max float64
-	}{{&mr.Protocol{}, 18}, {&dsr.Protocol{}, 14}} {
+	}{{&mr.Protocol{}, 17}, {&dsr.Protocol{}, 14}} {
 		got := testing.AllocsPerRun(100, func() {
 			s.Reset(1)
 			sc.Arm(s)

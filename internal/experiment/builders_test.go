@@ -34,7 +34,7 @@ func freshDraw(seed uint64, run int) *topology.Network {
 
 func TestBuildRandomRebuildsTheDraw(t *testing.T) {
 	for _, seed := range []uint64{2005, 99} {
-		build := buildRandom()
+		build := buildRandom(2)
 		for run := range 3 {
 			first := build(Config{Seed: seed}, run)
 			again := build(Config{Seed: seed}, run)
@@ -67,7 +67,7 @@ func TestBuildRandomConcurrent(t *testing.T) {
 	}
 	// Every goroutine starts at once and walks the keys in the same order,
 	// so each key's first calls overlap.
-	build := buildRandom()
+	build := buildRandom(2)
 	start := make(chan struct{})
 	got := make([][]*topology.Network, workers)
 	var wg sync.WaitGroup
@@ -142,7 +142,7 @@ func TestBuilderClonesAreIndependent(t *testing.T) {
 	}{
 		{"cluster", buildCluster(1), func(int) *topology.Network { return topology.Cluster(1, 2) }},
 		{"uniform", buildUniform(6, 6, 1), func(int) *topology.Network { return topology.Uniform(6, 6, 1, 2) }},
-		{"random", buildRandom(), func(run int) *topology.Network { return freshDraw(seed, run) }},
+		{"random", buildRandom(2), func(run int) *topology.Network { return freshDraw(seed, run) }},
 	} {
 		want := make([]*topology.Network, runs)
 		for run := range runs {
@@ -184,7 +184,7 @@ func TestBuilderCloneAllocs(t *testing.T) {
 	}{
 		{"cluster", buildCluster(1), 9},
 		{"uniform", buildUniform(10, 6, 1), 9},
-		{"random", buildRandom(), 9},
+		{"random", buildRandom(2), 9},
 	} {
 		b.build(cfg, 0)
 		if got := testing.AllocsPerRun(50, func() { b.build(cfg, 0) }); got > b.max {

@@ -213,17 +213,18 @@ func buildUniform(cols, rows, k int) func(Config, int) *topology.Network {
 	return func(Config, int) *topology.Network { return proto().Clone() }
 }
 
-// buildRandom returns a builder that draws run's placement from
-// topoRNG(cfg.Seed, run). Rejection sampling makes a draw cost hundreds of
-// tries, so the builder draws each (seed, run) once and keeps the network
-// as that key's prototype; the memo lives as long as the builder, one
-// experiment's Run.
-func buildRandom() func(Config, int) *topology.Network {
+// buildRandom returns a builder that draws run's placement, with the given
+// number of attacker pairs, from topoRNG(cfg.Seed, run). Rejection sampling
+// makes a draw cost hundreds of tries, so the builder draws each (seed, run)
+// once and keeps the network as that key's prototype; the memo lives as long
+// as the builder, one experiment's Run. Every call returns a clone, so a
+// caller may move nodes or install tunnels.
+func buildRandom(wormholes int) func(Config, int) *topology.Network {
 	type draw struct {
 		mu  sync.Mutex
 		net *topology.Network
 	}
-	cfg := topology.RandomConfig{Wormholes: 2}
+	cfg := topology.RandomConfig{Wormholes: wormholes}
 	var drawn sync.Map // [2]uint64{seed, run} -> *draw
 	return func(c Config, run int) *topology.Network {
 		key := [2]uint64{c.Seed, uint64(run)}

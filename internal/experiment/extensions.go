@@ -27,7 +27,7 @@ func Detection(cfg Config) *report.Artifact {
 	}{
 		{"cluster-1tier", buildCluster(1)},
 		{"uniform10x6", buildUniform(10, 6, 1)},
-		{"random", buildRandom()},
+		{"random", buildRandom(2)},
 	}
 
 	t := &report.Table{

@@ -193,8 +193,9 @@ func Mobility(cfg Config) *report.Artifact {
 		pa, pn    float64
 		localized bool
 	}
+	build := buildRandom(1) // each drift moves its own clone of run's one draw
 	mobGrid := runner.MapGridWorkerProgress(cfg.Workers, len(drifts), cfg.Runs, cfg.Progress, newSimCache, func(di, run int, cache *simCache) mobOut {
-		net := topology.Random(topology.RandomConfig{Wormholes: 1}, topoRNG(cfg.Seed, run))
+		net := build(cfg, run)
 		model := mobility.New(net.Topo, mobility.Config{
 			Arena: geom.NewRect(geom.Pt(0, 0), geom.Pt(15, 15)),
 		}, topoRNG(cfg.Seed+1, run))

@@ -150,7 +150,7 @@ func Fig9(cfg Config) *report.Artifact {
 // per run), normal versus attacked.
 func Fig10(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	build := buildRandom() // one builder, so the columns share each draw
+	build := buildRandom(2) // one builder, so the columns share each draw
 	t := seriesTable(cfg, "Figure 10 — p_max of networks with random topology (MR)", pmaxOf,
 		[]column{
 			{"Normal", newCond("random", build, 0, mrProtocol, "MR")},

@@ -11,6 +11,7 @@ package sam
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sync"
 
@@ -56,37 +57,112 @@ type Stats struct {
 }
 
 // scratch holds the per-call working state of Analyze. Link counting is the
-// hot path of every experiment run and every service request, so the count
-// map is pooled and reused instead of reallocated per route set; only the
-// ByLink slice (which the returned Stats owns) is freshly allocated.
+// hot path of every experiment run and every service request, so the counts
+// live in a pooled open-addressing table keyed by the whole topology.Link
+// (both ids, any value, one code path), and only the ByLink slice (which the
+// returned Stats owns) is freshly allocated. A slot with count 0 is empty.
+// used lists the occupied slots, so a call clears only what it wrote and
+// sorts only the distinct links. The table doubles at half load; a table
+// grown past maxRetainedSlots by one huge route set is dropped instead of
+// pooled, so a single hostile request cannot pin its memory.
 type scratch struct {
-	counts map[topology.Link]int
+	slots []linkSlot // power-of-two length
+	shift uint       // 64 - log2(len(slots)): a hash's top bits pick its home slot
+	used  []int32    // occupied slot indices, in first-seen order
 }
+
+type linkSlot struct {
+	link  topology.Link
+	count int
+}
+
+// Table sizes: a new table holds 128 links before it first doubles, and one
+// of more than 16,384 slots (over 8,192 distinct links, 384 KiB) is not
+// pooled.
+const (
+	minTableBits     = 8
+	maxRetainedSlots = 1 << 14
+)
 
 var scratchPool = sync.Pool{
-	New: func() any { return &scratch{counts: make(map[topology.Link]int, 128)} },
+	New: func() any { return &scratch{slots: make([]linkSlot, 1<<minTableBits), shift: 64 - minTableBits} },
 }
 
-// Analyze computes the SAM statistics of a route set.
+// Analyze computes the SAM statistics of a route set. It counts links in a
+// pooled table (see scratch) and allocates only the returned ByLink; a table
+// that outgrew maxRetainedSlots goes to the garbage collector, not the pool.
 func Analyze(routes []routing.Route) Stats {
 	sc := scratchPool.Get().(*scratch)
 	s := analyzeInto(sc, routes)
-	clear(sc.counts)
-	scratchPool.Put(sc)
+	if len(sc.slots) <= maxRetainedSlots {
+		sc.reset()
+		scratchPool.Put(sc)
+	}
 	return s
 }
 
-// analyzeInto computes the statistics using sc's buffers. sc.counts must be
-// empty on entry; the caller clears it afterwards.
+// tableSeed keys the link hash per process, so a request body cannot be
+// crafted to pile its links onto one probe chain.
+var tableSeed = rand.Uint64()
+
+// find returns the slot holding l, or the empty slot where l belongs.
+func (sc *scratch) find(l topology.Link) int {
+	h := (uint64(l.A)^tableSeed)*0x9e3779b97f4a7c15 ^ uint64(l.B)
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 31
+	h *= 0x94d049bb133111eb
+	mask := len(sc.slots) - 1
+	for i := int(h >> sc.shift); ; i = (i + 1) & mask {
+		if s := &sc.slots[i]; s.count == 0 || s.link == l {
+			return i
+		}
+	}
+}
+
+// add counts one occurrence of l.
+func (sc *scratch) add(l topology.Link) {
+	i := sc.find(l)
+	if sc.slots[i].count == 0 {
+		if 2*(len(sc.used)+1) > len(sc.slots) {
+			sc.grow()
+			i = sc.find(l)
+		}
+		sc.slots[i].link = l
+		sc.used = append(sc.used, int32(i))
+	}
+	sc.slots[i].count++
+}
+
+// grow doubles the table and re-homes every occupied slot.
+func (sc *scratch) grow() {
+	old := sc.slots
+	sc.slots = make([]linkSlot, 2*len(old))
+	sc.shift--
+	for k, i := range sc.used {
+		j := sc.find(old[i].link)
+		sc.slots[j] = old[i]
+		sc.used[k] = int32(j)
+	}
+}
+
+// reset empties the slots the last call used.
+func (sc *scratch) reset() {
+	for _, i := range sc.used {
+		sc.slots[i] = linkSlot{}
+	}
+	sc.used = sc.used[:0]
+}
+
+// analyzeInto computes the statistics using sc's table, which must be empty
+// on entry; the caller resets it afterwards.
 func analyzeInto(sc *scratch, routes []routing.Route) Stats {
 	var s Stats
 	s.Routes = len(routes)
-	counts := sc.counts
 	// Count links in place rather than materializing a Route.Links() slice
 	// per route.
 	for _, r := range routes {
 		for i := 0; i+1 < len(r); i++ {
-			counts[topology.MkLink(r[i], r[i+1])]++
+			sc.add(topology.MkLink(r[i], r[i+1]))
 		}
 		if len(r) > 1 {
 			s.N += len(r) - 1
@@ -95,9 +171,10 @@ func analyzeInto(sc *scratch, routes []routing.Route) Stats {
 	if s.N == 0 {
 		return s
 	}
-	s.ByLink = make([]LinkCount, 0, len(counts))
-	for l, c := range counts {
-		s.ByLink = append(s.ByLink, LinkCount{Link: l, Count: c, P: float64(c) / float64(s.N)})
+	s.ByLink = make([]LinkCount, len(sc.used))
+	for k, i := range sc.used {
+		slot := sc.slots[i]
+		s.ByLink[k] = LinkCount{Link: slot.link, Count: slot.count, P: float64(slot.count) / float64(s.N)}
 	}
 	slices.SortFunc(s.ByLink, func(a, b LinkCount) int {
 		if a.Count != b.Count {
@@ -119,12 +196,13 @@ func analyzeInto(sc *scratch, routes []routing.Route) Stats {
 	// n_2nd == n_max and Phi = 0 — the paper's special case (attackers in
 	// the same row/column as source or destination).
 	s.Phi = float64(s.NMax-s.N2nd) / float64(s.NMax)
-	s.Suspect = localize(routes, s)
+	s.Suspect = localize(sc, routes, s)
 	return s
 }
 
-// localize picks the accused link from the statistics. See Stats.Suspect.
-func localize(routes []routing.Route, s Stats) topology.Link {
+// localize picks the accused link from the statistics, reading the tied
+// links' counts from sc's still-filled table. See Stats.Suspect.
+func localize(sc *scratch, routes []routing.Route, s Stats) topology.Link {
 	ties := 0
 	for _, lc := range s.ByLink {
 		if lc.Count != s.NMax {
@@ -135,10 +213,6 @@ func localize(routes []routing.Route, s Stats) topology.Link {
 	if ties == 1 {
 		// The common case: a unique maximum needs no tie-breaking state.
 		return s.MaxLink
-	}
-	top := make(map[topology.Link]bool, ties)
-	for _, lc := range s.ByLink[:ties] {
-		top[lc.Link] = true
 	}
 	// Every tied link appears n_max times; when n_max equals the route
 	// count they all lie on every route, so the first route orders them.
@@ -155,35 +229,38 @@ func localize(routes []routing.Route, s Stats) topology.Link {
 		return s.MaxLink
 	}
 	src, dst := ref[0], ref[len(ref)-1]
-	var ordered, filtered []topology.Link
+	tied := func(l topology.Link) bool { return sc.slots[sc.find(l)].count == s.NMax }
+	inner := func(l topology.Link) bool { return l.A != src && l.B != src && l.A != dst && l.B != dst }
+	// The accused link is the middle of the tied chain along ref, or of its
+	// inner part (the links off both endpoints) when that is not empty. One
+	// pass sizes both chains and a second walks to the middle, so a tie
+	// allocates nothing.
+	ordered, filtered := 0, 0
 	for i := 0; i+1 < len(ref); i++ {
-		l := topology.MkLink(ref[i], ref[i+1])
-		if !top[l] {
-			continue
-		}
-		ordered = append(ordered, l)
-		if l.A != src && l.B != src && l.A != dst && l.B != dst {
-			filtered = append(filtered, l)
+		if l := topology.MkLink(ref[i], ref[i+1]); tied(l) {
+			ordered++
+			if inner(l) {
+				filtered++
+			}
 		}
 	}
+	want, innerOnly := ordered/2, false
 	switch {
-	case len(filtered) > 0:
-		return filtered[len(filtered)/2]
-	case len(ordered) > 0:
-		return ordered[len(ordered)/2]
-	default:
+	case filtered > 0:
+		want, innerOnly = filtered/2, true
+	case ordered == 0:
 		return s.MaxLink
 	}
-}
-
-// Frequencies returns all relative frequencies p_i (the samples whose PMF
-// Fig. 5 plots), in ByLink order.
-func (s Stats) Frequencies() []float64 {
-	out := make([]float64, len(s.ByLink))
-	for i, lc := range s.ByLink {
-		out[i] = lc.P
+	for i := 0; ; i++ {
+		l := topology.MkLink(ref[i], ref[i+1])
+		if !tied(l) || innerOnly && !inner(l) {
+			continue
+		}
+		if want == 0 {
+			return l
+		}
+		want--
 	}
-	return out
 }
 
 // PMF bins the relative frequencies into a stats.PMF with the given bin
@@ -191,7 +268,7 @@ func (s Stats) Frequencies() []float64 {
 func (s Stats) PMF(bins int) *stats.PMF {
 	p := stats.NewPMF(bins)
 	for _, lc := range s.ByLink {
-		p.Add(lc.P) // straight from ByLink: no Frequencies() slice
+		p.Add(lc.P)
 	}
 	return p
 }

@@ -72,6 +72,16 @@ func TestAnalyzeCountsDirectionless(t *testing.T) {
 	}
 }
 
+// Frequencies returns all relative frequencies p_i (the samples whose PMF
+// Fig. 5 plots), in ByLink order.
+func (s Stats) Frequencies() []float64 {
+	out := make([]float64, len(s.ByLink))
+	for i, lc := range s.ByLink {
+		out[i] = lc.P
+	}
+	return out
+}
+
 func TestFrequenciesSumToOne(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 1))

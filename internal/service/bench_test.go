@@ -126,6 +126,65 @@ func BenchmarkServiceDetect(b *testing.B) {
 	}
 }
 
+// trainSets is the route-set count of the benchmarked training request, the
+// same count a profile's training write carries in the serving benchmark.
+const trainSets = 30
+
+// benchTrain returns the handler of an empty service plus a marshalled
+// training request of trainSets normal cluster discoveries.
+func benchTrain(b testing.TB) (http.Handler, []byte) {
+	b.Helper()
+	svc := New(Config{})
+	b.Cleanup(svc.Close)
+	body, err := json.Marshal(TrainRequest{RouteSets: genSets(trainSets, false, 1000)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return svc.Handler(), body
+}
+
+// TestServiceTrainAllocs pins BenchmarkServiceTrain's request path — a warm
+// POST /v1/profiles/{name}/train of 30 route sets through the full handler
+// stack — at 37 allocations. The body decodes into pooled scratch (DESIGN.md
+// §8), so what is left is one per set (its Stats' ByLink) plus the profile
+// and detector rebuild and the encoding/json response.
+func TestServiceTrainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of Puts under the race detector, so pooled-path allocation counts are meaningless")
+	}
+	mux, body := benchTrain(t)
+	req, rd, w := benchRequest("/v1/profiles/bench/train", body)
+	serve := func() {
+		rd.Reset(body)
+		w.status = 0
+		mux.ServeHTTP(w, req)
+	}
+	serve()
+	if w.status != http.StatusOK {
+		t.Fatalf("status %d", w.status)
+	}
+	if got := testing.AllocsPerRun(50, serve); got > 37 {
+		t.Errorf("train allocates %.1f times per request, want <= 37", got)
+	}
+}
+
+// BenchmarkServiceTrain measures one 30-set training write through the full
+// handler stack; TestServiceTrainAllocs gates its allocations.
+func BenchmarkServiceTrain(b *testing.B) {
+	mux, body := benchTrain(b)
+	req, rd, w := benchRequest("/v1/profiles/bench/train", body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(body)
+		w.status = 0
+		mux.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
+	}
+}
+
 // BenchmarkServiceDetectParallel measures contended single-detect scoring:
 // every request serializes on the same profile's mutex, the shape a hot
 // production profile sees.

@@ -362,23 +362,3 @@ func decodeRoutes(raw [][]int) ([]routing.Route, error) {
 	}
 	return routes, nil
 }
-
-// decodeRouteSets validates and converts many wire route sets, capping the
-// total route count across sets at maxRoutesPerSet*4 so a training request
-// cannot smuggle unbounded work past the per-set limit.
-func decodeRouteSets(raw [][][]int) ([][]routing.Route, error) {
-	total := 0
-	sets := make([][]routing.Route, 0, len(raw))
-	for i, rs := range raw {
-		total += len(rs)
-		if total > maxRoutesPerSet*4 {
-			return nil, fmt.Errorf("request carries more than %d routes in total", maxRoutesPerSet*4)
-		}
-		set, err := decodeRoutes(rs)
-		if err != nil {
-			return nil, fmt.Errorf("route set %d: %w", i, err)
-		}
-		sets = append(sets, set)
-	}
-	return sets, nil
-}

@@ -197,6 +197,8 @@ func FuzzAnalyzeAndTrainDecoding(f *testing.F) {
 	f.Add("a b", `{"route_sets":[[[1]],[[2,2]],[[]]]}`)
 	f.Add("%2e%2e", `{"route_sets":[[[0,1],[1,0],[0,1]]]}`)
 	f.Add("", `{}`)
+	f.Add("q", `{"route_sets":[[[-1,2]]],"route_sets":[[[0,1]]]}`)
+	f.Add("q", `{"Route_Sets":[null,[null],[[1.5]]]}`)
 	f.Fuzz(func(t *testing.T, name, body string) {
 		req := httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(body))
 		rec := httptest.NewRecorder()

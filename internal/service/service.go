@@ -356,7 +356,8 @@ func DecodeStatus(err error) int {
 }
 
 // readRequest reads r's body into sc under MaxBodyBytes and parses it as a
-// request of the given kind: the request path of analyze, detect and batch.
+// request of the given kind: the request path of analyze, detect, batch and
+// train.
 // On failure it has answered the error and reports false.
 func (s *Service) readRequest(w http.ResponseWriter, r *http.Request, sc *wireScratch, kind reqKind) bool {
 	var err error
@@ -596,21 +597,20 @@ func (s *Service) handleTrain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "missing profile name")
 		return
 	}
-	var req TrainRequest
-	if !s.readJSON(w, r, &req) {
+	sc := getScratch()
+	defer putScratch(sc)
+	if !s.readRequest(w, r, sc, kindTrain) {
 		return
 	}
-	if len(req.RouteSets) == 0 {
+	if len(sc.setEnds) == 0 {
 		s.writeError(w, http.StatusBadRequest, "route_sets must not be empty")
 		return
 	}
-	sets, err := decodeRouteSets(req.RouteSets)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	// The sets alias the scratch arena, which stays checked out until
+	// training returns; the trainer keeps only their statistics.
+	sc.materializeRoutes()
 	e := s.store.getOrCreate(name)
-	runs, err := e.train(sets)
+	runs, err := e.train(sc.sets)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, errProfileBuild) {

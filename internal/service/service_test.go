@@ -420,6 +420,55 @@ func TestConcurrentBatchDetect(t *testing.T) {
 	}
 }
 
+// TestConcurrentTrainAndDetect trains and scores one profile from several
+// goroutines at once (run under -race in CI): training analyzes its sets
+// outside the profile lock, the pooled link tables and wire scratch are
+// shared by every request, and no observation may be lost.
+func TestConcurrentTrainAndDetect(t *testing.T) {
+	ts, _ := newTrainedServer(t, Config{})
+	train := mustJSON(t, TrainRequest{RouteSets: genSets(10, false, 5000)})
+	detect := mustJSON(t, DetectRequest{Profile: "test", Routes: genSets(1, true, 5100)[0]})
+	const goroutines, rounds = 4, 5
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*goroutines*rounds)
+	post := func(path, body string) {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				errs <- err
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("%s: status %d", path, resp.StatusCode)
+			}
+		}
+	}
+	for g := 0; g < goroutines; g++ {
+		wg.Add(2)
+		go post("/v1/profiles/test/train", train)
+		go post("/v1/detect", detect)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/profiles/test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var pr ProfileResponse
+	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+		t.Fatal(err)
+	}
+	if want := 20 + goroutines*rounds*10; pr.Runs != want {
+		t.Errorf("profile has %d runs, want %d", pr.Runs, want)
+	}
+}
+
 // TestBatchBackpressure asserts the 429 path: a batch larger than the queue
 // depth is rejected whole, with a Retry-After hint and a JSON error body,
 // and the pool admits work again afterwards.

@@ -43,6 +43,10 @@ func (e *entry) touch() { e.lastAccess.Store(time.Now().UnixNano()) }
 
 // train folds normal-condition route sets into the trainer and rebuilds the
 // detector over the refreshed profile. It returns the total training runs.
+// Every set is analyzed before the lock is taken, as score's callers do, so
+// detects on this profile wait only for the observations and the rebuild.
+// The sets are observed in request order: the trained state is the one a
+// one-at-a-time fold gives (TestTrainMatchesSequentialFold).
 //
 // Empty input is lenient: when nothing has ever been observed (e.g. every
 // submitted set was empty), the entry simply stays untrained. A profile
@@ -50,10 +54,14 @@ func (e *entry) touch() { e.lastAccess.Store(time.Now().UnixNano()) }
 // propagates as errProfileBuild so the handler can answer 422 instead of
 // silently keeping a stale (or absent) detector.
 func (e *entry) train(sets [][]routing.Route) (int, error) {
+	stats := make([]sam.Stats, len(sets))
+	for i, set := range sets {
+		stats[i] = sam.Analyze(set)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, set := range sets {
-		e.trainer.ObserveRoutes(set)
+	for _, s := range stats {
+		e.trainer.Observe(s)
 	}
 	runs := e.trainer.Runs()
 	if runs == 0 {

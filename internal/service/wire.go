@@ -2,20 +2,25 @@ package service
 
 // Pooled request decoding for the serving hot paths. encoding/json costs
 // ~7 allocations per decoded detect request even when the target struct is
-// reused; at the 100k+ req/s target that is the bulk of the serving garbage.
-// wireScratch holds everything one request needs — body buffer, parser
-// state, a routing.Route backing arena, and the response buffer — and cycles
-// through a sync.Pool so the steady-state detect path allocates nothing for
-// wire handling.
+// reused, and about 85 per route set of a training request; at the 100k+
+// req/s target that is the bulk of the serving garbage. wireScratch holds
+// everything one request needs — body buffer, parser state, a routing.Route
+// backing arena, and the response buffer — and cycles through a sync.Pool so
+// the steady-state detect path allocates nothing for wire handling.
 //
-// The parser implements the subset of JSON the detect/analyze/batch
-// requests use, with encoding/json-compatible semantics where they are
-// observable: case-insensitive key fallback, last-key-wins duplicates,
-// null as a field no-op, \u escapes (surrogate pairs included), invalid
-// UTF-8 replaced with U+FFFD, and strict trailing-data rejection. Unknown
-// fields are skipped with full validation. The existing fuzz targets
-// (FuzzDetectDecoding and friends) run the same corpus against this parser
-// as against the old decoder.
+// The parser implements the subset of JSON the detect, batch, analyze and
+// train requests use, with encoding/json-compatible semantics where they are
+// observable: case-insensitive key fallback, last-key-wins duplicates, null
+// as a no-op on a string, bool or int field and as an empty route array,
+// \u escapes (surrogate pairs included), invalid UTF-8 replaced with U+FFFD,
+// and strict trailing-data rejection. Unknown fields are skipped with full
+// validation. Limit violations (node id range, route length, routes per set,
+// total routes) are held until the body ends, because a later duplicate of
+// the field replaces the value that broke them, as encoding/json's last key
+// wins before the limits are checked; syntax errors fail at once. The
+// differential test TestWireParserMatchesEncodingJSON holds the parser to
+// encoding/json plus decodeRoutes, and the fuzz targets (FuzzDetectDecoding
+// and friends) throw arbitrary bodies at it.
 
 import (
 	"errors"
@@ -53,7 +58,7 @@ type wireScratch struct {
 	p    jparser
 	body []byte
 
-	// Decoded request fields (detect/batch/analyze).
+	// Decoded request fields (detect/batch/analyze; train has only route sets).
 	profile   []byte
 	update    bool
 	updateSet bool
@@ -71,6 +76,12 @@ type wireScratch struct {
 	setEnds []int
 	routes  []routing.Route
 	sets    [][]routing.Route
+	// limitErr is the first limit violation (node id range, route length,
+	// routes per set, total routes) in the current value of the route field.
+	// It is held, not returned, because a later duplicate of the field
+	// replaces that value, as encoding/json's last key wins before
+	// decodeRoutes ever sees the dropped one.
+	limitErr error
 
 	// Batch execution and wire-verdict staging.
 	verdicts []sam.Verdict
@@ -113,6 +124,7 @@ func (sc *wireScratch) resetRoutes() {
 	sc.setEnds = sc.setEnds[:0]
 	sc.routes = sc.routes[:0]
 	sc.sets = sc.sets[:0]
+	sc.limitErr = nil
 }
 
 // ReadBody appends r's body to buf under limit exactly as every samserve
@@ -186,6 +198,7 @@ const (
 	kindDetect reqKind = iota
 	kindBatch
 	kindAnalyze
+	kindTrain
 	kindKey // the profile field alone: RoutingKey's schema
 )
 
@@ -249,6 +262,8 @@ func (sc *wireScratch) parseRequest(kind reqKind) error {
 				err = sc.batchField(key)
 			case kindAnalyze:
 				err = sc.analyzeField(key)
+			case kindTrain:
+				err = sc.trainField(key)
 			case kindKey:
 				err = sc.keyField(key)
 			}
@@ -273,7 +288,7 @@ func (sc *wireScratch) parseRequest(kind reqKind) error {
 	if p.pos != len(p.buf) {
 		return errors.New("invalid JSON body: trailing data after the request object")
 	}
-	return nil
+	return sc.limitErr
 }
 
 func (sc *wireScratch) detectField(key []byte) error {
@@ -323,29 +338,34 @@ func (sc *wireScratch) analyzeField(key []byte) error {
 	return p.skipValue(0)
 }
 
-// routesField parses the "routes" value: null is a no-op (json semantics),
-// an array replaces any earlier duplicate of the field.
-func (sc *wireScratch) routesField() error {
-	p := &sc.p
-	p.skipWS()
-	if p.peek() == 'n' {
-		return p.expectLiteral("null")
+func (sc *wireScratch) trainField(key []byte) error {
+	if keyIs(key, "route_sets") {
+		return sc.itemsField()
 	}
+	return sc.p.skipValue(0)
+}
+
+// routesField parses the "routes" value. Any value, null included, replaces
+// an earlier duplicate of the field: encoding/json decodes null into a slice
+// as nil, so null leaves an empty route set.
+func (sc *wireScratch) routesField() error {
 	sc.resetRoutes()
 	_, err := sc.parseRouteSet()
 	return err
 }
 
-// itemsField parses the "items" value of a batch request: an array of route
-// sets, accumulated into the shared arena with per-set boundaries, under the
-// same total-route cap decodeRouteSets enforces.
+// itemsField parses the "items" value of a batch request or the "route_sets"
+// value of a train request: an array of route sets, accumulated into the
+// shared arena with per-set boundaries, under a cap of maxRoutesPerSet*4
+// routes in total so a request cannot smuggle unbounded work past the
+// per-set limit. Like routesField, any value replaces an earlier duplicate.
 func (sc *wireScratch) itemsField() error {
 	p := &sc.p
+	sc.resetRoutes()
 	p.skipWS()
 	if p.peek() == 'n' {
-		return p.expectLiteral("null")
+		return p.expectLiteral("null") // nil, as encoding/json decodes it
 	}
-	sc.resetRoutes()
 	if p.peek() != '[' {
 		return p.syntaxErr("expected array of route sets")
 	}
@@ -357,13 +377,17 @@ func (sc *wireScratch) itemsField() error {
 	}
 	total := 0
 	for set := 0; ; set++ {
+		held := sc.limitErr != nil
 		n, err := sc.parseRouteSet()
 		if err != nil {
 			return fmt.Errorf("route set %d: %w", set, err)
 		}
+		if !held && sc.limitErr != nil {
+			sc.limitErr = fmt.Errorf("route set %d: %w", set, sc.limitErr)
+		}
 		total += n
-		if total > maxRoutesPerSet*4 {
-			return fmt.Errorf("request carries more than %d routes in total", maxRoutesPerSet*4)
+		if total > maxRoutesPerSet*4 && sc.limitErr == nil {
+			sc.limitErr = fmt.Errorf("request carries more than %d routes in total", maxRoutesPerSet*4)
 		}
 		sc.setEnds = append(sc.setEnds, len(sc.spans))
 		p.skipWS()
@@ -381,7 +405,8 @@ func (sc *wireScratch) itemsField() error {
 
 // parseRouteSet parses one [[int,...],...] into the arena, appending one
 // span per route, and returns the number of routes parsed. Null is an empty
-// set. Semantic limits reuse decodeRoutes' messages.
+// set. Syntax errors return at once; limit violations are held in
+// sc.limitErr with decodeRoutes' messages.
 func (sc *wireScratch) parseRouteSet() (int, error) {
 	p := &sc.p
 	p.skipWS()
@@ -412,8 +437,8 @@ func (sc *wireScratch) parseRouteSet() (int, error) {
 			p.pos++
 		case ']':
 			p.pos++
-			if count > maxRoutesPerSet {
-				return count, fmt.Errorf("route set has %d routes, limit %d", count, maxRoutesPerSet)
+			if count > maxRoutesPerSet && sc.limitErr == nil {
+				sc.limitErr = fmt.Errorf("route set has %d routes, limit %d", count, maxRoutesPerSet)
 			}
 			return count, nil
 		default:
@@ -423,7 +448,8 @@ func (sc *wireScratch) parseRouteSet() (int, error) {
 }
 
 // parseRoute parses one [int,...] into the arena and records its span.
-// A null element is an empty route, as encoding/json decodes it.
+// A null element is an empty route, as encoding/json decodes it. A node id
+// out of range or an overlong route is held in sc.limitErr.
 func (sc *wireScratch) parseRoute(routeIdx int) error {
 	p := &sc.p
 	p.skipWS()
@@ -450,8 +476,8 @@ func (sc *wireScratch) parseRoute(routeIdx int) error {
 		if err != nil {
 			return err
 		}
-		if id < 0 || id > maxNodeID {
-			return fmt.Errorf("route %d node %d: id %d out of range [0,%d]", routeIdx, node, id, maxNodeID)
+		if (id < 0 || id > maxNodeID) && sc.limitErr == nil {
+			sc.limitErr = fmt.Errorf("route %d node %d: id %d out of range [0,%d]", routeIdx, node, id, maxNodeID)
 		}
 		sc.arena = append(sc.arena, topology.NodeID(id))
 		p.skipWS()
@@ -461,8 +487,8 @@ func (sc *wireScratch) parseRoute(routeIdx int) error {
 			p.skipWS()
 		case ']':
 			p.pos++
-			if n := len(sc.arena) - start; n > maxRouteHops+1 {
-				return fmt.Errorf("route %d has %d nodes, limit %d", routeIdx, n, maxRouteHops+1)
+			if n := len(sc.arena) - start; n > maxRouteHops+1 && sc.limitErr == nil {
+				sc.limitErr = fmt.Errorf("route %d has %d nodes, limit %d", routeIdx, n, maxRouteHops+1)
 			}
 			sc.spans = append(sc.spans, [2]int{start, len(sc.arena)})
 			return nil
@@ -784,6 +810,23 @@ func (p *jparser) scanNumber() (lit []byte, isInt bool, err error) {
 // fractions and exponents the way encoding/json rejects them for int
 // targets.
 func (p *jparser) parseIntValue() (int64, error) {
+	// Fast path, one pass: up to 18 digits (no overflow possible) without a
+	// leading zero, ended by a byte that may follow a value. Everything else
+	// (signs, fractions, exponents, long or malformed literals, the end of
+	// the body) takes the validating path below.
+	var v int64
+	i := p.pos
+	for i < len(p.buf) && i-p.pos < 18 && '0' <= p.buf[i] && p.buf[i] <= '9' {
+		v = v*10 + int64(p.buf[i]-'0')
+		i++
+	}
+	if n := i - p.pos; n > 0 && (n == 1 || p.buf[p.pos] != '0') && i < len(p.buf) {
+		switch p.buf[i] {
+		case ',', ']', '}', ' ', '\t', '\n', '\r':
+			p.pos = i
+			return v, nil
+		}
+	}
 	lit, isInt, err := p.scanNumber()
 	if err != nil {
 		return 0, err
@@ -797,7 +840,7 @@ func (p *jparser) parseIntValue() (int64, error) {
 		neg = true
 		digits = digits[1:]
 	}
-	var v int64
+	v = 0
 	for _, c := range digits {
 		d := int64(c - '0')
 		if v > (math.MaxInt64-d)/10 {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"samnet/internal/routing"
 	"samnet/internal/sam"
 )
 
@@ -85,7 +86,8 @@ func TestDetectServeZeroAlloc(t *testing.T) {
 
 // TestWireParserMatchesEncodingJSON is the differential decode test: every
 // body is decoded by both the old encoding/json path and the pooled parser,
-// and they must agree on accept/reject and on every decoded field.
+// and they must agree on accept/reject and on every decoded field. It covers
+// the detect schema and the two route-set-array schemas (train, batch).
 func TestWireParserMatchesEncodingJSON(t *testing.T) {
 	bodies := []string{
 		`{"profile":"p","routes":[[0,1,2],[0,3,2]]}`,
@@ -109,6 +111,12 @@ func TestWireParserMatchesEncodingJSON(t *testing.T) {
 		`{"profile":"p","routes":[[1e2]]}`,                 // exponent
 		`{"profile":"p","routes":[[01]]}`,                  // leading zero
 		`{"profile":"p","routes":[[-0]]}`,
+		`{"profile":"p","routes":[[00]]}`,
+		`{"profile":"p","routes":[[0, 1 ,2	]]}`,
+		`{"profile":"p","routes":[[123456789012345678]]}`,  // 18 digits: out of range
+		`{"profile":"p","routes":[[1234567890123456789]]}`, // 19 digits: out of range
+		`{"profile":"p","routes":[[1073741824,1x]]}`,
+		`{"profile":"p","routes":[[1`,
 		`{"profile":"p","routes":[[2,3]]}{"x":1}`, // trailing garbage
 		`{"profile":"p","routes":[[0,1`,           // truncated
 		`{"profile":"p",}`,                        // trailing comma
@@ -122,6 +130,19 @@ func TestWireParserMatchesEncodingJSON(t *testing.T) {
 		`{"routes":[[true]]}`,
 		`{"routes":"nope"}`,
 	}
+	// Limit violations in a value a later duplicate replaces are dropped with
+	// it; encoding/json keeps only the last value before decodeRoutes runs.
+	long := strings.Repeat("1,", maxRouteHops+1) + "1"
+	bodies = append(bodies,
+		`{"profile":"p","routes":[[-1,2]],"routes":[[0,1]]}`,
+		`{"profile":"p","routes":[[0,1]],"routes":[[-1,2]]}`,
+		`{"profile":"p","routes":[[-1,2]],"routes":null}`,
+		`{"profile":"p","routes":[[1073741825]],"Routes":[[1073741824]]}`,
+		`{"profile":"p","routes":[[`+long+`]],"routes":[[1]]}`,
+		`{"profile":"p","routes":[[`+long+`]]}`,
+		`{"profile":"p","routes":[[-1,2]],"routes":[[1.5]]}`,
+		`{"profile":"p","routes":[[-1,2]],"routes":[[0,1]]`,
+	)
 	for _, body := range bodies {
 		// Old path.
 		var oldReq DetectRequest
@@ -166,6 +187,101 @@ func TestWireParserMatchesEncodingJSON(t *testing.T) {
 			}
 		}
 		putScratch(sc)
+	}
+
+	// The two route-set-array schemas, a train request's "route_sets" and a
+	// batch request's "items", against encoding/json plus decodeRouteSets:
+	// accept/reject and the decoded route sets must agree. Over-cap values: one set past maxRoutesPerSet, one route past
+	// maxRouteHops, and five sets whose routes pass the total cap together.
+	route := "[0]"
+	overSet := "[" + strings.Repeat(route+",", maxRoutesPerSet) + route + "]"
+	fullSet := "[" + strings.Repeat(route+",", maxRoutesPerSet-1) + route + "]"
+	overTotal := "[" + strings.Repeat(fullSet+",", 4) + "[[1]]]"
+	longRoute := "[[" + strings.Repeat("1,", maxRouteHops+1) + "1]]"
+	setBodies := []string{
+		`{"F":[[[0,1,2],[0,3,2]],[[1,2]]]}`,
+		`{"F":[[[0,1]]],"profile":"p","update":false}`,
+		`{"F":null}`,
+		`{"F":[]}`,
+		`{"F":[null]}`,
+		`{"F":[[null]]}`,
+		`{"F":[[[1],null],[],[[]]]}`,
+		`{"F":[[[0,1]]],"F":null}`,
+		`{"F":[[[-1,2]]],"F":[[[0,1]]]}`, // a replaced value's limit error is dropped
+		`{"F":[[[0,1]]],"F":[[[-1,2]]]}`,
+		`{"F":[[[-1,2]]],"F":null}`,
+		`{"F":[[[-1]]],"f":[[[1]]]}`,
+		`{"F":[` + overSet + `],"F":[[[1]]]}`,
+		`{"F":[` + overSet + `]}`,
+		`{"F":[` + fullSet + `]}`,
+		`{"F":` + overTotal + `}`,
+		`{"F":` + overTotal + `,"F":[]}`,
+		`{"F":[` + longRoute + `]}`,
+		`{"F":[` + longRoute + `],"F":[[[2,3]]]}`,
+		`{"F":[[[1073741824]]]}`,
+		`{"F":[[[1073741825]]]}`,
+		`{"F":[[[-0]]]}`,
+		`{"F":[[[1.5]]]}`,
+		`{"F":[[[1e2]]]}`,
+		`{"F":[[[9999999999999999999]]]}`,
+		`{"F":[[[-1,2]]],"F":[[[1.5]]]}`,
+		`{"F":[[["1"]]]}`,
+		`{"F":[[1]]}`,
+		`{"F":[1]}`,
+		`{"F":{}}`,
+		`{"F":[[[1]]]}{}`,
+		`{"F":[[[1]]]`,
+		`{"F":[[[-1]]],}`,
+		`{}`,
+		`null`,
+		``,
+	}
+	schemas := []struct {
+		kind         reqKind
+		field, fold  string
+		decodeOldRaw func([]byte) ([][][]int, error)
+	}{
+		{kindTrain, "route_sets", "Route_Sets", func(b []byte) ([][][]int, error) {
+			var req TrainRequest
+			err := decodeJSON(b, &req)
+			return req.RouteSets, err
+		}},
+		{kindBatch, "items", "ITEMS", func(b []byte) ([][][]int, error) {
+			var req BatchDetectRequest
+			err := decodeJSON(b, &req)
+			return req.Items, err
+		}},
+	}
+	for _, sch := range schemas {
+		for i, tmpl := range setBodies {
+			body := strings.ReplaceAll(tmpl, `"F"`, `"`+sch.field+`"`)
+			if i%2 == 1 { // every other body names the field case-folded
+				body = strings.ReplaceAll(tmpl, `"F"`, `"`+sch.fold+`"`)
+			}
+			body = strings.ReplaceAll(body, `"f"`, `"`+sch.fold+`"`)
+			raw, oldErr := sch.decodeOldRaw([]byte(body))
+			var oldSets [][]routing.Route
+			if oldErr == nil {
+				oldSets, oldErr = decodeRouteSets(raw)
+			}
+			sc := getScratch()
+			sc.body = append(sc.body[:0], body...)
+			newErr := sc.parseRequest(sch.kind)
+			short := body
+			if len(short) > 80 {
+				short = short[:80] + "..."
+			}
+			switch {
+			case (oldErr == nil) != (newErr == nil):
+				t.Errorf("%s body %q: old err %v, new err %v", sch.field, short, oldErr, newErr)
+			case oldErr == nil:
+				sc.materializeRoutes()
+				if got, want := fmt.Sprint(sc.sets), fmt.Sprint(oldSets); got != want {
+					t.Errorf("%s body %q: sets %.200s, want %.200s", sch.field, short, got, want)
+				}
+			}
+			putScratch(sc)
+		}
 	}
 }
 
@@ -451,4 +567,27 @@ func TestLineReaderLimitWithLargeBuffer(t *testing.T) {
 			t.Fatalf("trailing over-limit line: err = %v, want errBodyTooLarge", err)
 		}
 	})
+}
+
+// decodeRouteSets is the encoding/json-side route-set decoder that training
+// requests went through before they moved onto the pooled parser: it
+// validates and converts many wire route sets, capping the total route count
+// across sets at maxRoutesPerSet*4. It is the differential reference for the
+// parser's route-set schemas, and a convenience for tests that train
+// in-process.
+func decodeRouteSets(raw [][][]int) ([][]routing.Route, error) {
+	total := 0
+	sets := make([][]routing.Route, 0, len(raw))
+	for i, rs := range raw {
+		total += len(rs)
+		if total > maxRoutesPerSet*4 {
+			return nil, fmt.Errorf("request carries more than %d routes in total", maxRoutesPerSet*4)
+		}
+		set, err := decodeRoutes(rs)
+		if err != nil {
+			return nil, fmt.Errorf("route set %d: %w", i, err)
+		}
+		sets = append(sets, set)
+	}
+	return sets, nil
 }

@@ -109,13 +109,6 @@ func (p *PMF) Add(x float64) {
 	p.Total++
 }
 
-// AddAll folds every sample of xs in.
-func (p *PMF) AddAll(xs []float64) {
-	for _, x := range xs {
-		p.Add(x)
-	}
-}
-
 // Prob returns the probability mass of bin i (0 when empty).
 func (p *PMF) Prob(i int) float64 {
 	if p.Total == 0 {

@@ -253,3 +253,10 @@ func BenchmarkTVDistance(b *testing.B) {
 		TVDistance(x, y)
 	}
 }
+
+// AddAll folds every sample of xs in.
+func (p *PMF) AddAll(xs []float64) {
+	for _, x := range xs {
+		p.Add(x)
+	}
+}
