@@ -10,6 +10,7 @@
 package sam
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -181,9 +182,9 @@ func analyzeInto(sc *scratch, routes []routing.Route) Stats {
 			return b.Count - a.Count
 		}
 		if a.Link.A != b.Link.A {
-			return int(a.Link.A) - int(b.Link.A)
+			return cmp.Compare(a.Link.A, b.Link.A)
 		}
-		return int(a.Link.B) - int(b.Link.B)
+		return cmp.Compare(a.Link.B, b.Link.B)
 	})
 	top := s.ByLink[0]
 	s.MaxLink = top.Link

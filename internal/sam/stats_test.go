@@ -3,6 +3,7 @@ package sam
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -118,6 +119,45 @@ func TestByLinkSortedDescending(t *testing.T) {
 	}
 	if s.ByLink[0].Link != topology.MkLink(0, 1) {
 		t.Errorf("top link = %v", s.ByLink[0].Link)
+	}
+}
+
+// TestByLinkOrderTotalAtExtremeIDs pins ByLink's order as total for any
+// node ids: ids more than 2^63 apart overflow a subtracting comparator, whose
+// answer then depends on the order links were counted in. Every rotation of
+// one route set counts the same links, so it must sort them the same way.
+func TestByLinkOrderTotalAtExtremeIDs(t *testing.T) {
+	const big = 1 << 62
+	// Links run from near -2^62 to near +2^62 on both ends, so the smaller
+	// ends of two links can lie more than 2^63 apart.
+	routes := []routing.Route{
+		{-big - 3, -big, 0},
+		{big + 2, big + 9, 1},
+		{-big - 3, -big + 5, big},
+		{big, big + 2, 0},
+		{-big, -big + 5, big + 9},
+		{big - 7, big + 9, -big - 3},
+	}
+	var want []LinkCount
+	for call := 0; call < 50; call++ {
+		rot := make([]routing.Route, len(routes))
+		for i := range routes {
+			rot[i] = routes[(i+call)%len(routes)]
+		}
+		got := Analyze(rot).ByLink
+		if call == 0 {
+			for i := 1; i < len(got); i++ {
+				a, b := got[i-1], got[i]
+				if a.Count < b.Count || a.Count == b.Count && (a.Link.A > b.Link.A || a.Link.A == b.Link.A && a.Link.B > b.Link.B) {
+					t.Fatalf("ByLink[%d:%d] out of order: %+v, %+v", i-1, i+1, a, b)
+				}
+			}
+			want = got
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("rotation %d: ByLink = %+v, want %+v", call, got, want)
+		}
 	}
 }
 

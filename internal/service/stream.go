@@ -20,9 +20,11 @@ package service
 //   - A body read error answers a final ErrorResponse line and the stream
 //     ends: the connection itself is broken, there is nothing left to
 //     resynchronize on.
-//   - Responses are flushed whenever no further complete line is already
-//     buffered, so a lockstep client sees every answer immediately while a
-//     pipelining client gets large write batches.
+//   - Response lines collect in the StreamWriter's own buffer, which is
+//     written and flushed as one chunk whenever no further complete line is
+//     already buffered, every streamFlushEvery lines, at streamFlushBytes,
+//     and when the stream ends. A lockstep client sees every answer
+//     immediately while a pipelining client gets large write batches.
 //
 // The response status is always 200 with Content-Type application/x-ndjson;
 // per-line status lives in the line itself (an "error" key marks failures,
@@ -40,7 +42,15 @@ import (
 // streamFlushEvery bounds how many response lines may accumulate before a
 // flush even when the client keeps the input buffer full, so a pipelining
 // client's window cannot be starved by the adaptive flush policy alone.
-const streamFlushEvery = 64
+// streamFlushBytes bounds the batch's size the same way when lines are long.
+const (
+	streamFlushEvery = 64
+	streamFlushBytes = 32 << 10
+)
+
+// lineBufferSize is the least a stream reads its body in: a line buffer that
+// holds many lines lets Buffered see them, so the stream batches its writes.
+const lineBufferSize = 64 << 10
 
 // streamIdleTimeout replaces the server's whole-request read/write deadlines
 // on the stream path: a stream may run for hours, but a client that goes
@@ -56,6 +66,9 @@ func (s *Service) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 
 	sc := getScratch()
 	defer putScratch(sc)
+	if cap(sc.lbuf) < lineBufferSize {
+		sc.lbuf = make([]byte, 0, lineBufferSize)
+	}
 	lr := LineReader{lineReader{r: r.Body, buf: sc.lbuf[:0], limit: s.cfg.MaxBodyBytes}}
 	defer func() { sc.lbuf = lr.buf }()
 
@@ -74,9 +87,12 @@ func (s *Service) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 				// The connection itself failed mid-read: answer once and
 				// end the stream (nothing further can arrive on it).
 				sc.out = AppendErrorResponse(sc.out[:0], err.Error())
-				if werr := out.WriteLine(sc.out, true); werr != nil {
-					s.responseFailed("stream write", werr)
-				}
+				err = out.WriteLine(sc.out, true)
+			} else {
+				err = out.Flush()
+			}
+			if err != nil {
+				s.responseFailed("stream write", err)
 			}
 			return
 		}
@@ -100,7 +116,7 @@ func (s *Service) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 		}
 		// Adaptive flush: only when no complete line is already buffered
 		// (a lockstep client is waiting) or the batch is large enough.
-		if err := out.WriteLine(sc.out, !lr.buffered()); err != nil {
+		if err := out.WriteLine(sc.out, !lr.Buffered()); err != nil {
 			s.responseFailed("stream write", err)
 			return
 		}
@@ -108,13 +124,16 @@ func (s *Service) handleDetectStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // StreamWriter is the response side of both /v1/detect/stream endpoints,
-// samserve's and samgate's: an application/x-ndjson 200 in full-duplex mode,
-// flushed whenever the input drains or every streamFlushEvery lines, with
-// the connection's idle deadline slid forward at every flush.
+// samserve's and samgate's: an application/x-ndjson 200 in full-duplex mode.
+// Lines collect in the writer's own buffer, and each flush hands the whole
+// batch to the ResponseWriter in one Write, so net/http sends it as one
+// chunk rather than one per 2 KiB of its pre-chunking buffer. The
+// connection's idle deadline slides forward at every flush.
 type StreamWriter struct {
 	w       http.ResponseWriter
 	rc      *http.ResponseController
-	pending int // lines written since the last flush
+	buf     []byte // lines written since the last flush
+	pending int    // lines in buf
 }
 
 // StartStream commits the stream's 200 header and flushes it at once, so the
@@ -130,24 +149,39 @@ func StartStream(w http.ResponseWriter) (*StreamWriter, error) {
 	return sw, sw.flush()
 }
 
-// WriteLine writes one response line. drained reports that no further input
-// line is waiting, which flushes at once so a lockstep client is answered.
+// WriteLine copies one response line into the batch. drained reports that
+// no further input line is waiting, which flushes at once so a lockstep
+// client is answered; so do streamFlushEvery lines or streamFlushBytes.
 func (sw *StreamWriter) WriteLine(line []byte, drained bool) error {
-	if _, err := sw.w.Write(line); err != nil {
-		return err
-	}
-	if sw.pending++; drained || sw.pending >= streamFlushEvery {
+	sw.buf = append(sw.buf, line...)
+	if sw.pending++; drained || sw.pending >= streamFlushEvery || len(sw.buf) >= streamFlushBytes {
 		return sw.flush()
 	}
 	return nil
 }
 
-// flush ships the buffered lines and slides the read and write deadlines
-// forward: the server's blanket ReadTimeout/WriteTimeout would otherwise cut
-// a healthy long-running stream mid-flight, so only a genuinely idle peer
+// Flush ships any lines still batched. A stream handler calls it on its way
+// out, since the last lines need not have met a flush trigger.
+func (sw *StreamWriter) Flush() error {
+	if sw.pending == 0 {
+		return nil
+	}
+	return sw.flush()
+}
+
+// flush ships the batch and slides the read and write deadlines forward:
+// the server's blanket ReadTimeout/WriteTimeout would otherwise cut a
+// healthy long-running stream mid-flight, so only a genuinely idle peer
 // runs into them. Deadline errors (a ResponseWriter without deadline
 // support, e.g. in tests) leave the defaults in place.
 func (sw *StreamWriter) flush() error {
+	if len(sw.buf) > 0 {
+		_, err := sw.w.Write(sw.buf)
+		sw.buf = sw.buf[:0]
+		if err != nil {
+			return err
+		}
+	}
 	if err := sw.rc.Flush(); err != nil {
 		return err
 	}
@@ -165,7 +199,7 @@ type LineReader struct{ lineReader }
 
 // NewLineReader frames r with a per-line limit of limit bytes.
 func NewLineReader(r io.Reader, limit int64) *LineReader {
-	return &LineReader{lineReader{r: r, buf: make([]byte, 0, 64<<10), limit: limit}}
+	return &LineReader{lineReader{r: r, buf: make([]byte, 0, lineBufferSize), limit: limit}}
 }
 
 // Next returns the next non-empty line (valid until the following call).
@@ -291,9 +325,10 @@ func (lr *lineReader) discardLine() error {
 	}
 }
 
-// buffered reports whether a complete line is already waiting, so the
-// handler can batch flushes while the client keeps the pipe full.
-func (lr *lineReader) buffered() bool {
+// Buffered reports whether a complete line is already waiting, so a stream
+// handler can batch its writes while the client keeps the pipe full, and
+// must flush them before the next read can block.
+func (lr *lineReader) Buffered() bool {
 	return bytes.IndexByte(lr.buf[lr.start:], '\n') >= 0
 }
 
