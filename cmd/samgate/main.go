@@ -28,19 +28,15 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"samnet/internal/cli"
+	"samnet/internal/cli/server"
 	"samnet/internal/cluster"
 	"samnet/internal/obs"
 )
@@ -66,7 +62,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "samgate:", err)
 		os.Exit(2)
 	}
-	addrs := strings.Split(*replicas, ",")
 	if *replicas == "" {
 		fmt.Fprintln(os.Stderr, "samgate: -replicas is required (comma-separated samserve URLs)")
 		os.Exit(2)
@@ -81,7 +76,7 @@ func main() {
 	tracer := cli.NewTracer(*traces, *traceSlow)
 
 	gw, err := cluster.NewGateway(cluster.GatewayConfig{
-		Replicas:       addrs,
+		Replicas:       strings.Split(*replicas, ","),
 		MaxAttempts:    *retries,
 		HealthInterval: hi,
 		SyncInterval:   *syncInterval,
@@ -95,62 +90,20 @@ func main() {
 	}
 
 	logger.Info("starting",
-		"addr", *addr, "replicas", len(addrs), "healthy", gw.Fleet().HealthyCount(),
+		"addr", *addr, "replicas", len(gw.Fleet().Replicas()), "healthy", gw.Fleet().HealthyCount(),
 		"health_interval", *healthInterval, "sync_interval", *syncInterval,
 		"traces", *traces, "trace_slow", *traceSlow, "log_requests", *logRequests)
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           obs.AccessLog(logger, *logRequests, gw.Handler()),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		// Scatter-gathered training sweeps and streams run long; the stream
-		// handler manages its own idle deadline, and train/batch lifts the
-		// write deadline like the replicas do.
-		WriteTimeout: 2 * time.Minute,
-		IdleTimeout:  2 * time.Minute,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+	srv := server.New(*addr, obs.AccessLog(logger, *logRequests, gw.Handler()), server.DefaultTimeouts)
 	var debugSrv *http.Server
 	if *debugAddr != "" {
-		debugSrv = &http.Server{
-			Addr:              *debugAddr,
-			Handler:           debugMux(gw),
-			ReadHeaderTimeout: 10 * time.Second,
-			ReadTimeout:       30 * time.Second,
-			WriteTimeout:      2 * time.Minute,
-			IdleTimeout:       2 * time.Minute,
-		}
-		go func() {
-			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("debug listener failed", "addr", *debugAddr, "err", err)
-			}
-		}()
+		debugSrv = server.New(*debugAddr, debugMux(gw), server.DefaultTimeouts)
 		logger.Info("debug listener up", "addr", *debugAddr,
 			"endpoints", "/debug/pprof/ /debug/traces /metrics /metrics/fleet")
 	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-
-	select {
-	case err := <-errc:
+	if err := server.Run(logger, srv, debugSrv); err != nil {
 		logger.Error("fatal", "err", err)
 		os.Exit(1)
-	case <-ctx.Done():
-	}
-
-	logger.Info("shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Error("shutdown incomplete", "err", err)
-	}
-	if debugSrv != nil {
-		debugSrv.Shutdown(shutdownCtx)
 	}
 	gw.Close()
 	logger.Info("stopped")
@@ -160,12 +113,7 @@ func main() {
 // suite, plus the gateway mux's own metrics, fleet federation and trace
 // endpoints — reused so both listeners serve the identical representation.
 func debugMux(gw *cluster.Gateway) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux := server.DebugMux()
 	mux.Handle("GET /metrics", gw.Handler())
 	mux.Handle("GET /metrics/fleet", gw.Handler())
 	mux.Handle("GET /debug/traces", gw.Handler())

@@ -43,7 +43,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -51,14 +50,12 @@ import (
 	"io/fs"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"samnet/internal/cli"
+	"samnet/internal/cli/server"
 	"samnet/internal/obs"
 	"samnet/internal/sam"
 	"samnet/internal/service"
@@ -154,19 +151,11 @@ func main() {
 		logger.Info("profile loaded", "name", p.name, "path", p.path, "runs", prof.Runs)
 	}
 
-	srv := newServer(*addr, obs.AccessLog(logger, *logRequests, svc.Handler()), defaultTimeouts)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	srv := server.New(*addr, obs.AccessLog(logger, *logRequests, svc.Handler()), server.DefaultTimeouts)
 
 	var debugSrv *http.Server
 	if *debugAddr != "" {
-		debugSrv = newServer(*debugAddr, debugMux(svc), defaultTimeouts)
-		go func() {
-			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("debug listener failed", "addr", *debugAddr, "err", err)
-			}
-		}()
+		debugSrv = server.New(*debugAddr, debugMux(svc), server.DefaultTimeouts)
 		logger.Info("debug listener up", "addr", *debugAddr,
 			"endpoints", "/debug/pprof/ /debug/decisions /debug/traces /metrics")
 	}
@@ -204,24 +193,8 @@ func main() {
 		}()
 	}
 
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-
-	reason := "signal"
-	select {
-	case err := <-errc:
+	if err := server.Run(logger, srv, debugSrv); err != nil {
 		fatal(logger, err)
-	case <-ctx.Done():
-	}
-
-	logger.Info("shutting down", "reason", reason)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		logger.Error("shutdown incomplete", "err", err)
-	}
-	if debugSrv != nil {
-		debugSrv.Shutdown(shutdownCtx)
 	}
 	// Final snapshot after the listeners drain — every in-flight adaptive
 	// update is in the store by now — and before Close tears the sweeper down.
@@ -240,45 +213,10 @@ func main() {
 	logger.Info("stopped")
 }
 
-// timeouts bundles an http.Server's slow-client protection knobs so tests
-// can shrink them without duplicating server construction.
-type timeouts struct {
-	readHeader, read, write, idle time.Duration
-}
-
-// defaultTimeouts bounds how long a client may dribble a request (read), how
-// long a response may take to drain (write; streaming handlers lift their own
-// deadline), and how long an idle keep-alive connection is kept.
-var defaultTimeouts = timeouts{
-	readHeader: 10 * time.Second,
-	read:       30 * time.Second,
-	write:      2 * time.Minute,
-	idle:       2 * time.Minute,
-}
-
-// newServer builds both of samserve's listeners: every server gets the full
-// timeout set, so a slow or stalled client can never pin a connection (and
-// its goroutine) forever.
-func newServer(addr string, h http.Handler, to timeouts) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           h,
-		ReadHeaderTimeout: to.readHeader,
-		ReadTimeout:       to.read,
-		WriteTimeout:      to.write,
-		IdleTimeout:       to.idle,
-	}
-}
-
 // debugMux assembles the introspection listener: pprof's full suite, the
 // service's metrics registry, and the decision record ring.
 func debugMux(svc *service.Service) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux := server.DebugMux()
 	mux.Handle("GET /metrics", svc.Registry().Handler())
 	// The service mux already routes decision records and traces; reuse it so
 	// both listeners serve the identical representation.

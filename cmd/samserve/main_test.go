@@ -8,15 +8,16 @@ import (
 	"testing"
 	"time"
 
+	"samnet/internal/cli/server"
 	"samnet/internal/service"
 )
 
-// startServer runs a newServer-built listener with the given timeouts and
-// returns its address.
-func startServer(t *testing.T, to timeouts) string {
+// startServer runs a server.New-built listener with the given timeouts
+// and returns its address.
+func startServer(t *testing.T, to server.Timeouts) string {
 	t.Helper()
 	svc := service.New(service.Config{})
-	srv := newServer("127.0.0.1:0", svc.Handler(), to)
+	srv := server.New("127.0.0.1:0", svc.Handler(), to)
 	ln, err := net.Listen("tcp", srv.Addr)
 	if err != nil {
 		t.Fatal(err)
@@ -34,11 +35,11 @@ func startServer(t *testing.T, to timeouts) string {
 // partial request, and hold the connection (and its goroutine) forever. Now
 // the server must hang up on its own within the configured read timeout.
 func TestSlowClientDisconnected(t *testing.T) {
-	short := timeouts{
-		readHeader: 200 * time.Millisecond,
-		read:       300 * time.Millisecond,
-		write:      300 * time.Millisecond,
-		idle:       300 * time.Millisecond,
+	short := server.Timeouts{
+		ReadHeader: 200 * time.Millisecond,
+		Read:       300 * time.Millisecond,
+		Write:      300 * time.Millisecond,
+		Idle:       300 * time.Millisecond,
 	}
 	for _, tc := range []struct {
 		name string
@@ -84,11 +85,11 @@ func isClosedByPeer(err error) bool {
 // TestHealthyClientUnaffected: the same short-timeout server still answers a
 // prompt request, so the hardening cannot break normal traffic.
 func TestHealthyClientUnaffected(t *testing.T) {
-	addr := startServer(t, timeouts{
-		readHeader: 200 * time.Millisecond,
-		read:       300 * time.Millisecond,
-		write:      300 * time.Millisecond,
-		idle:       300 * time.Millisecond,
+	addr := startServer(t, server.Timeouts{
+		ReadHeader: 200 * time.Millisecond,
+		Read:       300 * time.Millisecond,
+		Write:      300 * time.Millisecond,
+		Idle:       300 * time.Millisecond,
 	})
 	resp, err := http.Get("http://" + addr + "/healthz")
 	if err != nil {
@@ -103,9 +104,9 @@ func TestHealthyClientUnaffected(t *testing.T) {
 // TestDefaultTimeoutsSet pins that production servers are built with every
 // slow-client knob engaged.
 func TestDefaultTimeoutsSet(t *testing.T) {
-	srv := newServer(":0", nil, defaultTimeouts)
+	srv := server.New(":0", nil, server.DefaultTimeouts)
 	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 ||
 		srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 {
-		t.Fatalf("server timeouts not fully set: %+v", defaultTimeouts)
+		t.Fatalf("server timeouts not fully set: %+v", server.DefaultTimeouts)
 	}
 }

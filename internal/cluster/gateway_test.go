@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -750,5 +751,90 @@ func TestGatewayBodyLimitsMatchReplica(t *testing.T) {
 		if tc.status != 0 && want.Code != tc.status {
 			t.Errorf("%s: replica answered %d %s, want %d", tc.name, want.Code, want.Body, tc.status)
 		}
+	}
+}
+
+// TestGatewayMergeProfilesPrefersOwner: when several replicas hold a copy of
+// one profile, the merged listing shows the effective owner's copy, whichever
+// replica answered first.
+func TestGatewayMergeProfilesPrefersOwner(t *testing.T) {
+	r1, r2 := newReplica(t), newReplica(t)
+	g, _ := newTestGateway(t, r1.URL, r2.URL)
+	owned := map[string]string{} // owner URL -> a profile name it owns
+	for i := 0; len(owned) < 2; i++ {
+		name := fmt.Sprintf("p%d", i)
+		if owner := g.fleet.Owner(name); owned[owner] == "" {
+			owned[owner] = name
+		}
+	}
+	// Each replica's copy of a profile it owns has 7 runs, its stray copy
+	// of the other replica's profile 3.
+	var replies []replicaScrape
+	for _, addr := range []string{r1.URL, r2.URL} {
+		var infos []service.ProfileInfo
+		for owner, name := range owned {
+			runs := 3
+			if owner == addr {
+				runs = 7
+			}
+			infos = append(infos, service.ProfileInfo{Name: name, Runs: runs, Trained: true})
+		}
+		replies = append(replies, replicaScrape{addr: addr, body: []byte(mustMarshal(t, infos))})
+	}
+	infos := g.mergeProfiles(replies).([]service.ProfileInfo)
+	if len(infos) != 2 {
+		t.Fatalf("merged %d profiles, want 2: %+v", len(infos), infos)
+	}
+	for _, info := range infos {
+		if info.Runs != 7 {
+			t.Errorf("profile %s: merged the stray copy (%d runs), want the owner's (7 runs)", info.Name, info.Runs)
+		}
+	}
+}
+
+// TestGatewayMergeIsolationKeepsStrongest: a pair condemned on several
+// replicas is reported once, with the highest likelihood and, on a tie, the
+// most probes, whichever replica answered first.
+func TestGatewayMergeIsolationKeepsStrongest(t *testing.T) {
+	g, _ := newTestGateway(t, newReplica(t).URL)
+	pair := func(a int, likelihood float64, probes int) service.IsolatedPairJSON {
+		return service.IsolatedPairJSON{Pair: service.LinkJSON{A: a, B: a + 1}, Likelihood: likelihood, Probes: probes}
+	}
+	reply := func(pairs ...service.IsolatedPairJSON) replicaScrape {
+		return replicaScrape{body: []byte(mustMarshal(t, service.IsolationResponse{Pairs: pairs}))}
+	}
+	got := g.mergeIsolation([]replicaScrape{
+		reply(pair(1, 0.5, 9), pair(3, 0.9, 1), pair(5, 0.8, 2), pair(7, 0.8, 5)),
+		reply(pair(1, 0.9, 1), pair(3, 0.5, 9), pair(5, 0.8, 5), pair(7, 0.8, 2)),
+	}).(service.IsolationResponse)
+	want := []service.IsolatedPairJSON{pair(1, 0.9, 1), pair(3, 0.9, 1), pair(5, 0.8, 5), pair(7, 0.8, 5)}
+	if !slices.Equal(got.Pairs, want) {
+		t.Fatalf("merged isolation %+v, want %+v", got.Pairs, want)
+	}
+}
+
+// TestGatewayTrainBatchOneOwnerStreams: a grid whose profiles all live on
+// one replica is relayed as sent, so a "stream":true sweep still answers
+// with progress lines ending in the result, as a lone replica does.
+func TestGatewayTrainBatchOneOwnerStreams(t *testing.T) {
+	_, gw := newTestGateway(t, newReplica(t).URL)
+	seed := uint64(2005)
+	body := mustMarshal(t, service.TrainBatchRequest{
+		Scenarios: []service.TrainScenarioJSON{{Topo: "cluster", Tier: 1, Protocol: "mr"}, {Topo: "cluster", Tier: 2, Protocol: "mr"}},
+		Runs:      2,
+		Seed:      &seed,
+		Stream:    true,
+	})
+	resp, blob := postRaw(t, gw.URL+"/v1/train/batch", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("streamed sweep: %d: %s", resp.StatusCode, blob)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("streamed sweep Content-Type = %q, want the replica's text/plain progress stream", ct)
+	}
+	lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
+	var last service.TrainBatchResponse
+	if len(lines) < 2 || json.Unmarshal([]byte(lines[len(lines)-1]), &last) != nil || len(last.Scenarios) != 2 {
+		t.Fatalf("streamed sweep is not progress lines then the result:\n%s", blob)
 	}
 }

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -138,5 +140,31 @@ func TestRingEdgeCases(t *testing.T) {
 	one := NewRing([]string{"a", "", "a"})
 	if len(one.Replicas()) != 1 || one.Owner("anything") != "a" {
 		t.Fatalf("dedup ring = %v", one.Replicas())
+	}
+}
+
+// TestRankHealthyPromotesHealthy pins the fleet's routing order: a replica
+// marked down drops behind every healthy one, the healthy ones keep their
+// rendezvous order, and the down one is still listed last so a caller has
+// somewhere to try. The rank is appended after whatever dst already holds.
+func TestRankHealthyPromotesHealthy(t *testing.T) {
+	f, err := NewFleet(replicas(4), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys(20) {
+		rank := f.ring.Rank(k, nil)
+		f.MarkDown(rank[0], errors.New("down"))
+		f.MarkDown(rank[2], errors.New("down"))
+		want := []string{"prefix", rank[1], rank[3], rank[0], rank[2]}
+		if got := f.RankHealthy(k, []string{"prefix"}); !slices.Equal(got, want) {
+			t.Fatalf("%s: RankHealthy = %v, want %v (rank %v)", k, got, want, rank)
+		}
+		if got := f.Owner(k); got != rank[1] {
+			t.Fatalf("%s: Owner = %s, want the first healthy replica %s", k, got, rank[1])
+		}
+		for _, addr := range rank {
+			f.states[addr].healthy = true
+		}
 	}
 }

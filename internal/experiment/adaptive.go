@@ -26,12 +26,6 @@ func Adaptive(cfg Config) *report.Artifact {
 		driftPerStep = 0.3
 	)
 
-	type agentStats struct {
-		falseAlarms int // non-normal verdicts during the normal phase
-		detections  int // non-normal verdicts during the attack phase
-	}
-	var adaptive, frozen agentStats
-
 	net := topology.Random(topology.RandomConfig{Wormholes: 1}, topoRNG(cfg.Seed, 0))
 	pair := net.AttackerPairs[0]
 	model := mobility.New(net.Topo, mobility.Config{
@@ -72,41 +66,27 @@ func Adaptive(cfg Config) *report.Artifact {
 	// A Suspicious verdict triggers the probe step, which passes when no
 	// payload is being dropped — so only outright Attacked verdicts raise
 	// alarms in either phase (the attackers here forward payloads; they are
-	// caught by statistics, the hardest case).
-	evaluate := func(st sam.Stats, attacked bool) {
+	// caught by statistics, the hardest case). evaluate returns whether the
+	// adaptive and the frozen detector raised one.
+	evaluate := func(st sam.Stats) [2]bool {
 		va := adaptiveDet.Evaluate(st)
 		adaptiveDet.Update(st, va.Lambda) // eq. 8-9: lambda-weighted refresh
 		vf := frozenDet.Evaluate(st)      // no update: stale profile
-		if attacked {
-			if va.Decision == sam.Attacked {
-				adaptive.detections++
-			}
-			if vf.Decision == sam.Attacked {
-				frozen.detections++
-			}
-			return
-		}
-		if va.Decision == sam.Attacked {
-			adaptive.falseAlarms++
-		}
-		if vf.Decision == sam.Attacked {
-			frozen.falseAlarms++
-		}
+		return [2]bool{va.Decision == sam.Attacked, vf.Decision == sam.Attacked}
 	}
 
-	normalSeen, attackSeen := 0, 0
+	// One entry per discovery that found routes, in step order.
+	var normal, attacked [][2]bool
 	for ; step < normalPhase; step++ {
 		model.Advance(driftPerStep)
 		for _, st := range discover("normal") {
-			normalSeen++
-			evaluate(st, false)
+			normal = append(normal, evaluate(st))
 		}
 	}
 	sc := attack.NewScenario(net, 1, attack.Forward)
 	for ; step < normalPhase+attackPhase; step++ {
 		for _, st := range discover("attack") {
-			attackSeen++
-			evaluate(st, true)
+			attacked = append(attacked, evaluate(st))
 		}
 	}
 	sc.Teardown()
@@ -117,17 +97,16 @@ func Adaptive(cfg Config) *report.Artifact {
 			"Detector", "False alarms (drift phase)", "Detections (attack phase)",
 		},
 		Notes: []string{
-			report.D(normalSeen) + " normal discoveries while the network drifts, then " +
-				report.D(attackSeen) + " with the wormhole active; attackers pinned.",
+			report.D(len(normal)) + " normal discoveries while the network drifts, then " +
+				report.D(len(attacked)) + " with the wormhole active; attackers pinned.",
 			"The adaptive detector refreshes its means with weight lambda*beta, so normal " +
 				"drift is absorbed but attacked observations (lambda near 0) never pollute it.",
 		},
 	}
-	t.AddRow("adaptive (beta=0.2)",
-		report.D(adaptive.falseAlarms)+"/"+report.D(normalSeen),
-		report.D(adaptive.detections)+"/"+report.D(attackSeen))
-	t.AddRow("frozen",
-		report.D(frozen.falseAlarms)+"/"+report.D(normalSeen),
-		report.D(frozen.detections)+"/"+report.D(attackSeen))
+	alarms := func(phase [][2]bool, det int) string {
+		return report.D(count(phase, func(a [2]bool) bool { return a[det] })) + "/" + report.D(len(phase))
+	}
+	t.AddRow("adaptive (beta=0.2)", alarms(normal, 0), alarms(attacked, 0))
+	t.AddRow("frozen", alarms(normal, 1), alarms(attacked, 1))
 	return &report.Artifact{ID: "adaptive", Kind: "extension", Tables: []*report.Table{t}}
 }

@@ -290,38 +290,69 @@ func runColumns(cfg Config, cols []column) ([][]RunResult, []string) {
 	return RunConditions(cfg, conds), headers
 }
 
-// Condition sets, each declared once for the pair of artifacts that plots it.
+// Condition sets, each declared once for the artifacts that plot it. Each
+// set builds its conditions, and so their builders, on first use and keeps
+// them for the process: their prototypes are fixed grids.
 var (
 	// tableCols: Tables I and II, one wormhole on the 1-tier cluster and
 	// 6x6 uniform grid under MR and DSR.
-	tableCols = []column{
-		{"Cluster MR", clusterCond(1, 1, mrProtocol, "MR")},
-		{"Cluster DSR", clusterCond(1, 1, dsrProtocol, "DSR")},
-		{"Uniform MR", uniformCond(6, 6, 1, 1, mrProtocol, "MR")},
-		{"Uniform DSR", uniformCond(6, 6, 1, 1, dsrProtocol, "DSR")},
-	}
+	tableCols = sync.OnceValue(func() []column {
+		return []column{
+			{"Cluster MR", clusterCond(1, 1, mrProtocol, "MR")},
+			{"Cluster DSR", clusterCond(1, 1, dsrProtocol, "DSR")},
+			{"Uniform MR", uniformCond(6, 6, 1, 1, mrProtocol, "MR")},
+			{"Uniform DSR", uniformCond(6, 6, 1, 1, dsrProtocol, "DSR")},
+		}
+	})
 	// oneTierCols: Figs 6 and 7, 1-tier cluster and uniform grid under MR.
-	oneTierCols = []column{
-		{"Cluster normal", clusterCond(1, 0, mrProtocol, "MR")},
-		{"Cluster attack", clusterCond(1, 1, mrProtocol, "MR")},
-		{"Uniform normal", uniformCond(6, 6, 1, 0, mrProtocol, "MR")},
-		{"Uniform attack", uniformCond(6, 6, 1, 1, mrProtocol, "MR")},
-	}
+	oneTierCols = sync.OnceValue(func() []column {
+		return []column{
+			{"Cluster normal", clusterCond(1, 0, mrProtocol, "MR")},
+			{"Cluster attack", clusterCond(1, 1, mrProtocol, "MR")},
+			{"Uniform normal", uniformCond(6, 6, 1, 0, mrProtocol, "MR")},
+			{"Uniform attack", uniformCond(6, 6, 1, 1, mrProtocol, "MR")},
+		}
+	})
 	// tierCols: Figs 11 and 12, cluster systems at 1- and 2-tier range.
-	tierCols = []column{
-		{"1-tier normal", clusterCond(1, 0, mrProtocol, "MR")},
-		{"1-tier attack", clusterCond(1, 1, mrProtocol, "MR")},
-		{"2-tier normal", clusterCond(2, 0, mrProtocol, "MR")},
-		{"2-tier attack", clusterCond(2, 1, mrProtocol, "MR")},
-	}
+	tierCols = sync.OnceValue(func() []column {
+		return []column{
+			{"1-tier normal", clusterCond(1, 0, mrProtocol, "MR")},
+			{"1-tier attack", clusterCond(1, 1, mrProtocol, "MR")},
+			{"2-tier normal", clusterCond(2, 0, mrProtocol, "MR")},
+			{"2-tier attack", clusterCond(2, 1, mrProtocol, "MR")},
+		}
+	})
 	// protocolCols: Figs 13 and 14, the 1-tier cluster's MR vs DSR routes.
-	protocolCols = []column{
-		{"MR normal", clusterCond(1, 0, mrProtocol, "MR")},
-		{"MR attack", clusterCond(1, 1, mrProtocol, "MR")},
-		{"DSR normal", clusterCond(1, 0, dsrProtocol, "DSR")},
-		{"DSR attack", clusterCond(1, 1, dsrProtocol, "DSR")},
-	}
+	protocolCols = sync.OnceValue(func() []column {
+		return []column{
+			{"MR normal", clusterCond(1, 0, mrProtocol, "MR")},
+			{"MR attack", clusterCond(1, 1, mrProtocol, "MR")},
+			{"DSR normal", clusterCond(1, 0, dsrProtocol, "DSR")},
+			{"DSR attack", clusterCond(1, 1, dsrProtocol, "DSR")},
+		}
+	})
+	// wormholeCols: Fig 15, the 1-tier cluster under zero, one and two
+	// wormholes.
+	wormholeCols = sync.OnceValue(func() []column {
+		return []column{
+			{"No wormhole", clusterCond(1, 0, mrProtocol, "MR")},
+			{"One wormhole", clusterCond(1, 1, mrProtocol, "MR")},
+			{"Two wormholes", clusterCond(1, 2, mrProtocol, "MR")},
+		}
+	})
 )
+
+// randomCols: Fig 10, random topologies normal versus attacked. Unlike the
+// sets above it makes a new builder per call: the builder keeps every
+// (seed, run) draw it makes, so one kept for the process would grow with
+// every seed it is run at. Both columns share it, and so each run's draw.
+func randomCols() []column {
+	build := buildRandom(2)
+	return []column{
+		{"Normal", newCond("random", build, 0, mrProtocol, "MR")},
+		{"Attack", newCond("random", build, 1, mrProtocol, "MR")},
+	}
+}
 
 // trainRuns is how many normal-condition runs train a detector's profile.
 const trainRuns = 30

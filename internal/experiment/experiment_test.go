@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // fastCfg keeps test runs quick; 4 runs still exercise the full machinery.
 var fastCfg = Config{Runs: 4, Seed: 99, Workers: 2}
@@ -124,34 +121,29 @@ func TestEveryExperimentProducesRows(t *testing.T) {
 }
 
 func TestTable1ClusterIsFullyAffected(t *testing.T) {
-	art := Table1(fastCfg)
-	rows := art.Tables[0].Rows
-	for _, row := range rows[:len(rows)-1] { // last row is the average
-		if row[1] != "100.0%" || row[2] != "100.0%" {
-			t.Errorf("cluster run %s not fully affected: %v", row[0], row)
+	results, headers := runColumns(fastCfg, tableCols())
+	for i, col := range results[:2] { // Cluster MR, Cluster DSR
+		if got := rate(col, func(r RunResult) bool { return r.Affected == 1 }); got != 1 {
+			t.Errorf("%s: %.2f of runs fully affected, want every run", headers[i+1], got)
 		}
 	}
 }
 
 func TestTable2RatioAboveTwo(t *testing.T) {
-	art := Table2(fastCfg)
-	ratio := art.Tables[1]
-	for _, row := range ratio.Rows {
-		if !strings.HasPrefix(row[3], "2") && !strings.HasPrefix(row[3], "3") {
-			t.Errorf("%s MR/DSR ratio %s outside the 'more than twice' regime", row[0], row[3])
+	results, _ := runColumns(fastCfg, tableCols())
+	for i, topo := range []string{"cluster", "uniform"} {
+		mr, dsr := results[2*i], results[2*i+1]
+		if r := ratio(sum(mr, overheadOf), sum(dsr, overheadOf)); r < 2 || r >= 4 {
+			t.Errorf("%s MR/DSR overhead ratio %.4f outside the 'more than twice' regime [2, 4)", topo, r)
 		}
 	}
 }
 
 func TestFig6AttackAboveNormalInCluster(t *testing.T) {
-	art := Fig6(fastCfg)
-	rows := art.Tables[0].Rows
-	mean := rows[len(rows)-1]
-	if mean[0] != "mean" {
-		t.Fatal("last row should be the mean")
-	}
-	if mean[2] <= mean[1] { // string compare works: same width fixed-point
-		t.Errorf("cluster attack mean %s not above normal %s", mean[2], mean[1])
+	results, _ := runColumns(fastCfg, oneTierCols())
+	normal, attack := mean(results[0], pmaxOf), mean(results[1], pmaxOf)
+	if attack <= normal {
+		t.Errorf("cluster attack mean p_max %.4f not above normal %.4f", attack, normal)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"slices"
 	"strconv"
 
 	"samnet/internal/attack"
@@ -52,62 +53,45 @@ func Detection(cfg Config) *report.Artifact {
 		profile := trainProfile(cfg, s.name+"/MR", 1, normalCond.stats)
 
 		// Each run gets its own detector and pipeline over the shared
-		// read-only profile, so runs evaluate in parallel; the counters fold
-		// serially in run order to keep the float sums byte-stable.
-		type evalOut struct {
-			confirmed, localized bool
-			lambda               float64
-		}
-		evalRuns := func(cond Condition, attacked bool) (confirmed, localized int, lambdaSum float64) {
+		// read-only profile, so runs evaluate in parallel.
+		evalRuns := func(cond Condition) []detectionRun {
 			results := RunCondition(cfg, cond)
-			outs := runner.MapWorkerProgress(cfg.Workers, len(results), cfg.Progress, newSimCache, func(i int, cache *simCache) evalOut {
+			return runner.MapWorkerProgress(cfg.Workers, len(results), cfg.Progress, newSimCache, func(i int, cache *simCache) detectionRun {
 				r := results[i]
 				det := sam.NewDetector(profile, sam.DetectorConfig{})
 				pipe := sam.NewPipeline(det, proberFor(cfg, cond, r, cache), nil, sam.PipelineConfig{})
 				out := pipe.Process(r.Routes)
-				eo := evalOut{lambda: out.Verdict.Lambda}
-				if out.Report != nil && out.Report.Confirmed {
-					eo.confirmed = true
-					if attacked {
-						for _, l := range r.TunnelLinks {
-							if out.Report.SuspectLink == l {
-								eo.localized = true
-								break
-							}
-						}
-					}
+				confirmed := out.Report != nil && out.Report.Confirmed
+				return detectionRun{
+					confirmed: confirmed,
+					localized: confirmed && slices.Contains(r.TunnelLinks, out.Report.SuspectLink),
+					lambda:    out.Verdict.Lambda,
 				}
-				return eo
 			})
-			for _, eo := range outs {
-				lambdaSum += eo.lambda
-				if eo.confirmed {
-					confirmed++
-					if eo.localized {
-						localized++
-					}
-				}
-			}
-			return confirmed, localized, lambdaSum
 		}
-
-		tp, loc, lamA := evalRuns(attackCond, true)
-		fp, _, lamN := evalRuns(normalCond, false)
-		n := float64(cfg.Runs)
-		locRate := 0.0
-		if tp > 0 {
-			locRate = float64(loc) / float64(tp)
-		}
+		attacked, normal := evalRuns(attackCond), evalRuns(normalCond)
 		t.AddRow(s.name,
-			report.Pct(float64(tp)/n),
-			report.Pct(locRate),
-			report.Pct(float64(fp)/n),
-			report.F(lamA/n),
-			report.F(lamN/n),
+			report.Pct(rate(attacked, detectionRun.isConfirmed)),
+			report.Pct(ratio(count(attacked, detectionRun.isLocalized), count(attacked, detectionRun.isConfirmed))),
+			report.Pct(rate(normal, detectionRun.isConfirmed)),
+			report.F(mean(attacked, detectionRun.lambdaOf)),
+			report.F(mean(normal, detectionRun.lambdaOf)),
 		)
 	}
 	return &report.Artifact{ID: "detection", Kind: "extension", Tables: []*report.Table{t}}
 }
+
+// detectionRun is one run of Detection's pipeline: whether it ended in a
+// confirmed report, whether that report accused the actual tunnel, and the
+// step-1 lambda.
+type detectionRun struct {
+	confirmed, localized bool
+	lambda               float64
+}
+
+func (r detectionRun) isConfirmed() bool { return r.confirmed }
+func (r detectionRun) isLocalized() bool { return r.localized }
+func (r detectionRun) lambdaOf() float64 { return r.lambda }
 
 // proberFor builds a simulation-backed prober that replays the run's
 // scenario: a network with the same topology (drawn from the worker's

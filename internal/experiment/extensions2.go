@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"slices"
 	"strconv"
 
 	"samnet/internal/attack"
@@ -54,23 +55,18 @@ func Protocols(cfg Config) *report.Artifact {
 	all := RunConditions(cfg, conds)
 	for pi, p := range protos {
 		normal, attacked := all[2*pi], all[2*pi+1]
-		var rn, ra, pn, pa, loc float64
-		for i := 0; i < cfg.Runs; i++ {
-			rn += float64(len(normal[i].Routes))
-			ra += float64(len(attacked[i].Routes))
-			pn += normal[i].Stats.PMax
-			pa += attacked[i].Stats.PMax
-			for _, l := range attacked[i].TunnelLinks {
-				if attacked[i].Stats.Suspect == l {
-					loc++
-				}
-			}
-		}
-		n := float64(cfg.Runs)
-		t.AddRow(p.name, report.F2(rn/n), report.F2(ra/n), report.F(pn/n), report.F(pa/n), report.Pct(loc/n))
+		t.AddRow(p.name,
+			report.F2(mean(normal, routesOf)), report.F2(mean(attacked, routesOf)),
+			report.F(mean(normal, pmaxOf)), report.F(mean(attacked, pmaxOf)),
+			report.Pct(rate(attacked, localizedRun)))
 	}
 	return &report.Artifact{ID: "protocols", Kind: "extension", Tables: []*report.Table{t}}
 }
+
+func routesOf(r RunResult) float64 { return float64(len(r.Routes)) }
+
+// localizedRun reports whether the run's suspect link is one of its tunnels.
+func localizedRun(r RunResult) bool { return slices.Contains(r.TunnelLinks, r.Stats.Suspect) }
 
 // Rushing evaluates SAM against a rushing-only adversary (no tunnel): the
 // attackers forward with a fraction of the normal MAC delay, biasing
@@ -128,7 +124,7 @@ func Loss(cfg Config) *report.Artifact {
 		routes, pa, pn float64
 		localized      bool
 	}
-	// One flattened (loss rate x run) grid; sums fold serially per row.
+	// One flattened (loss rate x run) grid.
 	build := buildCluster(1)
 	grid := runner.MapGridWorkerProgress(cfg.Workers, len(losses), cfg.Runs, cfg.Progress, newSimCache, func(li, run int, cache *simCache) lossOut {
 		loss := losses[li]
@@ -159,17 +155,12 @@ func Loss(cfg Config) *report.Artifact {
 		return out
 	})
 	for li, loss := range losses {
-		var routes, pa, pn, loc float64
-		for _, o := range grid[li] {
-			routes += o.routes
-			pa += o.pa
-			pn += o.pn
-			if o.localized {
-				loc++
-			}
-		}
-		n := float64(cfg.Runs)
-		t.AddRow(report.Pct(loss), report.F2(routes/n), report.F(pa/n), report.F(pn/n), report.Pct(loc/n))
+		row := grid[li]
+		t.AddRow(report.Pct(loss),
+			report.F2(mean(row, func(o lossOut) float64 { return o.routes })),
+			report.F(mean(row, func(o lossOut) float64 { return o.pa })),
+			report.F(mean(row, func(o lossOut) float64 { return o.pn })),
+			report.Pct(rate(row, func(o lossOut) bool { return o.localized })))
 	}
 	return &report.Artifact{ID: "loss", Kind: "extension", Tables: []*report.Table{t}}
 }
@@ -224,25 +215,16 @@ func Mobility(cfg Config) *report.Artifact {
 		}
 	})
 	for di, drift := range drifts {
-		var pa, pn, loc float64
-		connected := 0
-		for _, o := range mobGrid[di] {
-			if !o.connected {
-				continue
-			}
-			connected++
-			pa += o.pa
-			pn += o.pn
-			if o.localized {
-				loc++
-			}
-		}
-		if connected == 0 {
+		// Disconnected draws have no routes either way; the means skip them.
+		conn := slices.DeleteFunc(mobGrid[di], func(o mobOut) bool { return !o.connected })
+		if len(conn) == 0 {
 			t.AddRow(report.F2(drift), "0", "-", "-", "-")
 			continue
 		}
-		n := float64(connected)
-		t.AddRow(report.F2(drift), strconv.Itoa(connected), report.F(pa/n), report.F(pn/n), report.Pct(loc/n))
+		t.AddRow(report.F2(drift), strconv.Itoa(len(conn)),
+			report.F(mean(conn, func(o mobOut) float64 { return o.pa })),
+			report.F(mean(conn, func(o mobOut) float64 { return o.pn })),
+			report.Pct(rate(conn, func(o mobOut) bool { return o.localized })))
 	}
 	return &report.Artifact{ID: "mobility", Kind: "extension", Tables: []*report.Table{t}}
 }

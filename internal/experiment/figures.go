@@ -19,23 +19,20 @@ func phiOf(r RunResult) float64  { return r.Stats.Phi }
 // paper's scatter plots.
 func seriesTable(cfg Config, title string, fn statFn, cols []column, notes ...string) *report.Table {
 	results, headers := runColumns(cfg, cols)
-	t := &report.Table{Title: title, Headers: headers, Notes: notes}
-	means := make([]float64, len(cols))
-	for run := 0; run < cfg.Runs; run++ {
-		row := []string{strconv.Itoa(run + 1)}
-		for i := range cols {
-			v := fn(results[i][run])
-			means[i] += v
-			row = append(row, report.F(v))
-		}
-		t.AddRow(row...)
-	}
-	row := []string{"mean"}
-	for i := range means {
-		row = append(row, report.F(means[i]/float64(cfg.Runs)))
-	}
-	t.AddRow(row...)
-	return t
+	return perRunTable(&report.Table{Title: title, Headers: headers, Notes: notes}, results,
+		func(r RunResult) string { return report.F(fn(r)) },
+		"mean", func(rs []RunResult) string { return report.F(mean(rs, fn)) })
+}
+
+// series is the registry row of a figure that plots one statistic per run
+// and condition: one seriesTable, headed heading, over the columns cols
+// returns. Each call of the experiment calls cols once, so a builder it
+// makes lives only as long as that call.
+func series(id, title, heading string, fn statFn, cols func() []column, notes ...string) Definition {
+	return Definition{id, "figure", title, func(cfg Config) *report.Artifact {
+		t := seriesTable(cfg.withDefaults(), heading, fn, cols(), notes...)
+		return &report.Artifact{ID: id, Kind: "figure", Tables: []*report.Table{t}}
+	}}
 }
 
 // Fig5 reproduces Figure 5: the PMF of the per-link relative frequency n/N
@@ -71,26 +68,6 @@ func Fig5(cfg Config) *report.Artifact {
 		t.AddRow(report.F(pN.BinCenter(i)), report.F(pN.Prob(i)), report.F(pA.Prob(i)))
 	}
 	return &report.Artifact{ID: "fig5", Kind: "figure", Tables: []*report.Table{t}}
-}
-
-// Fig6 reproduces Figure 6: p_max of 1-tier cluster and uniform networks
-// under MR, normal versus attacked, per run.
-func Fig6(cfg Config) *report.Artifact {
-	cfg = cfg.withDefaults()
-	t := seriesTable(cfg, "Figure 6 — p_max of 1-tier networks (MR)", pmaxOf, oneTierCols,
-		"Paper shape: cluster attack clearly above cluster normal; the 6-hop uniform tunnel is too short to separate as cleanly.",
-	)
-	return &report.Artifact{ID: "fig6", Kind: "figure", Tables: []*report.Table{t}}
-}
-
-// Fig7 reproduces Figure 7: phi for the same four conditions as Fig6.
-func Fig7(cfg Config) *report.Artifact {
-	cfg = cfg.withDefaults()
-	t := seriesTable(cfg, "Figure 7 — phi of 1-tier networks (MR)", phiOf, oneTierCols,
-		"phi = 0 marks the paper's special case: two links tied at the maximum "+
-			"(attackers aligned with source or destination row/column).",
-	)
-	return &report.Artifact{ID: "fig7", Kind: "figure", Tables: []*report.Table{t}}
 }
 
 // Fig8 reproduces Figure 8: p_max and phi on the 10x6 uniform grid whose
@@ -144,79 +121,4 @@ func Fig9(cfg Config) *report.Artifact {
 		t.AddRow(strconv.Itoa(i), report.F2(p.X), report.F2(p.Y), role, strconv.Itoa(net.Topo.Degree(id)))
 	}
 	return &report.Artifact{ID: "fig9", Kind: "figure", Tables: []*report.Table{t}}
-}
-
-// Fig10 reproduces Figure 10: p_max on random topologies (fresh placement
-// per run), normal versus attacked.
-func Fig10(cfg Config) *report.Artifact {
-	cfg = cfg.withDefaults()
-	build := buildRandom(2) // one builder, so the columns share each draw
-	t := seriesTable(cfg, "Figure 10 — p_max of networks with random topology (MR)", pmaxOf,
-		[]column{
-			{"Normal", newCond("random", build, 0, mrProtocol, "MR")},
-			{"Attack", newCond("random", build, 1, mrProtocol, "MR")},
-		},
-		"Paper shape: p_max alone separates attack from normal on random topologies "+
-			"(the paper does not plot phi here, and phi is indeed uninformative).",
-	)
-	return &report.Artifact{ID: "fig10", Kind: "figure", Tables: []*report.Table{t}}
-}
-
-// Fig11 reproduces Figure 11: p_max of cluster systems at 1-tier and 2-tier
-// transmission ranges.
-func Fig11(cfg Config) *report.Artifact {
-	cfg = cfg.withDefaults()
-	t := seriesTable(cfg, "Figure 11 — p_max of cluster systems, 1-tier vs 2-tier (MR)", pmaxOf, tierCols,
-		"Paper shape: attack above normal at both ranges; the attack stays effective "+
-			"as long as the tunnel is much longer than the transmission range.",
-	)
-	return &report.Artifact{ID: "fig11", Kind: "figure", Tables: []*report.Table{t}}
-}
-
-// Fig12 reproduces Figure 12: phi for the same conditions as Fig11.
-func Fig12(cfg Config) *report.Artifact {
-	cfg = cfg.withDefaults()
-	t := seriesTable(cfg, "Figure 12 — phi of cluster systems, 1-tier vs 2-tier (MR)", phiOf, tierCols,
-		"Known deviation: in this reconstruction the 2-tier normal phi is elevated by "+
-			"grid-parity bottlenecks of ideal unit-disk ranges, so the paper's phi ordering "+
-			"holds at 1-tier but not 2-tier; p_max (Fig 11) separates at both.",
-	)
-	return &report.Artifact{ID: "fig12", Kind: "figure", Tables: []*report.Table{t}}
-}
-
-// Fig13 reproduces Figure 13: p_max computed from MR routes versus DSR
-// routes on the 1-tier cluster.
-func Fig13(cfg Config) *report.Artifact {
-	cfg = cfg.withDefaults()
-	t := seriesTable(cfg, "Figure 13 — p_max of 1-tier cluster, MR vs DSR routes", pmaxOf, protocolCols,
-		"Paper shape: p_max separates for both protocols — statistical detection also "+
-			"works on routes from protocols other than MR.",
-	)
-	return &report.Artifact{ID: "fig13", Kind: "figure", Tables: []*report.Table{t}}
-}
-
-// Fig14 reproduces Figure 14: phi for the same conditions as Fig13.
-func Fig14(cfg Config) *report.Artifact {
-	cfg = cfg.withDefaults()
-	t := seriesTable(cfg, "Figure 14 — phi of 1-tier cluster, MR vs DSR routes", phiOf, protocolCols,
-		"Paper shape: phi keeps its character for MR but not for DSR — DSR's few routes "+
-			"make the gap statistic unreliable.",
-	)
-	return &report.Artifact{ID: "fig14", Kind: "figure", Tables: []*report.Table{t}}
-}
-
-// Fig15 reproduces Figure 15: p_max under zero, one and two simultaneous
-// wormhole attacks on the 1-tier cluster.
-func Fig15(cfg Config) *report.Artifact {
-	cfg = cfg.withDefaults()
-	t := seriesTable(cfg, "Figure 15 — p_max under no/one/two wormhole attacks (1-tier cluster, MR)", pmaxOf,
-		[]column{
-			{"No wormhole", clusterCond(1, 0, mrProtocol, "MR")},
-			{"One wormhole", clusterCond(1, 1, mrProtocol, "MR")},
-			{"Two wormholes", clusterCond(1, 2, mrProtocol, "MR")},
-		},
-		"Paper shape: p_max much higher in both attacked systems than normal; variance "+
-			"grows with the number of wormholes (tunnels compete for routes).",
-	)
-	return &report.Artifact{ID: "fig15", Kind: "figure", Tables: []*report.Table{t}}
 }

@@ -10,14 +10,6 @@ package experiment
 
 import "testing"
 
-func goldenAvg(rs []RunResult, f func(RunResult) float64) float64 {
-	var s float64
-	for _, r := range rs {
-		s += f(r)
-	}
-	return s / float64(len(rs))
-}
-
 func inBand(t *testing.T, name string, got, lo, hi float64) {
 	t.Helper()
 	if got < lo || got > hi {
@@ -30,12 +22,11 @@ func inBand(t *testing.T, name string, got, lo, hi float64) {
 // grid the fraction is substantially lower but far from zero.
 func TestGoldenTable1(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	affected := func(r RunResult) float64 { return r.Affected }
 
-	clusterMR := goldenAvg(RunCondition(cfg, clusterCond(1, 1, mrProtocol, "MR")), affected)
-	clusterDSR := goldenAvg(RunCondition(cfg, clusterCond(1, 1, dsrProtocol, "DSR")), affected)
-	uniformMR := goldenAvg(RunCondition(cfg, uniformCond(6, 6, 1, 1, mrProtocol, "MR")), affected)
-	uniformDSR := goldenAvg(RunCondition(cfg, uniformCond(6, 6, 1, 1, dsrProtocol, "DSR")), affected)
+	clusterMR := mean(RunCondition(cfg, clusterCond(1, 1, mrProtocol, "MR")), affectedOf)
+	clusterDSR := mean(RunCondition(cfg, clusterCond(1, 1, dsrProtocol, "DSR")), affectedOf)
+	uniformMR := mean(RunCondition(cfg, uniformCond(6, 6, 1, 1, mrProtocol, "MR")), affectedOf)
+	uniformDSR := mean(RunCondition(cfg, uniformCond(6, 6, 1, 1, dsrProtocol, "DSR")), affectedOf)
 
 	// Paper: "all the routes obtained are affected by the wormhole attack"
 	// on the cluster topology.
@@ -54,10 +45,10 @@ func TestGoldenTable2(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	overhead := func(r RunResult) float64 { return float64(r.Overhead) }
 
-	clusterMR := goldenAvg(RunCondition(cfg, clusterCond(1, 1, mrProtocol, "MR")), overhead)
-	clusterDSR := goldenAvg(RunCondition(cfg, clusterCond(1, 1, dsrProtocol, "DSR")), overhead)
-	uniformMR := goldenAvg(RunCondition(cfg, uniformCond(6, 6, 1, 1, mrProtocol, "MR")), overhead)
-	uniformDSR := goldenAvg(RunCondition(cfg, uniformCond(6, 6, 1, 1, dsrProtocol, "DSR")), overhead)
+	clusterMR := mean(RunCondition(cfg, clusterCond(1, 1, mrProtocol, "MR")), overhead)
+	clusterDSR := mean(RunCondition(cfg, clusterCond(1, 1, dsrProtocol, "DSR")), overhead)
+	uniformMR := mean(RunCondition(cfg, uniformCond(6, 6, 1, 1, mrProtocol, "MR")), overhead)
+	uniformDSR := mean(RunCondition(cfg, uniformCond(6, 6, 1, 1, dsrProtocol, "DSR")), overhead)
 
 	inBand(t, "cluster MR/DSR overhead ratio", clusterMR/clusterDSR, 2.0, 3.2)
 	inBand(t, "uniform MR/DSR overhead ratio", uniformMR/uniformDSR, 2.0, 3.2)
@@ -70,16 +61,14 @@ func TestGoldenTable2(t *testing.T) {
 // short for a clean p_max separation.
 func TestGoldenFig6Fig7(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	pmax := func(r RunResult) float64 { return r.Stats.PMax }
-	phi := func(r RunResult) float64 { return r.Stats.Phi }
 
 	clusterNormal := RunCondition(cfg, clusterCond(1, 0, mrProtocol, "MR"))
 	clusterAttack := RunCondition(cfg, clusterCond(1, 1, mrProtocol, "MR"))
 	uniformNormal := RunCondition(cfg, uniformCond(6, 6, 1, 0, mrProtocol, "MR"))
 	uniformAttack := RunCondition(cfg, uniformCond(6, 6, 1, 1, mrProtocol, "MR"))
 
-	pmaxNormal := goldenAvg(clusterNormal, pmax)
-	pmaxAttack := goldenAvg(clusterAttack, pmax)
+	pmaxNormal := mean(clusterNormal, pmaxOf)
+	pmaxAttack := mean(clusterAttack, pmaxOf)
 	inBand(t, "cluster normal mean p_max", pmaxNormal, 0.05, 0.11)
 	inBand(t, "cluster attack mean p_max", pmaxAttack, 0.13, 0.21)
 	if pmaxAttack < 1.7*pmaxNormal {
@@ -87,14 +76,14 @@ func TestGoldenFig6Fig7(t *testing.T) {
 			pmaxNormal, pmaxAttack)
 	}
 
-	phiNormal := goldenAvg(clusterNormal, phi)
-	phiAttack := goldenAvg(clusterAttack, phi)
+	phiNormal := mean(clusterNormal, phiOf)
+	phiAttack := mean(clusterAttack, phiOf)
 	inBand(t, "cluster normal mean phi", phiNormal, 0.0, 0.05)
 	inBand(t, "cluster attack mean phi", phiAttack, 0.10, 0.30)
 
 	// Negative result: the short uniform tunnel does not separate cleanly.
-	uPmaxNormal := goldenAvg(uniformNormal, pmax)
-	uPmaxAttack := goldenAvg(uniformAttack, pmax)
+	uPmaxNormal := mean(uniformNormal, pmaxOf)
+	uPmaxAttack := mean(uniformAttack, pmaxOf)
 	if uPmaxAttack > 1.5*uPmaxNormal {
 		t.Errorf("uniform 6x6 p_max separates too cleanly (%.4f -> %.4f): "+
 			"the paper's short-tunnel caveat no longer reproduces", uPmaxNormal, uPmaxAttack)

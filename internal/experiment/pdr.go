@@ -41,8 +41,8 @@ func PDR(cfg Config) *report.Artifact {
 	profile := trainProfile(cfg, "pdr", 11, clusterCond(1, 0, mrProtocol, "MR").stats)
 
 	build := buildCluster(1)
-	outs := runner.MapWorkerProgress(cfg.Workers, cfg.Runs, cfg.Progress, newSimCache, func(run int, cache *simCache) delivery {
-		var tally delivery
+	outs := runner.MapWorkerProgress(cfg.Workers, cfg.Runs, cfg.Progress, newSimCache, func(run int, cache *simCache) delivered {
+		var tally delivered
 		net := build(cfg, run)
 		sc := attack.NewScenario(net, 1, attack.Blackhole)
 		src, dst := net.PickPair(pairRNG(cfg.Seed, run))
@@ -67,7 +67,7 @@ func PDR(cfg Config) *report.Artifact {
 		}
 
 		// Regime 0 — oblivious: use the attacked discovery's routes as-is.
-		tally.send(0, sendNet(nil), disc.Routes)
+		tally[0] = send(sendNet(nil), disc.Routes)
 
 		// Regime 1 — detected: run the pipeline, use its selected routes.
 		det := sam.NewDetector(profile, sam.DetectorConfig{})
@@ -76,7 +76,7 @@ func PDR(cfg Config) *report.Artifact {
 			Protocol: mrProtocol, Behavior: attack.Blackhole,
 		}, RunResult{Run: run}, cache), nil, sam.PipelineConfig{})
 		out := pipe.Process(disc.Routes)
-		tally.send(1, sendNet(nil), out.SelectedRoutes)
+		tally[1] = send(sendNet(nil), out.SelectedRoutes)
 
 		// Regime 2 — isolated: cut the accused pair out and rediscover.
 		excluded := map[topology.NodeID]bool{}
@@ -89,19 +89,15 @@ func PDR(cfg Config) *report.Artifact {
 			return excluded[from] || excluded[to]
 		})
 		clean := mrProtocol().Discover(redisc, src, dst)
-		tally.send(2, sendNet(excluded), clean.Routes)
+		tally[2] = send(sendNet(excluded), clean.Routes)
 
 		sc.Teardown()
 		return tally
 	})
-	var total delivery
-	for _, o := range outs {
-		total.add(o)
-	}
-
 	names := []string{"oblivious (no detection)", "detected (avoid accused link)", "isolated (step 3) + rediscovery"}
 	for i, name := range names {
-		t.AddRow(name, report.D(total.delivered[i])+"/"+report.D(total.sent[i]), report.Pct(total.ratio(i)))
+		got, sent := sum(outs, func(d delivered) int { return d[i] }), packetsPerRun*len(outs)
+		t.AddRow(name, report.D(got)+"/"+report.D(sent), report.Pct(ratio(got, sent)))
 	}
 	return &report.Artifact{ID: "pdr", Kind: "extension", Tables: []*report.Table{t}}
 }
@@ -110,46 +106,22 @@ func PDR(cfg Config) *report.Artifact {
 // delivery regime of a run.
 const packetsPerRun = 5
 
-// delivery tallies the data packets sent and delivered in each of three
-// delivery regimes.
-type delivery struct {
-	sent, delivered [3]int
-}
+// delivered counts a run's data packets that arrived, per delivery regime.
+// Each regime sends packetsPerRun.
+type delivered [3]int
 
 // send delivers packetsPerRun data packets round-robin over the (up to 2)
 // maximally disjoint routes a source would select, on a network the caller
-// prepared (attack armed, isolation applied), and tallies them under regime.
-// With no usable route every packet counts as lost.
-func (d *delivery) send(regime int, net *sim.Network, routes []routing.Route) {
+// prepared (attack armed, isolation applied), and returns how many arrived.
+// With no usable route every packet is lost.
+func send(net *sim.Network, routes []routing.Route) int {
 	routes = routing.SelectDisjoint(routes, 2)
 	if len(routes) == 0 {
-		d.sent[regime] += packetsPerRun
-		return
+		return 0
 	}
 	batch := make([]routing.Route, packetsPerRun)
 	for i := range batch {
 		batch[i] = routes[i%len(routes)]
 	}
-	for _, res := range routing.ProbeRoutes(net, batch) {
-		d.sent[regime]++
-		if res.Acked {
-			d.delivered[regime]++
-		}
-	}
-}
-
-// add folds another run's tally into d.
-func (d *delivery) add(o delivery) {
-	for i := range d.sent {
-		d.sent[i] += o.sent[i]
-		d.delivered[i] += o.delivered[i]
-	}
-}
-
-// ratio is the regime's packet delivery ratio, 0 when nothing was sent.
-func (d delivery) ratio(regime int) float64 {
-	if d.sent[regime] == 0 {
-		return 0
-	}
-	return float64(d.delivered[regime]) / float64(d.sent[regime])
+	return count(routing.ProbeRoutes(net, batch), func(res routing.ProbeResult) bool { return res.Acked })
 }

@@ -46,25 +46,12 @@ func ROC(cfg Config) *report.Artifact {
 	}
 	for _, sw := range sweeps {
 		det := sam.NewDetector(profile, sam.DetectorConfig{ZLow: sw.zLow, ZHigh: sw.zHi})
-		var tp, fp int
-		var lamN, lamA float64
-		for i := 0; i < evalCfg.Runs; i++ {
-			va := det.Evaluate(attacked[i].Stats)
-			lamA += va.Lambda
-			if va.Decision != sam.Normal {
-				tp++
-			}
-			vn := det.Evaluate(normal[i].Stats)
-			lamN += vn.Lambda
-			if vn.Decision != sam.Normal {
-				fp++
-			}
-		}
-		n := float64(evalCfg.Runs)
+		flagged := func(r RunResult) bool { return det.Evaluate(r.Stats).Decision != sam.Normal }
+		lambda := func(r RunResult) float64 { return det.Evaluate(r.Stats).Lambda }
 		t.AddRow(sw.name,
-			report.Pct(float64(tp)/n),
-			report.Pct(float64(fp)/n),
-			report.F((lamN-lamA)/n),
+			report.Pct(rate(attacked, flagged)),
+			report.Pct(rate(normal, flagged)),
+			report.F((sum(normal, lambda)-sum(attacked, lambda))/float64(evalCfg.Runs)),
 		)
 	}
 	return &report.Artifact{ID: "roc", Kind: "extension", Tables: []*report.Table{t}}

@@ -195,35 +195,19 @@ func rocMatrixRows(cfg Config) []rocMatrixRow {
 	})
 
 	rows := make([]rocMatrixRow, len(cells))
-	n := float64(cfg.Runs)
 	for c, cell := range cells {
-		r := rocMatrixRow{Scenario: cell.name}
-		for _, o := range outs[c] {
-			if o.flags[0] {
-				r.SAM++
-			}
-			if o.flags[1] {
-				r.PMF++
-			}
-			if o.flags[2] {
-				r.Hybrid++
-			}
-			for i, fired := range o.channels {
-				if fired {
-					r.Channels[i]++
-				}
-			}
-			r.MeanPMax += o.pmax
-			r.MeanRoutes += float64(o.routes)
+		runs := outs[c]
+		r := rocMatrixRow{
+			Scenario:   cell.name,
+			SAM:        rate(runs, func(o out) bool { return o.flags[0] }),
+			PMF:        rate(runs, func(o out) bool { return o.flags[1] }),
+			Hybrid:     rate(runs, func(o out) bool { return o.flags[2] }),
+			MeanPMax:   mean(runs, func(o out) float64 { return o.pmax }),
+			MeanRoutes: mean(runs, func(o out) float64 { return float64(o.routes) }),
 		}
-		r.SAM /= n
-		r.PMF /= n
-		r.Hybrid /= n
 		for i := range r.Channels {
-			r.Channels[i] /= n
+			r.Channels[i] = rate(runs, func(o out) bool { return o.channels[i] })
 		}
-		r.MeanPMax /= n
-		r.MeanRoutes /= n
 		rows[c] = r
 	}
 	return rows

@@ -105,8 +105,8 @@ func runVerifyLoopScenario(cfg Config, sc verifyLoopScenario) verifyLoopRow {
 	}.stats)
 
 	type loopOut struct {
-		delivery
-		condemned int
+		delivered
+		condemned bool
 	}
 	outs := runner.MapWorkerProgress(cfg.Workers, cfg.Runs, cfg.Progress, newSimCache, func(run int, cache *simCache) loopOut {
 		var tally loopOut
@@ -117,7 +117,7 @@ func runVerifyLoopScenario(cfg Config, sc verifyLoopScenario) verifyLoopRow {
 		// Regime 0 — pre-attack: clean discovery and delivery, no attack.
 		preNet := cache.network(net.Topo, sim.Config{Seed: deriveSeed(cfg.Seed, label+"/pre", run)})
 		pre := sc.proto(nil).Discover(preNet, src, dst)
-		tally.send(0, preNet, pre.Routes)
+		tally.delivered[0] = send(preNet, pre.Routes)
 
 		// Regime 1 — under attack: the oblivious source discovers and sends
 		// through the armed blackhole.
@@ -126,7 +126,7 @@ func runVerifyLoopScenario(cfg Config, sc verifyLoopScenario) verifyLoopRow {
 		disc := sc.proto(nil).Discover(atkNet, src, dst)
 		sendNet := cache.network(net.Topo, sim.Config{Seed: deriveSeed(cfg.Seed, label+"/send", run)})
 		atk.Arm(sendNet)
-		tally.send(1, sendNet, disc.Routes)
+		tally.delivered[1] = send(sendNet, disc.Routes)
 
 		// Steps 1–3: detect, probe the accused pair, isolate on condemnation.
 		iso := verify.NewIsolationSet()
@@ -137,7 +137,7 @@ func runVerifyLoopScenario(cfg Config, sc verifyLoopScenario) verifyLoopRow {
 			verdict := verify.Probe(probeNet, v.SuspectLink, disc.Routes, verify.Config{}, iso)
 			if verdict.Condemned {
 				iso.Condemn(verdict)
-				tally.condemned = 1
+				tally.condemned = true
 			}
 		}
 
@@ -148,20 +148,15 @@ func runVerifyLoopScenario(cfg Config, sc verifyLoopScenario) verifyLoopRow {
 		clean := sc.proto(iso.Avoid).Discover(redisc, src, dst)
 		postNet := cache.network(net.Topo, sim.Config{Seed: deriveSeed(cfg.Seed, label+"/post", run)})
 		atk.Arm(postNet)
-		tally.send(2, postNet, clean.Routes)
+		tally.delivered[2] = send(postNet, clean.Routes)
 
 		atk.Teardown()
 		return tally
 	})
 
-	row := verifyLoopRow{Scenario: sc.name}
-	var total delivery
-	for _, o := range outs {
-		row.Condemned += o.condemned
-		total.add(o.delivery)
-	}
+	row := verifyLoopRow{Scenario: sc.name, Condemned: count(outs, func(o loopOut) bool { return o.condemned })}
 	for i := range row.PDR {
-		row.PDR[i] = total.ratio(i)
+		row.PDR[i] = ratio(sum(outs, func(o loopOut) int { return o.delivered[i] }), packetsPerRun*len(outs))
 	}
 	return row
 }

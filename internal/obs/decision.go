@@ -95,8 +95,38 @@ type DecisionEvidence struct {
 // checks, and capture off costs one branch and zero allocations on the
 // detect hot path.
 type DecisionRing struct {
+	ring[Decision]
+}
+
+// ring is the fixed-size lock-free ring behind DecisionRing and the Tracer:
+// one atomic increment claims a sequence number and its slot, one atomic
+// pointer store publishes the record.
+type ring[T any] struct {
 	seq   atomic.Uint64
-	slots []atomic.Pointer[Decision]
+	slots []atomic.Pointer[T]
+	seqOf func(*T) *uint64 // the record's Seq field
+}
+
+// record gives v the next sequence number and publishes it.
+func (r *ring[T]) record(v T) {
+	seq := r.seq.Add(1)
+	*r.seqOf(&v) = seq
+	r.slots[(seq-1)%uint64(len(r.slots))].Store(&v)
+}
+
+// snapshot returns a copy of the retained records, oldest first by seq.
+// Concurrent records may or may not be included; each returned record is
+// internally consistent because publication is a single pointer store.
+func (r *ring[T]) snapshot() []T {
+	out := make([]T, 0, len(r.slots))
+	for i := range r.slots {
+		if p := r.slots[i].Load(); p != nil {
+			out = append(out, *p)
+		}
+	}
+	// Slot order is ring order, not age order; sort by the global sequence.
+	sort.Slice(out, func(i, j int) bool { return *r.seqOf(&out[i]) < *r.seqOf(&out[j]) })
+	return out
 }
 
 // NewDecisionRing builds a ring retaining the last size records. It panics
@@ -105,7 +135,10 @@ func NewDecisionRing(size int) *DecisionRing {
 	if size < 1 {
 		panic("obs: DecisionRing size must be at least 1")
 	}
-	return &DecisionRing{slots: make([]atomic.Pointer[Decision], size)}
+	return &DecisionRing{ring[Decision]{
+		slots: make([]atomic.Pointer[Decision], size),
+		seqOf: func(d *Decision) *uint64 { return &d.Seq },
+	}}
 }
 
 // Enabled reports whether Record captures: whether r is non-nil.
@@ -138,8 +171,7 @@ func (r *DecisionRing) Record(d Decision) {
 	if !r.Enabled() {
 		return
 	}
-	d.Seq = r.seq.Add(1)
-	r.slots[(d.Seq-1)%uint64(len(r.slots))].Store(&d)
+	r.record(d)
 }
 
 // Snapshot returns a copy of the retained records, oldest first. Concurrent
@@ -149,13 +181,5 @@ func (r *DecisionRing) Snapshot() []Decision {
 	if r == nil {
 		return nil
 	}
-	out := make([]Decision, 0, len(r.slots))
-	for i := range r.slots {
-		if p := r.slots[i].Load(); p != nil {
-			out = append(out, *p)
-		}
-	}
-	// Slot order is ring order, not age order; sort by the global sequence.
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	return r.snapshot()
 }

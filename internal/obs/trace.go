@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"os"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -269,36 +268,16 @@ type Span struct {
 	Slow bool `json:"slow,omitempty"`
 }
 
-// spanRing retains spans with DecisionRing's lock-free discipline: one
-// atomic increment claims a slot, one pointer store publishes the record.
-type spanRing struct {
-	seq   atomic.Uint64
-	slots []atomic.Pointer[Span]
-}
-
-func (r *spanRing) record(sp Span) {
-	sp.Seq = r.seq.Add(1)
-	r.slots[(sp.Seq-1)%uint64(len(r.slots))].Store(&sp)
-}
-
-func (r *spanRing) snapshot() []Span {
-	out := make([]Span, 0, len(r.slots))
-	for i := range r.slots {
-		if p := r.slots[i].Load(); p != nil {
-			out = append(out, *p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
+// spanSeq is the ring key of a span: its Seq field.
+func spanSeq(sp *Span) *uint64 { return &sp.Seq }
 
 // Tracer creates spans and retains the completed ones. A nil *Tracer is
 // valid and traces nothing, so services thread "maybe tracing" without nil
 // checks — the same contract as DecisionRing.
 type Tracer struct {
 	slowNS int64
-	recent spanRing
-	slow   spanRing
+	recent ring[Span]
+	slow   ring[Span]
 }
 
 // NewTracer builds a tracer retaining the last size spans plus a
@@ -314,8 +293,8 @@ func NewTracer(size int, slowThreshold time.Duration) *Tracer {
 	}
 	return &Tracer{
 		slowNS: int64(slowThreshold),
-		recent: spanRing{slots: make([]atomic.Pointer[Span], size)},
-		slow:   spanRing{slots: make([]atomic.Pointer[Span], slowSize)},
+		recent: ring[Span]{slots: make([]atomic.Pointer[Span], size), seqOf: spanSeq},
+		slow:   ring[Span]{slots: make([]atomic.Pointer[Span], slowSize), seqOf: spanSeq},
 	}
 }
 

@@ -108,6 +108,10 @@ func TestDetectorEmptyRouteSet(t *testing.T) {
 	if v.Decision != Normal || v.Lambda != 1 {
 		t.Errorf("empty evaluation = %+v", v)
 	}
+	// Nothing was judged, so the verdict carries no evidence either way.
+	if v.ZPMax != 0 || v.ZPhi != 0 || v.TV != 0 {
+		t.Errorf("empty evaluation scored z(p_max) %v, z(phi) %v, TV %v; want no evidence", v.ZPMax, v.ZPhi, v.TV)
+	}
 }
 
 func TestLambdaMonotoneInDominance(t *testing.T) {
