@@ -63,6 +63,68 @@ reqs_total{replica="http://r2",endpoint="a"} 9
 	}
 }
 
+// TestMergeExpositionsEdgeCases pins the merge rules the golden above does
+// not reach: replicas that disagree on a family's HELP or TYPE (a rolling
+// upgrade) keep the first replica's, a scrape error spanning lines stays one
+// comment line, other comments do not federate, and CRLF line ends are
+// trimmed.
+func TestMergeExpositionsEdgeCases(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		scrapes []replicaScrape
+		want    string
+	}{
+		{"first HELP wins", []replicaScrape{
+			{addr: "a", body: []byte("# HELP up Replica is up.\nup 1\n")},
+			{addr: "b", body: []byte("# HELP up Up.\nup 1\n")},
+		}, "# HELP up Replica is up.\nup{replica=\"a\"} 1\nup{replica=\"b\"} 1\n"},
+		{"first TYPE wins", []replicaScrape{
+			{addr: "a", body: []byte("# TYPE up gauge\nup 1\n")},
+			{addr: "b", body: []byte("# TYPE up counter\nup 1\n")},
+		}, "# TYPE up gauge\nup{replica=\"a\"} 1\nup{replica=\"b\"} 1\n"},
+		{"multi-line scrape error", []replicaScrape{
+			{addr: "a", err: errors.New("read tcp: reset\nby peer")},
+		}, "# fleet: replica a unreachable: read tcp: reset by peer\n"},
+		{"other comments", []replicaScrape{
+			{addr: "a", body: []byte("# TYPE up gauge\nup 1\n# EOF\n")},
+		}, "# TYPE up gauge\nup{replica=\"a\"} 1\n"},
+		{"CRLF line ends", []replicaScrape{
+			{addr: "a", body: []byte("# TYPE up gauge\r\nup 1\r\n")},
+		}, "# TYPE up gauge\nup{replica=\"a\"} 1\n"},
+	} {
+		if got := string(mergeExpositions(tc.scrapes)); got != tc.want {
+			t.Errorf("%s:\n got:\n%q\nwant:\n%q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestMetricsFleetFailedScrapes pins the endpoint's failure rules: a replica
+// the fleet still holds healthy but that does not answer is counted in
+// samgate_fleet_scrape_errors_total and reported as a comment while the
+// scrape answers 200, and a fleet with no healthy replica answers 503.
+func TestMetricsFleetFailedScrapes(t *testing.T) {
+	r1, r2 := newReplica(t), newReplica(t)
+	g, ts := newTestGateway(t, r1.URL, r2.URL)
+	r2.Close() // no health check has noticed yet
+
+	resp, body := getRaw(t, ts.URL+"/metrics/fleet")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fleet scrape with one replica down: %d: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "# fleet: replica "+r2.URL+" unreachable: ") {
+		t.Errorf("no comment for the unreachable replica:\n%s", body)
+	}
+	if got, want := [2]uint64{g.metrics.fleetScrapes.Value(), g.metrics.fleetScrapeErrs.Value()}, [2]uint64{1, 1}; got != want {
+		t.Errorf("scrapes, scrape errors = %v, want %v", got, want)
+	}
+
+	r1.Close()
+	g.fleet.CheckNow(t.Context())
+	if resp, body := getRaw(t, ts.URL+"/metrics/fleet"); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("fleet scrape with no healthy replica: %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestMetricsFleetEndpoint federates two live replicas end to end and pins
 // that both replica labels appear, each replica's samserve series carries its
 // own address, and a downed replica degrades to a comment instead of a 5xx.

@@ -7,7 +7,6 @@ import (
 	"samnet/internal/report"
 	"samnet/internal/sam"
 	"samnet/internal/sim"
-	"samnet/internal/topology"
 )
 
 // Adaptive demonstrates the purpose of the paper's low-pass profile update
@@ -26,7 +25,7 @@ func Adaptive(cfg Config) *report.Artifact {
 		driftPerStep = 0.3
 	)
 
-	net := topology.Random(topology.RandomConfig{Wormholes: 1}, topoRNG(cfg.Seed, 0))
+	net := placements.clone(1, cfg.Seed, 0)
 	pair := net.AttackerPairs[0]
 	model := mobility.New(net.Topo, mobility.Config{
 		Arena:    geom.NewRect(geom.Pt(0, 0), geom.Pt(15, 15)),

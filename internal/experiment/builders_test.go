@@ -192,3 +192,155 @@ func TestBuilderCloneAllocs(t *testing.T) {
 		}
 	}
 }
+
+// memoDraws returns the prototypes the memo holds for seed, by
+// {wormholes, run} key.
+func memoDraws(m *placementMemo, seed uint64) map[[2]int]*topology.Network {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make(map[[2]int]*topology.Network)
+	for _, s := range m.seeds {
+		if s.seed == seed {
+			for k, draw := range s.draws {
+				out[k] = draw()
+			}
+		}
+	}
+	return out
+}
+
+// memoSeeds returns the seeds the memo keeps, least recently used first.
+func memoSeeds(m *placementMemo) []uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []uint64
+	for _, s := range m.seeds {
+		out = append(out, s.seed)
+	}
+	return out
+}
+
+// TestPlacementMemoSharedAcrossExperiments runs the random-topology
+// experiments of one master seed in turn on an empty process memo and
+// requires that each key is drawn once: a later experiment finds the
+// earlier one's prototype and draws no key again.
+func TestPlacementMemoSharedAcrossExperiments(t *testing.T) {
+	placements.mu.Lock()
+	placements.seeds = nil
+	placements.mu.Unlock()
+	run := func(id string) {
+		d, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Run(Config{Seed: 2005})
+	}
+	// same fails t unless every key of want is still drawn, to the same
+	// prototype, and seed holds n keys in all.
+	same := func(after string, seed uint64, n int, want map[[2]int]*topology.Network) map[[2]int]*topology.Network {
+		t.Helper()
+		got := memoDraws(&placements, seed)
+		if len(got) != n {
+			t.Errorf("after %s: seed %d holds %d draws, want %d", after, seed, len(got), n)
+		}
+		for k, net := range want {
+			if got[k] != net {
+				t.Errorf("after %s: key %v at seed %d was drawn again", after, k, seed)
+			}
+		}
+		return got
+	}
+
+	run("fig10")
+	fig10 := same("fig10", 2005, 10, nil)
+	for k := range fig10 {
+		if k[0] != 2 || k[1] < 0 || k[1] >= 10 {
+			t.Errorf("fig10 drew key %v at seed 2005, want (2, 0..9)", k)
+		}
+	}
+	run("detection")
+	same("detection", 2005, 10, fig10)
+	for k := range same("detection", 2006, 30, nil) {
+		if k[0] != 2 {
+			t.Errorf("detection trained on key %v at seed 2006, want two wormholes", k)
+		}
+	}
+	if got := memoSeeds(&placements); !slices.Equal(got, []uint64{2006, 2005}) {
+		t.Errorf("memo keeps seeds %v, want [2006 2005]", got)
+	}
+
+	run("fig9")
+	withFig9 := same("fig9", 2005, 11, fig10)
+	if withFig9[[2]int{1, 0}] == nil {
+		t.Fatal("fig9 did not draw key (1, 2005, 0)")
+	}
+	run("adaptive")
+	same("adaptive", 2005, 11, withFig9)
+	run("mobility")
+	same("mobility", 2005, 20, withFig9)
+}
+
+// TestPlacementMemoEvictsWholeSeeds touches one seed more than the memo
+// keeps and requires that the least recently used seed goes, every key of
+// it, while a seed touched since keeps its prototype.
+func TestPlacementMemoEvictsWholeSeeds(t *testing.T) {
+	var m placementMemo
+	for seed := uint64(1); seed <= keptSeeds; seed++ {
+		m.clone(2, seed, 0)
+	}
+	m.clone(2, 2, 1) // seed 2 holds two keys
+	for _, seed := range []uint64{3, 4, 1} {
+		m.clone(2, seed, 0) // seed 1, the oldest, is used again; 2 is now least recent
+	}
+	kept := memoDraws(&m, 1)[[2]int{2, 0}]
+
+	m.clone(2, keptSeeds+1, 0)
+	want := []uint64{3, 4, 1, keptSeeds + 1}
+	if got := memoSeeds(&m); !slices.Equal(got, want) {
+		t.Fatalf("memo keeps seeds %v, want %v", got, want)
+	}
+	if n := len(memoDraws(&m, 2)); n != 0 {
+		t.Errorf("evicted seed 2 still holds %d draws", n)
+	}
+	if memoDraws(&m, 1)[[2]int{2, 0}] != kept {
+		t.Error("seed 1 was inserted first but used since, and lost its prototype")
+	}
+	// A returning seed draws again, to the same placement.
+	sameNetwork(t, "redrawn seed 2", m.clone(2, 2, 1), freshDraw(2, 1))
+	if got := memoSeeds(&m); !slices.Equal(got, []uint64{4, 1, keptSeeds + 1, 2}) {
+		t.Errorf("after seed 2 returns the memo keeps %v", got)
+	}
+}
+
+// TestPlacementMemoConcurrentSeeds has workers walk more seeds than the memo
+// keeps, each in its own order, so draws, hits and evictions interleave.
+// Every call must still return the fresh draw. Run it with -race.
+func TestPlacementMemoConcurrentSeeds(t *testing.T) {
+	const seeds, runs, workers = keptSeeds + 2, 2, 6
+	want := make(map[[2]int]*topology.Network)
+	for seed := 1; seed <= seeds; seed++ {
+		for run := range runs {
+			want[[2]int{seed, run}] = freshDraw(uint64(seed), run)
+		}
+	}
+	var m placementMemo
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := range 2 * seeds * runs {
+				k := (i + w*runs) % (seeds * runs)
+				seed, run := k/runs+1, k%runs
+				sameNetwork(t, "concurrent seed", m.clone(2, uint64(seed), run), want[[2]int{seed, run}])
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := len(memoSeeds(&m)); n > keptSeeds {
+		t.Errorf("memo keeps %d seeds, want at most %d", n, keptSeeds)
+	}
+}

@@ -15,6 +15,7 @@ package experiment
 import (
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -213,35 +214,66 @@ func buildUniform(cols, rows, k int) func(Config, int) *topology.Network {
 	return func(Config, int) *topology.Network { return proto().Clone() }
 }
 
-// buildRandom returns a builder that draws run's placement, with the given
-// number of attacker pairs, from topoRNG(cfg.Seed, run). Rejection sampling
-// makes a draw cost hundreds of tries, so the builder draws each (seed, run)
-// once and keeps the network as that key's prototype; the memo lives as long
-// as the builder, one experiment's Run. Every call returns a clone, so a
-// caller may move nodes or install tunnels.
+// buildRandom returns a builder that hands out run's placement, with the
+// given number of attacker pairs, from the process's placement memo.
 func buildRandom(wormholes int) func(Config, int) *topology.Network {
-	type draw struct {
-		mu  sync.Mutex
-		net *topology.Network
-	}
-	cfg := topology.RandomConfig{Wormholes: wormholes}
-	var drawn sync.Map // [2]uint64{seed, run} -> *draw
-	return func(c Config, run int) *topology.Network {
-		key := [2]uint64{c.Seed, uint64(run)}
-		v, ok := drawn.Load(key)
-		if !ok {
-			v, _ = drawn.LoadOrStore(key, new(draw))
+	return func(c Config, run int) *topology.Network { return placements.clone(wormholes, c.Seed, run) }
+}
+
+// keptSeeds is how many master seeds the placement memo keeps draws for. A
+// sweep at master seed m touches m and m+1 (detection trains at m+1), so
+// four seeds cover a sweep and its neighbour.
+const keptSeeds = 4
+
+// placements is the process's random-placement memo, shared by every
+// experiment: fig9, fig10, detection, mobility and adaptive.
+var placements placementMemo
+
+// placementMemo keeps each random placement drawn from topoRNG(seed, run),
+// keyed by (wormholes, seed, run). Rejection sampling makes a draw cost
+// hundreds of tries, so each key is drawn once, even when two workers ask
+// for it at once, and kept as a prototype that every call clones: a caller
+// may move nodes or install tunnels. The memo holds the draws of the
+// keptSeeds most recently used seeds and evicts a whole seed at a time, so
+// a process that sweeps many seeds stays bounded while every key of one
+// seed survives however many runs it has.
+type placementMemo struct {
+	mu    sync.Mutex
+	seeds []seedPlacements // least recently used first
+}
+
+// seedPlacements holds one master seed's draws, by {wormholes, run}.
+type seedPlacements struct {
+	seed  uint64
+	draws map[[2]int]func() *topology.Network
+}
+
+// clone returns a Clone of the placement at (wormholes, seed, run), drawing
+// it on the key's first use, and marks the seed most recently used.
+func (m *placementMemo) clone(wormholes int, seed uint64, run int) *topology.Network {
+	m.mu.Lock()
+	var s seedPlacements
+	if i := slices.IndexFunc(m.seeds, func(s seedPlacements) bool { return s.seed == seed }); i >= 0 {
+		s = m.seeds[i]
+		m.seeds = slices.Delete(m.seeds, i, i+1)
+	} else {
+		s = seedPlacements{seed: seed, draws: make(map[[2]int]func() *topology.Network)}
+		if len(m.seeds) == keptSeeds {
+			m.seeds = slices.Delete(m.seeds, 0, 1)
 		}
-		d := v.(*draw)
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if d.net == nil {
-			// An undrawable key panics here and leaves net nil, so every
-			// call at that key panics alike.
-			d.net = topology.Random(cfg, topoRNG(c.Seed, run))
-		}
-		return d.net.Clone()
 	}
+	m.seeds = append(m.seeds, s)
+	key := [2]int{wormholes, run}
+	draw := s.draws[key]
+	if draw == nil {
+		// An undrawable key panics, and every later call at it panics alike.
+		draw = sync.OnceValue(func() *topology.Network {
+			return topology.Random(topology.RandomConfig{Wormholes: wormholes}, topoRNG(seed, run))
+		})
+		s.draws[key] = draw
+	}
+	m.mu.Unlock()
+	return draw().Clone()
 }
 
 func mrProtocol() routing.Protocol  { return &mr.Protocol{} }
@@ -292,7 +324,8 @@ func runColumns(cfg Config, cols []column) ([][]RunResult, []string) {
 
 // Condition sets, each declared once for the artifacts that plot it. Each
 // set builds its conditions, and so their builders, on first use and keeps
-// them for the process: their prototypes are fixed grids.
+// them for the process: their prototypes are fixed grids, or live in the
+// bounded placement memo.
 var (
 	// tableCols: Tables I and II, one wormhole on the 1-tier cluster and
 	// 6x6 uniform grid under MR and DSR.
@@ -340,19 +373,16 @@ var (
 			{"Two wormholes", clusterCond(1, 2, mrProtocol, "MR")},
 		}
 	})
+	// randomCols: Fig 10, random topologies normal versus attacked. Both
+	// columns draw from the placement memo, and so share each run's draw.
+	randomCols = sync.OnceValue(func() []column {
+		build := buildRandom(2)
+		return []column{
+			{"Normal", newCond("random", build, 0, mrProtocol, "MR")},
+			{"Attack", newCond("random", build, 1, mrProtocol, "MR")},
+		}
+	})
 )
-
-// randomCols: Fig 10, random topologies normal versus attacked. Unlike the
-// sets above it makes a new builder per call: the builder keeps every
-// (seed, run) draw it makes, so one kept for the process would grow with
-// every seed it is run at. Both columns share it, and so each run's draw.
-func randomCols() []column {
-	build := buildRandom(2)
-	return []column{
-		{"Normal", newCond("random", build, 0, mrProtocol, "MR")},
-		{"Attack", newCond("random", build, 1, mrProtocol, "MR")},
-	}
-}
 
 // trainRuns is how many normal-condition runs train a detector's profile.
 const trainRuns = 30

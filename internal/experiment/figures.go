@@ -88,7 +88,7 @@ func Fig8(cfg Config) *report.Artifact {
 // roles.
 func Fig9(cfg Config) *report.Artifact {
 	cfg = cfg.withDefaults()
-	net := topology.Random(topology.RandomConfig{Wormholes: 1}, topoRNG(cfg.Seed, 0))
+	net := placements.clone(1, cfg.Seed, 0)
 	attackers := net.Attackers()
 	srcs := make(map[topology.NodeID]bool)
 	for _, id := range net.SrcPool {

@@ -192,6 +192,28 @@ func (c *RandomConfig) defaults() {
 	}
 }
 
+// validate panics, naming the field, when a defaulted config cannot describe
+// a placement: a negative Side would mirror the square and skew the pools,
+// and a negative N or MaxTries, or too few nodes for the attackers, would
+// fail far from its cause.
+func (c *RandomConfig) validate() {
+	finite := func(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+	switch {
+	case c.N < 1:
+		panic(fmt.Sprintf("topology: RandomConfig.N must be >= 1, got %d", c.N))
+	case !finite(c.Side):
+		panic(fmt.Sprintf("topology: RandomConfig.Side must be positive and finite, got %v", c.Side))
+	case !finite(c.Radius):
+		panic(fmt.Sprintf("topology: RandomConfig.Radius must be positive and finite, got %v", c.Radius))
+	case c.MaxTries < 1:
+		panic(fmt.Sprintf("topology: RandomConfig.MaxTries must be >= 1, got %d", c.MaxTries))
+	case c.Wormholes < 0 || c.Wormholes > 2:
+		panic(fmt.Sprintf("topology: RandomConfig.Wormholes must be in [0,2], got %d", c.Wormholes))
+	case c.N < 2*c.Wormholes:
+		panic(fmt.Sprintf("topology: RandomConfig.N must be >= 2*Wormholes = %d, got %d", 2*c.Wormholes, c.N))
+	}
+}
+
 // Random builds a random topology (Fig. 9): N nodes placed uniformly at
 // random in a Side x Side square, redrawn until the network is connected.
 // Sources come from the left quarter and destinations from the right
@@ -208,8 +230,15 @@ func (c *RandomConfig) defaults() {
 // Most rejected draws leave some node isolated, and the test rejects those
 // before it runs a BFS. Callers that need one placement again keep the
 // network and Clone it instead of redrawing it.
+//
+// Random panics, before its first try and naming the field, on a config
+// that zero fields cannot fix: N < 1, a Side or Radius that is not positive
+// and finite, MaxTries < 1, Wormholes outside [0, 2], or fewer than two
+// nodes per attacker pair. It also panics when MaxTries draws find no
+// connected placement.
 func Random(cfg RandomConfig, rng *rand.Rand) *Network {
 	cfg.defaults()
+	cfg.validate()
 	pos := make([]geom.Point, cfg.N)
 	rest := make([]int32, cfg.N)
 	queue := make([]int32, 0, cfg.N)
@@ -258,27 +287,19 @@ func randomNetwork(cfg RandomConfig, pos []geom.Point) *Network {
 // evaluate, without building either. rest and queue are caller-owned scratch
 // with capacity len(pos); the check allocates nothing.
 //
-// It first rejects a placement in which some node has no neighbor in range;
-// each node's scan stops at its first neighbor, so this is cheap, and it
-// settles most disconnected draws. Otherwise it is a BFS from node 0 in which
-// each dequeued node scans only the nodes not yet reached, removing the ones
-// in range from rest by swap-remove. Both stages use the same Dist2 <= r*r
-// test, so the first stage never changes the answer.
+// It first rejects a placement in which some node has no neighbor in range
+// (someIsolated), which settles most disconnected draws cheaply; queue's
+// backing array serves as that scan's bitset. Otherwise it is a BFS from
+// node 0 in which each dequeued node scans only the nodes not yet reached,
+// removing the ones in range from rest by swap-remove. Both stages use the
+// same Dist2 <= r*r test, so the first stage never changes the answer.
 func placementConnected(pos []geom.Point, radius float64, rest, queue []int32) bool {
 	if len(pos) == 0 {
 		return true
 	}
 	r2 := radius * radius
-	if len(pos) > 1 {
-	nodes:
-		for i, p := range pos {
-			for j, q := range pos {
-				if j != i && p.Dist2(q) <= r2 {
-					continue nodes
-				}
-			}
-			return false
-		}
+	if len(pos) > 1 && someIsolated(pos, r2, queue[:(len(pos)+31)/32]) {
+		return false
 	}
 	rest = rest[:len(pos)-1]
 	for i := range rest {
@@ -298,6 +319,36 @@ func placementConnected(pos []geom.Point, radius float64, rest, queue []int32) b
 		}
 	}
 	return len(rest) == 0
+}
+
+// someIsolated reports whether some node of pos has no other node within
+// squared distance r2. Each node's scan stops at its first neighbor. A node
+// that finds neighbor j marks j in marked, a caller-owned bitset of
+// ceil(len(pos)/32) words, and the scan skips marked nodes: Dist2 is
+// symmetric, so j has a neighbor too. Each scan looks ahead of i first,
+// where a found neighbor is one still to be scanned.
+func someIsolated(pos []geom.Point, r2 float64, marked []int32) bool {
+	clear(marked)
+nodes:
+	for i := range pos {
+		if marked[i>>5]&(1<<(i&31)) != 0 {
+			continue
+		}
+		p := pos[i]
+		for j := i + 1; j < len(pos); j++ {
+			if p.Dist2(pos[j]) <= r2 {
+				marked[j>>5] |= 1 << (j & 31)
+				continue nodes
+			}
+		}
+		for _, q := range pos[:i] {
+			if p.Dist2(q) <= r2 {
+				continue nodes
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // claimAttackerPairs designates, for each requested wormhole, the two

@@ -1,8 +1,10 @@
 package topology
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 
 	"samnet/internal/geom"
@@ -323,18 +325,47 @@ func TestRandomMatchesReference(t *testing.T) {
 	}
 }
 
+// isolatedReference reports whether some node of pos has no other node
+// within squared distance r2, scanning every node's row in full order.
+func isolatedReference(pos []geom.Point, r2 float64) bool {
+nodes:
+	for i, p := range pos {
+		for j, q := range pos {
+			if j != i && p.Dist2(q) <= r2 {
+				continue nodes
+			}
+		}
+		return true
+	}
+	return false
+}
+
 func TestPlacementConnectedMatchesTopology(t *testing.T) {
 	t.Parallel()
-	const draws = 34000 // per config; three configs make 10^5 draws
-	for _, cfg := range []RandomConfig{
-		{N: 60, Side: 15, Radius: 2},   // sparse: almost never connected
-		{N: 60, Side: 15, Radius: 2.3}, // the paper's random setup
-		{N: 60, Side: 15, Radius: 4},   // dense: almost always connected
+	// side keeps the paper's density, 60 nodes in a 15x15 square, at n nodes.
+	side := func(n int) float64 { return 15 * math.Sqrt(float64(n)/60) }
+	for _, tc := range []struct {
+		cfg   RandomConfig
+		draws int
+	}{
+		// Three 60-node configs make 10^5 draws.
+		{RandomConfig{N: 60, Side: 15, Radius: 2}, 34000},   // sparse: almost never connected
+		{RandomConfig{N: 60, Side: 15, Radius: 2.3}, 34000}, // the paper's random setup
+		{RandomConfig{N: 60, Side: 15, Radius: 4}, 34000},   // dense: almost always connected
+		// The isolation scan's bitset at the paper's density: its last
+		// word full, and one node into the next word; 130 nodes take
+		// several words.
+		{RandomConfig{N: 64, Side: side(64), Radius: 2.3}, 10000},
+		{RandomConfig{N: 65, Side: side(65), Radius: 2.3}, 10000},
+		{RandomConfig{N: 130, Side: side(130), Radius: 2.3}, 10000},
 	} {
-		rng := rand.New(rand.NewPCG(uint64(cfg.Radius*10), 3))
+		cfg, draws := tc.cfg, tc.draws
+		rng := rand.New(rand.NewPCG(uint64(cfg.Radius*10), 3+uint64(cfg.N-60)))
 		pos := make([]geom.Point, cfg.N)
 		rest := make([]int32, cfg.N)
 		queue := make([]int32, 0, cfg.N)
+		marks := make([]int32, (cfg.N+31)/32)
+		r2 := cfg.Radius * cfg.Radius
 		connected := 0
 		for d := 0; d < draws; d++ {
 			topo := New("check", cfg.Radius)
@@ -342,15 +373,51 @@ func TestPlacementConnectedMatchesTopology(t *testing.T) {
 				pos[i] = geom.Pt(rng.Float64()*cfg.Side, rng.Float64()*cfg.Side)
 				topo.AddNode(pos[i])
 			}
+			// The isolation scan alone must agree with an unmarked scan of
+			// every pair, so a wrong bit cannot hide behind the BFS.
+			if got, want := someIsolated(pos, r2, marks), isolatedReference(pos, r2); got != want {
+				t.Fatalf("N %d radius %v draw %d: someIsolated = %v, want %v", cfg.N, cfg.Radius, d, got, want)
+			}
 			got := placementConnected(pos, cfg.Radius, rest, queue)
 			if want := topo.Connected(); got != want {
-				t.Fatalf("radius %v draw %d: placementConnected = %v, Topology.Connected = %v", cfg.Radius, d, got, want)
+				t.Fatalf("N %d radius %v draw %d: placementConnected = %v, Topology.Connected = %v", cfg.N, cfg.Radius, d, got, want)
 			}
 			if got {
 				connected++
 			}
 		}
-		t.Logf("radius %v: %d of %d draws connected", cfg.Radius, connected, draws)
+		t.Logf("N %d radius %v: %d of %d draws connected", cfg.N, cfg.Radius, connected, draws)
+	}
+}
+
+// TestRandomRejectsInvalidConfig requires Random to refuse, before its
+// first try, a config that no placement can satisfy, naming the field.
+func TestRandomRejectsInvalidConfig(t *testing.T) {
+	for _, tc := range []struct {
+		cfg   RandomConfig
+		field string
+	}{
+		{RandomConfig{N: -1}, "N"},
+		{RandomConfig{Side: -15}, "Side"},
+		{RandomConfig{Side: math.NaN()}, "Side"},
+		{RandomConfig{Side: math.Inf(1)}, "Side"},
+		{RandomConfig{Radius: -2.3}, "Radius"},
+		{RandomConfig{Radius: math.Inf(1)}, "Radius"},
+		{RandomConfig{MaxTries: -1}, "MaxTries"},
+		{RandomConfig{Wormholes: -1}, "Wormholes"},
+		{RandomConfig{Wormholes: 3}, "Wormholes"},
+		{RandomConfig{N: 1, Wormholes: 1}, "N"},
+		{RandomConfig{N: 3, Wormholes: 2}, "N"},
+	} {
+		rng := rand.New(rand.NewPCG(1, 2))
+		p := panicText(func() { Random(tc.cfg, rng) })
+		msg, _ := p.(string)
+		if !strings.Contains(msg, "RandomConfig."+tc.field+" ") {
+			t.Errorf("%+v: panic %v, want one naming RandomConfig.%s", tc.cfg, p, tc.field)
+		}
+		if p != nil && rng.Uint64() != rand.New(rand.NewPCG(1, 2)).Uint64() {
+			t.Errorf("%+v: drew from the RNG before refusing the config", tc.cfg)
+		}
 	}
 }
 
